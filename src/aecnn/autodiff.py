@@ -226,7 +226,7 @@ def linear(x, w, b=None) -> Tensor:
     if b is not None:
         if b.values.shape != (fout,):
             raise ValueError(f"bias must have shape ({fout},), got {b.values.shape}")
-        y2 = y2 + b.values
+        y2 += b.values
     parents = (x, w) if b is None else (x, w, b)
 
     def bwd(out):
@@ -244,15 +244,18 @@ def linear(x, w, b=None) -> Tensor:
 
 
 def relu(x) -> Tensor:
+    """max(x, 0); negative zeros come out as +0.0, as np.where(x > 0, x, 0) gives.
+
+    The mask that routes the gradient is built only when backward runs.
+    """
     x = as_tensor(x)
-    mask = x.values > 0.0
 
     def bwd(out):
         def run():
-            x._add_grad(out.grad * mask)
+            x._add_grad(out.grad * (x.values > 0.0))
         return run
 
-    return _make(np.where(mask, x.values, 0.0), (x,), bwd)
+    return _make(np.maximum(x.values, 0.0), (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +268,11 @@ def max_reduce(x, axis: int) -> Tensor:
     axis = axis if axis >= 0 else x.values.ndim + axis
     if x.values.shape[axis] < 1:
         raise ValueError("cannot max-reduce an empty axis")
+    if not x.needs_grad:
+        # Nothing to route a gradient to, so skip the argmax. The plain max
+        # is the same number; only a zero maximum reached by both -0.0 and
+        # +0.0 may come out with the other sign.
+        return constant(x.values.max(axis=axis))
     am = x.values.argmax(axis=axis)
     out_vals = np.take_along_axis(x.values, np.expand_dims(am, axis), axis)
 

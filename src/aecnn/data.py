@@ -508,18 +508,20 @@ def evaluate_classification(model, dataset: Dataset, setting: str, rng,
                             votes: int = 1, batch_size: int = 32) -> Metrics:
     """Accuracy under the setting's test-side rotations.
 
-    Each sample is scored on a freshly rotated copy; with votes > 1 the
-    softmax outputs of that many independently rotated copies are averaged
-    before the argmax (prediction voting).
+    Each sample is normalized, as training and `predict_parts` see clouds,
+    then scored on a freshly rotated copy; with votes > 1 the softmax outputs
+    of that many independently rotated copies are averaged before the argmax
+    (prediction voting).
     """
     predict = _predict_fn(model)
     votes = max(1, int(votes))
     clouds = []
     labels = []
     for s in dataset:
+        pts = geo.normalize(s).points
         for _ in range(votes):
             rot = protocol_rotation(setting, "test", rng)
-            clouds.append(s.points @ rot.T)
+            clouds.append(pts @ rot.T)
         labels.append(s.class_label)
     labels = np.array(labels)
     probs = []

@@ -11,6 +11,15 @@ Two interchangeable query routes exist on purpose: a kd-tree (`build_index`
 plus `knn` / `ball_query`) for the public single-query interface, and flat
 vectorized scans (`knn_points`, `ball_points`, batched variants) that the
 network hot path uses. Both implement the identical ordering contract.
+
+The flat kNN scans share one distance scan and one selection rule.
+`feature_sq_distances` computes squared distances from explicit differences,
+one cloud at a time, in query blocks whose difference tensor fits in about
+4 MB, so the working set stays cache sized however wide the features are.
+`_nearest_k` then selects without sorting whole rows: `np.partition` finds
+each row's k-th smallest distance, every candidate not above it is kept
+(ties included), and only those are lexsorted by (distance, index). The
+result equals the first k columns of a stable argsort, bit for bit.
 """
 from __future__ import annotations
 
@@ -27,15 +36,32 @@ from .geometry import as_points
 # brute-force flat scans (exact, vectorized; the network hot path)
 # ---------------------------------------------------------------------------
 
-def squared_distances(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Pairwise squared euclidean distances, shape (q, n).
+def _nearest_k(d2: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of the k smallest entries of each row of d2 (..., n).
 
-    Computed from explicit differences (not the expanded dot-product trick),
-    which keeps exact zeros for coincident points and exact ties for
-    mirror-symmetric configurations.
+    Equal to `np.argsort(d2, axis=-1, kind="stable")[..., :k]`: ordered by
+    (distance, index) with NaN last. When n < k the tail repeats the nearest
+    column. Only the entries not above a row's k-th smallest value can make
+    the cut, so only those are sorted.
     """
-    diff = queries[:, None, :] - points[None, :, :]
-    return np.einsum("qnd,qnd->qn", diff, diff)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    n = d2.shape[-1]
+    if k >= n:
+        order = np.argsort(d2, axis=-1, kind="stable")
+        if k == n:
+            return order
+        return np.concatenate([order, np.repeat(order[..., :1], k - n, axis=-1)],
+                              axis=-1)
+    flat = d2.reshape(-1, n)
+    kth = np.partition(flat, k - 1, axis=1)[:, k - 1:k]
+    # "not above" rather than "<=": a row whose k-th value is NaN keeps every
+    # entry, and NaN candidates sort after all numbers, as argsort puts them.
+    rows, cols = np.nonzero(~(flat > kth))
+    order = np.lexsort((cols, flat[rows, cols], rows))
+    counts = np.bincount(rows, minlength=flat.shape[0])
+    starts = np.cumsum(counts) - counts
+    return cols[order[starts[:, None] + np.arange(k)]].reshape(*d2.shape[:-1], k)
 
 
 def knn_points(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
@@ -46,15 +72,7 @@ def knn_points(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     """
     points = np.asarray(points, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    n = points.shape[0]
-    d2 = squared_distances(queries, points)
-    order = np.argsort(d2, axis=1, kind="stable")
-    if n >= k:
-        return order[:, :k]
-    pad = np.repeat(order[:, :1], k - n, axis=1)
-    return np.concatenate([order, pad], axis=1)
+    return _nearest_k(feature_sq_distances(points, queries), k)
 
 
 def ball_points(points: np.ndarray, query: np.ndarray, radius: float,
@@ -72,7 +90,7 @@ def ball_points(points: np.ndarray, query: np.ndarray, radius: float,
         raise ValueError(f"max_k must be >= 1, got {max_k}")
     if not radius > 0.0:
         raise ValueError(f"radius must be positive, got {radius!r}")
-    d2 = squared_distances(query[None, :], points)[0]
+    d2 = feature_sq_distances(points, query[None, :])[0]
     order = np.argsort(d2, kind="stable")
     inside = order[d2[order] <= radius * radius]
     if inside.size == 0:
@@ -280,7 +298,8 @@ def fps_batch(points: np.ndarray, n_samples: int) -> np.ndarray:
 
     Same selection rule as the single-cloud version; the generic step uses a
     first-occurrence argmax and falls back to the full tie-break only for
-    rows that actually contain a tie.
+    rows that actually contain a tie. Distances are taken from a
+    coordinate-major (3, B, n) copy of the points into reused buffers.
     """
     points = np.asarray(points, dtype=np.float64)
     b, n, _ = points.shape
@@ -288,16 +307,36 @@ def fps_batch(points: np.ndarray, n_samples: int) -> np.ndarray:
         raise ValueError(f"n_samples must be in [1, {n}], got {n_samples}")
     rows = np.arange(b)
     selected = np.empty((b, n_samples), dtype=np.int64)
-    center = points.mean(axis=1, keepdims=True)
-    d = np.linalg.norm(points - center, axis=2)
-    cur = _argmax_tied_batch(d, points)
+    coords = np.ascontiguousarray(points.transpose(2, 0, 1))
+    center = points.mean(axis=1).T
+    dmin, step, tmp = np.empty((3, b, n))
+    _distances_from(coords, center, dmin, tmp)
+    cur = _argmax_tied_batch(dmin, points)
     selected[:, 0] = cur
-    dmin = np.linalg.norm(points - points[rows, cur][:, None, :], axis=2)
+    _distances_from(coords, coords[:, rows, cur], dmin, tmp)
     for i in range(1, n_samples):
         cur = _argmax_tied_batch(dmin, points)
         selected[:, i] = cur
-        dmin = np.minimum(dmin, np.linalg.norm(points - points[rows, cur][:, None, :], axis=2))
+        _distances_from(coords, coords[:, rows, cur], step, tmp)
+        np.minimum(dmin, step, out=dmin)
     return selected
+
+
+def _distances_from(coords: np.ndarray, origins: np.ndarray, out: np.ndarray,
+                    tmp: np.ndarray):
+    """Euclidean distances from origins (3, B) to coords (3, B, n), into out.
+
+    Summed as (dx^2 + dy^2) + dz^2, the order np.linalg.norm uses over a
+    trailing axis of three, so the result equals it bit for bit. tmp is a
+    scratch buffer of out's shape.
+    """
+    np.subtract(coords[0], origins[0][:, None], out=out)
+    np.multiply(out, out, out=out)
+    for axis in (1, 2):
+        np.subtract(coords[axis], origins[axis][:, None], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.add(out, tmp, out=out)
+    np.sqrt(out, out=out)
 
 
 def _argmax_tied_batch(values: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -342,15 +381,24 @@ class NeighborGraph:
 
 
 def feature_sq_distances(corpus: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Squared distances in feature space, shape (q, n), blockwise exact diffs."""
+    """Squared distances from each query row to each corpus row, shape (q, n).
+
+    Computed from explicit differences (not the expanded dot-product trick),
+    which keeps exact zeros for coincident rows and exact ties for
+    mirror-symmetric configurations. Queries go in blocks whose (block, n, f)
+    difference tensor stays near 4 MB of float64, about one L2 cache, and
+    every block reuses the same buffer; the blocking does not change a bit
+    of the result.
+    """
     q, f = queries.shape
     n = corpus.shape[0]
-    # Cap the (block, n, f) difference tensor at ~16 MB of float64.
-    block = max(1, int(2_000_000 // max(1, n * f)))
+    block = max(1, min(q, 500_000 // max(1, n * f)))
     out = np.empty((q, n), dtype=np.float64)
+    buf = np.empty((block, n, f), dtype=np.float64)
     for start in range(0, q, block):
         stop = min(start + block, q)
-        diff = queries[start:stop, None, :] - corpus[None, :, :]
+        diff = buf[:stop - start]
+        np.subtract(queries[start:stop, None, :], corpus[None, :, :], out=diff)
         out[start:stop] = np.einsum("qnf,qnf->qn", diff, diff)
     return out
 
@@ -377,28 +425,21 @@ def knn_feature_graph(features: np.ndarray, k: int,
         refs = np.asarray(reference_indices, dtype=np.int64)
         if refs.ndim != 1 or (refs.size and (refs.min() < 0 or refs.max() >= n)):
             raise ValueError("reference_indices out of range")
-    d2 = feature_sq_distances(features, features[refs])
-    order = np.argsort(d2, axis=1, kind="stable")
-    if n >= k:
-        lists = order[:, :k]
-    else:
-        lists = np.concatenate([order, np.repeat(order[:, :1], k - n, axis=1)], axis=1)
+    lists = _nearest_k(feature_sq_distances(features, features[refs]), k)
     return NeighborGraph(refs, lists, "feature")
 
 
 def knn_features_batch(corpus: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
-    """Batched feature kNN: corpus (B, n, f), queries (B, q, f) -> (B, q, k)."""
-    b, n, f = corpus.shape
-    q = queries.shape[1]
-    if b * q * n * f > 30_000_000:
-        d2 = np.stack([feature_sq_distances(corpus[i], queries[i]) for i in range(b)])
-    else:
-        diff = queries[:, :, None, :] - corpus[:, None, :, :]
-        d2 = np.einsum("bqnf,bqnf->bqn", diff, diff)
-    order = np.argsort(d2, axis=2, kind="stable")
-    if n >= k:
-        return order[:, :, :k]
-    return np.concatenate([order, np.repeat(order[:, :, :1], k - n, axis=2)], axis=2)
+    """Batched feature kNN: corpus (B, n, f), queries (B, q, f) -> (B, q, k).
+
+    Distances come from `feature_sq_distances`, one cloud at a time; the
+    selection is `_nearest_k`, the rule every flat kNN scan shares.
+    """
+    b, n, _ = corpus.shape
+    d2 = np.empty((b, queries.shape[1], n), dtype=np.float64)
+    for i in range(b):
+        d2[i] = feature_sq_distances(corpus[i], queries[i])
+    return _nearest_k(d2, k)
 
 
 def knn_points_batch(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:

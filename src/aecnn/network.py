@@ -650,8 +650,11 @@ def count_operations(config: NetworkConfig) -> dict:
         macs += edges * _mlp_macs((q_in, *blk.widths))
         out[f"sa_next{i}"] = macs
         f_in = blk.widths[-1]
-    out["head"] = _mlp_macs((f_in, *c.head_widths, c.n_classes))
-    if c.n_parts:
+    if not c.n_parts:
+        # Only classification runs the head; segmentation models build it
+        # (it is checkpointed) but never call it.
+        out["head"] = _mlp_macs((f_in, *c.head_widths, c.n_classes))
+    else:
         variant = AlignVariant.from_name(c.variant)
         widths = c.feature_widths()
         fine_counts = (refs[0], c.n_points)

@@ -111,6 +111,18 @@ class TestLinearRelu:
         ad.backward(ad.sum_reduce(ad.relu(x)))
         assert np.array_equal(x.grad, [0.0, 0.0, 1.0])
 
+    def test_relu_values_bitwise_including_signed_zero(self):
+        # Odd lengths and a strided view exercise both vector and tail loops.
+        g = rng(70)
+        x = g.normal(size=(7, 13))
+        x[::2, ::3] = -0.0
+        x[1::3, 1::2] = 0.0
+        for view in (x, x.T, x[:, ::2]):
+            want = np.where(view > 0, view, 0.0)
+            got = ad.relu(ad.constant(view)).values
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
 
 class TestReductions:
     def test_max_pool_set(self):
@@ -129,6 +141,14 @@ class TestReductions:
         x = ad.parameter(np.array([[1.0], [3.0], [3.0]]))  # set of 3 scalars
         ad.backward(ad.sum_reduce(ad.max_pool_set(x)))
         assert np.array_equal(x.grad, [[0.0], [1.0], [0.0]])
+
+    def test_forward_only_max_matches_tracked(self):
+        g = rng(71)
+        x = g.integers(-3, 4, size=(2, 9, 5)).astype(np.float64)  # many ties
+        tracked = ad.max_reduce(ad.parameter(x), axis=1)
+        plain = ad.max_reduce(ad.constant(x), axis=1)
+        assert tracked.needs_grad and not plain.needs_grad
+        assert np.array_equal(plain.values, tracked.values)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import aecnn.geometry as geo
+from aecnn.config import NetworkConfig, SaFirstConfig, SaNextConfig
 from aecnn.data import (
     BARBELL_BULB_FRACTION,
     Dataset,
@@ -24,6 +25,7 @@ from aecnn.data import (
     synth_classification,
     synth_segmentation,
 )
+from aecnn.network import Model
 
 from oracles import brute_miou
 
@@ -370,6 +372,37 @@ class TestEvaluateClassification:
             d_orig = np.linalg.norm(s.points[0] - s.points[1])
             d_rot = np.linalg.norm(got[i][0] - got[i][1])
             assert abs(d_orig - d_rot) < 1e-9
+
+    def test_scale_and_shift_do_not_change_scores(self):
+        # Training and predict_parts normalize every cloud; evaluation must
+        # too, or a stored 2x scale and offset change what the model sees.
+        cfg = NetworkConfig(n_points=32, n_classes=4,
+                            sa_first=SaFirstConfig(n_ref=16, k=8, widths=(8, 16)),
+                            sa_next=(SaNextConfig(k=4, widths=(16, 24)),),
+                            head_widths=(16,))
+        model = Model(cfg, seed=5)
+        ds = synth_classification(3, 32, np.random.default_rng(34))
+        moved = Dataset([geo.apply_scale_translation(s, 2.0, (0.3, -0.2, 0.1))
+                         for s in ds], ds.class_names)
+
+        def scores(dataset):
+            seen = []
+
+            def spy(batch):
+                seen.append(model.predict_logits_batch(batch))
+                return seen[-1]
+
+            m = evaluate_classification(spy, dataset, "ARAR",
+                                        np.random.default_rng(4), votes=2)
+            logits = np.concatenate(seen)
+            z = np.exp(logits - logits.max(axis=1, keepdims=True))
+            return m, z / z.sum(axis=1, keepdims=True)
+
+        m_ref, p_ref = scores(ds)
+        m_moved, p_moved = scores(moved)
+        assert m_moved.accuracy == m_ref.accuracy
+        assert m_moved.per_class_accuracy == m_ref.per_class_accuracy
+        assert np.allclose(p_moved, p_ref, rtol=0.0, atol=1e-9)
 
 
 class TestMiou:

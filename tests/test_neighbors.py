@@ -158,6 +158,17 @@ class TestFps:
         for i in range(6):
             assert np.array_equal(out[i], nb.farthest_point_sampling(pts[i], 20))
 
+    def test_batch_matches_single_on_mirror_symmetric_cloud(self):
+        # Mirrored halves give every distance an exact twin, so nearly every
+        # step goes through the tie-break; 1024 points is the paper's size.
+        g = rng(36)
+        half = g.normal(size=(512, 3))
+        mirror = np.concatenate([half, half * [-1.0, 1.0, 1.0]])
+        pts = np.stack([mirror, mirror[::-1] * 0.5])
+        out = nb.fps_batch(pts, 256)
+        for i in range(2):
+            assert np.array_equal(out[i], nb.farthest_point_sampling(pts[i], 256))
+
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             nb.farthest_point_sampling(np.zeros((4, 3)), 5)
@@ -213,3 +224,88 @@ class TestFeatureGraph:
         feats[1, 1] = np.inf
         with pytest.raises(ValueError):
             nb.knn_feature_graph(feats, 2)
+
+
+def stable_topk(d2, k):
+    """Reference selection: the first k columns of a stable argsort, padded."""
+    order = np.argsort(d2, axis=-1, kind="stable")
+    n = d2.shape[-1]
+    if k > n:
+        order = np.concatenate([order, np.repeat(order[..., :1], k - n, axis=-1)],
+                               axis=-1)
+    return order[..., :k]
+
+
+def exact_sq_distances(corpus, queries):
+    """(B, q, n) squared distances from one unblocked einsum."""
+    diff = queries[:, :, None, :] - corpus[:, None, :, :]
+    return np.einsum("bqnf,bqnf->bqn", diff, diff)
+
+
+class TestSelectionMatchesStableArgsort:
+    """Every flat kNN scan returns exactly what a stable argsort would."""
+
+    def check_all(self, corpus, queries, k):
+        want = stable_topk(exact_sq_distances(corpus, queries), k)
+        assert np.array_equal(nb.knn_features_batch(corpus, queries, k), want)
+        if corpus.shape[2] == 3:
+            assert np.array_equal(nb.knn_points_batch(corpus, queries, k), want)
+        for b in range(corpus.shape[0]):
+            if corpus.shape[2] == 3:
+                assert np.array_equal(nb.knn_points(corpus[b], queries[b], k), want[b])
+        return want
+
+    def check_graph(self, feats, k, refs):
+        d2 = exact_sq_distances(feats[None], feats[None, refs])[0]
+        graph = nb.knn_feature_graph(feats, k, reference_indices=refs)
+        assert np.array_equal(graph.neighbor_lists, stable_topk(d2, k))
+
+    @pytest.mark.parametrize("k", [1, 5, 16, 27, 30])
+    def test_integer_lattice(self, k):
+        g = rng(40 + k)
+        pts = g.integers(-2, 3, size=(2, 27, 3)).astype(np.float64)
+        queries = np.concatenate([pts[:, :6], g.integers(-2, 3, size=(2, 4, 3))],
+                                 axis=1).astype(np.float64)
+        self.check_all(pts, queries, k)
+        self.check_graph(pts[0], k, np.arange(27))
+
+    @pytest.mark.parametrize("k", [2, 3, 8])
+    def test_duplicate_feature_rows(self, k):
+        g = rng(50 + k)
+        feats = g.normal(size=(2, 20, 7))
+        feats[:, 5] = feats[:, 0]
+        feats[:, 12:15] = feats[:, 3:4]
+        self.check_all(feats, feats[:, ::3], k)
+        self.check_graph(feats[0], k, np.arange(0, 20, 2))
+
+    @pytest.mark.parametrize("k", [1, 3, 6, 7, 10, 18, 26])
+    def test_many_distances_equal_the_kth(self, k):
+        # The 3x3x3 lattice around the origin: 6 points at distance 1, 12 at
+        # sqrt 2, 8 at sqrt 3, so most k cut through a block of equal values.
+        axis = np.array([-1.0, 0.0, 1.0])
+        cube = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+        perm = rng(60).permutation(27)
+        pts = np.stack([cube, cube[perm]])
+        queries = np.zeros((2, 3, 3))
+        queries[:, 1] = [0.0, 0.0, 1.0]
+        want = self.check_all(pts, queries, k)
+        assert np.array_equal(want[0, 0, :min(k, 7)], [13, 4, 10, 12, 14, 16, 22][:k])
+        self.check_graph(cube, k, np.array([13, 0, 26]))
+
+    @pytest.mark.parametrize("extra", [0, 1, 4])
+    def test_k_at_and_beyond_n_pads(self, extra):
+        g = rng(70 + extra)
+        pts = g.integers(-1, 2, size=(2, 9, 3)).astype(np.float64)
+        want = self.check_all(pts, pts[:, :4], 9 + extra)
+        assert np.array_equal(want[..., 9:], np.repeat(want[..., :1], extra, axis=-1))
+        self.check_graph(pts[1], 9 + extra, np.arange(9))
+
+    def test_blocked_distances_equal_one_einsum(self):
+        # 300 rows of 64 features allow 26 queries per block: 4 blocks here.
+        g = rng(80)
+        corpus = g.normal(size=(300, 64))
+        queries = np.concatenate([corpus[::7], g.normal(size=(57, 64))])
+        got = nb.feature_sq_distances(corpus, queries)
+        want = exact_sq_distances(corpus[None], queries[None])[0]
+        assert queries.shape[0] > 3 * 500_000 // (300 * 64)
+        assert np.array_equal(got, want)

@@ -507,6 +507,53 @@ class TestAccounting:
         assert "fp1" in ops and "fp2" in ops and "point_head" in ops
         assert all(v > 0 for v in ops.values())
 
+    @pytest.mark.parametrize("seg", [False, True])
+    def test_count_matches_executed_linear_macs(self, monkeypatch, seg):
+        # Count what ad.linear really multiplies for one cloud, from its
+        # argument shapes; a built but unused head must not be counted.
+        cfg = tiny_seg_config() if seg else tiny_config()
+        model = Model(cfg, seed=0)
+        executed = []
+        real_linear = ad.linear
+
+        def counting_linear(x, w, b=None):
+            lead = np.shape(getattr(x, "values", x))[:-1]
+            fin, fout = w.values.shape
+            executed.append(int(np.prod(lead, dtype=np.int64)) * fin * fout)
+            return real_linear(x, w, b)
+
+        monkeypatch.setattr(ad, "linear", counting_linear)
+        pts = random_cloud(np.random.default_rng(90))[None]
+        if seg:
+            model.predict_part_logits_batch(pts, np.array([1]))
+        else:
+            model.predict_logits_batch(pts)
+        assert sum(executed) == count_operations(cfg)["total_macs"]
+
+
+class TestForwardOnlyMatchesTracked:
+    """The grad-free fast paths of max_reduce and relu give the tracked values."""
+
+    def test_classification(self):
+        model = Model(tiny_config(), seed=6)
+        rng = np.random.default_rng(91)
+        pts = np.stack([random_cloud(rng) for _ in range(3)])
+        tracked, _ = model.classify_batch(pts)
+        assert tracked.needs_grad
+        assert np.array_equal(model.predict_logits_batch(pts), tracked.values)
+
+    def test_desk_segmentation(self):
+        cfg = desk_segmentation_config()
+        model = Model(cfg, seed=7)
+        rng = np.random.default_rng(92)
+        pts = np.stack([random_cloud(rng, cfg.n_points) for _ in range(2)])
+        labels = np.array([0, 1])
+        onehot = np.eye(cfg.n_classes)[labels]
+        tracked, _ = model.segment_batch(pts, onehot)
+        assert tracked.needs_grad
+        assert np.array_equal(model.predict_part_logits_batch(pts, labels),
+                              tracked.values)
+
 
 class TestLrfFallbackSurfacing:
     def test_degenerate_neighborhoods_counted_not_fatal(self):
