@@ -20,7 +20,11 @@ _finite_checks = True
 
 
 def set_finite_checks(enabled: bool) -> bool:
-    """Toggle NaN/Inf screening on tensor creation; returns the old value."""
+    """Toggle NaN/Inf screening on tensor creation; returns the old value.
+
+    With screening off nothing hides a NaN: `relu` passes it through (it is
+    np.maximum, not a mask) and `max_reduce` pools it into the output.
+    """
     global _finite_checks
     old = _finite_checks
     _finite_checks = bool(enabled)

@@ -32,6 +32,9 @@ from .nn import Mlp
 AECONV1_PENALTY_WEIGHT = 1e-3
 FP_NEIGHBORS = 3
 FP_DISTANCE_FLOOR = 1e-10
+# Forward-only SA-first runs its MLP on blocks of references whose widest
+# activation holds about this many float64 values (4 MB).
+SA_FIRST_BLOCK_ELEMS = 500_000
 
 
 class AlignVariant(enum.Enum):
@@ -249,7 +252,7 @@ class Model:
     def _first_level(self, pts: np.ndarray, nb_idx: np.ndarray,
                      bases: np.ndarray, ref_idx: np.ndarray) -> _Level:
         """Shared tail of sa_first: RIR (or raw) coords -> pooled features."""
-        b = pts.shape[0]
+        b, _, k = nb_idx.shape
         ref_pts = pts[_bidx(b, ref_idx), ref_idx]
         nb_pts = pts[_bidx(b, nb_idx), nb_idx]
         if self.config.features == "rir":
@@ -259,8 +262,25 @@ class Model:
             offsets = nb_pts - ref_pts[:, :, None, :]
             refs_rep = np.repeat(ref_pts[:, :, None, :], nb_pts.shape[2], axis=2)
             h_in = np.concatenate([refs_rep, offsets], axis=-1)
-        feat = self.h_mlp(ad.constant(h_in), set_axes=(2,))
-        feat = ad.max_reduce(feat, axis=2)
+        # Forward only, the MLP and the max over k run on blocks of references
+        # whose widest activation is about 4 MB. Whole-batch activations are
+        # fresh buffers every call, and their first-touch page faults cost
+        # more than the GEMMs; blocks reuse warm memory. Rows never mix (the
+        # per-set statistics run over k alone) and a GEMM's rows do not
+        # depend on how many rows it is given, so the result is the same.
+        # Tracked passes keep one block: splitting the graph would change the
+        # summation order of the weight-gradient GEMM.
+        r = h_in.shape[1]
+        if any(p.needs_grad for p in self.h_mlp.parameters()):
+            step = r
+        else:
+            step = max(1, SA_FIRST_BLOCK_ELEMS // (b * k * max(self.h_mlp.widths)))
+        pieces = [
+            ad.max_reduce(self.h_mlp(ad.constant(h_in[:, s:s + step]), set_axes=(2,)),
+                          axis=2)
+            for s in range(0, r, step)
+        ]
+        feat = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=1)
         return _Level(pts=ref_pts, bases=bases, feat=feat)
 
     def _sa_first_batch(self, pts: np.ndarray) -> _Level:
@@ -293,11 +313,6 @@ class Model:
 
     # -- aligned edge convolution ---------------------------------------------
 
-    def _align(self, variant: AlignVariant, align_mlp, x_j, bases_i: np.ndarray,
-               bases_j: np.ndarray, t: np.ndarray, penalties: list):
-        return _align_edge_features(variant, align_mlp, x_j, bases_i, bases_j,
-                                    t, penalties)
-
     def _sa_next_batch(self, level: _Level, block_index: int,
                        penalties: list) -> _Level:
         variant, align_mlp, q_mlp, k = self.block_mlps[block_index]
@@ -314,8 +329,8 @@ class Model:
         nb_pos = level.pts[_bidx(b, graph), graph]
         nb_bases = level.bases[_bidx(b, graph), graph]
         t = lrf.rir_batch(nb_pos, new_pts, new_bases)             # (b, r_out, k, 3)
-        xhat = self._align(variant, align_mlp, x_j, new_bases, nb_bases, t,
-                           penalties)
+        xhat = _align_edge_features(variant, align_mlp, x_j, new_bases, nb_bases,
+                                    t, penalties)
         xi_rep = ad.expand_set(x_i, k)
         parts = [xi_rep, ad.sub(xhat, xi_rep)]
         if variant is not AlignVariant.PLAIN_EDGECONV:
@@ -408,8 +423,8 @@ class Model:
         w /= w.sum(axis=-1, keepdims=True)
         cfeat = ad.gather_rows(coarse.feat, nn3)              # (b, nf, 3, fc)
         t = lrf.rir_batch(cpos, fine_pts, fine_bases)
-        xhat = self._align(variant, align_mlp, cfeat, fine_bases, cbases, t,
-                           penalties)
+        xhat = _align_edge_features(variant, align_mlp, cfeat, fine_bases, cbases,
+                                    t, penalties)
         interp = ad.sum_reduce(ad.mul(xhat, ad.constant(w[..., None])), axis=2)
         mixed = interp if skip is None else ad.concat([interp, skip])
         return mlp(mixed, set_axes=(1,))
@@ -544,7 +559,8 @@ def aligned_edge_conv(prev: SaOutput, graph: nb.NeighborGraph, weights,
         nb_bases = prev.frame_bases[lists][None]
         t = lrf.rir_batch(nb_pos, new_pts, new_bases)
         pens: list = []
-        xhat = model._align(variant, align_mlp, x_j, new_bases, nb_bases, t, pens)
+        xhat = _align_edge_features(variant, align_mlp, x_j, new_bases, nb_bases,
+                                    t, pens)
         k = lists.shape[1]
         xi_rep = ad.expand_set(x_i, k)
         parts = [xi_rep, ad.sub(xhat, xi_rep)]

@@ -56,6 +56,10 @@ class Mlp:
                 x = ad.relu(x)
         return x
 
+    def parameters(self) -> list:
+        """Every trainable Tensor of this MLP, layer by layer."""
+        return [t for layer in self.layers for t in layer[:4] if t is not None]
+
     @property
     def in_width(self) -> int:
         return self.widths[0]

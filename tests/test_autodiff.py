@@ -368,6 +368,21 @@ class TestGraphMechanics:
         finally:
             ad.set_finite_checks(old)
 
+    def test_nan_propagates_when_checks_are_off(self):
+        # relu keeps a NaN (np.maximum), and both max_reduce paths, the
+        # forward-only max and the tracked argmax, pool it into the output.
+        old = ad.set_finite_checks(False)
+        try:
+            x = np.array([[np.nan, -1.0, 2.0], [0.5, -3.0, 1.0]])
+            assert np.array_equal(ad.relu(ad.constant(x)).values,
+                                  [[np.nan, 0.0, 2.0], [0.5, 0.0, 1.0]],
+                                  equal_nan=True)
+            for leaf in (ad.constant(x), ad.parameter(x)):
+                pooled = ad.max_reduce(ad.relu(leaf), axis=1).values
+                assert np.array_equal(pooled, [np.nan, 1.0], equal_nan=True)
+        finally:
+            ad.set_finite_checks(old)
+
 
 class TestCompositeProbe:
     def test_set_network_gradient(self):

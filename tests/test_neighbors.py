@@ -169,6 +169,28 @@ class TestFps:
         for i in range(2):
             assert np.array_equal(out[i], nb.farthest_point_sampling(pts[i], 256))
 
+    def test_batch_matches_single_with_maxima_tied_at_both_ends(self):
+        # The two farthest points from the centroid sit at index 0 and n-1,
+        # so the first and last argmax differ only by the whole row's width;
+        # the second cloud has no tie at the first step.
+        g = rng(37)
+        inner = g.normal(size=(30, 3)) * 0.1
+        inner -= inner.mean(axis=0)
+        ends = np.concatenate([[[1.0, 0.0, 0.0]], inner, [[-1.0, 0.0, 0.0]]])
+        pts = np.stack([ends, g.normal(size=(32, 3))])
+        out = nb.fps_batch(pts, 12)
+        assert out[0, 0] == 31  # (-1, 0, 0) is lexicographically smaller
+        for i in range(2):
+            assert np.array_equal(out[i], nb.farthest_point_sampling(pts[i], 12))
+
+    def test_batch_matches_single_on_lattice(self):
+        axis = np.arange(8.0)
+        cube = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+        pts = np.stack([cube, cube[rng(38).permutation(512)]])
+        out = nb.fps_batch(pts, 64)
+        for i in range(2):
+            assert np.array_equal(out[i], nb.farthest_point_sampling(pts[i], 64))
+
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
             nb.farthest_point_sampling(np.zeros((4, 3)), 5)
@@ -309,3 +331,42 @@ class TestSelectionMatchesStableArgsort:
         want = exact_sq_distances(corpus[None], queries[None])[0]
         assert queries.shape[0] > 3 * 500_000 // (300 * 64)
         assert np.array_equal(got, want)
+
+    def test_rows_with_and_without_ties_and_nan_in_one_batch(self):
+        # One call mixes the two selection paths: distinct rows take the
+        # stable sort of exactly k kept values, the rest the lexsort.
+        g = rng(81)
+        d2 = g.random((6, 40))
+        d2[1] = np.round(d2[1] * 4)          # many ties at the k-th value
+        d2[2, :] = 0.5                       # every entry equal
+        d2[3, [2, 9, 30]] = np.nan           # NaN sorts after all numbers
+        d2[4, :37] = np.nan                  # the k-th value is NaN
+        for k in (1, 5, 6):
+            assert np.array_equal(nb._nearest_k(d2, k), stable_topk(d2, k))
+            assert np.array_equal(nb._nearest_k(d2[[0, 5]], k), stable_topk(d2[[0, 5]], k))
+
+
+class TestPointScan:
+    """The coordinate-major 3-D scan gives the feature scan's bits."""
+
+    @pytest.mark.parametrize("cloud", ["random", "lattice", "mirror", "small", "large"])
+    def test_equals_feature_sq_distances(self, cloud):
+        g = rng(90)
+        if cloud == "lattice":
+            pts = g.integers(-4, 5, size=(2, 200, 3)).astype(np.float64)
+        elif cloud == "mirror":
+            half = g.normal(size=(2, 100, 3))
+            pts = np.concatenate([half, half * [1.0, -1.0, 1.0]], axis=1)
+        else:
+            scale = {"random": 1.0, "small": 1e-3, "large": 1e3}[cloud]
+            pts = g.normal(size=(2, 200, 3)) * scale
+        queries = np.concatenate([pts[:, ::3], pts[:, :20] + 0.25 * pts[:, 20:40]],
+                                 axis=1)
+        got = nb._point_sq_distances(pts, queries)
+        for b in range(2):
+            assert np.array_equal(got[b], nb.feature_sq_distances(pts[b], queries[b]))
+        assert np.array_equal(got, exact_sq_distances(pts, queries))
+
+    def test_rejects_other_widths(self):
+        with pytest.raises(ValueError, match="3"):
+            nb.knn_points_batch(np.zeros((1, 5, 4)), np.zeros((1, 2, 4)), 2)

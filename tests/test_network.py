@@ -1,4 +1,6 @@
 """Network forward passes: shapes, invariances, gradients, accounting."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,10 @@ from aecnn.config import (
     SaNextConfig,
     desk_classification_config,
     desk_segmentation_config,
+    paper_scale_config,
 )
 from aecnn.network import (
+    SA_FIRST_BLOCK_ELEMS,
     AlignVariant,
     Model,
     SaOutput,
@@ -88,6 +92,14 @@ class TestShapes:
         model = Model(tiny_config(), seed=0)
         with pytest.raises(ValueError, match="32 points"):
             model.predict_logits(np.zeros((16, 3)))
+
+    def test_nonfinite_points_rejected(self):
+        # Two NaN points: FPS must not take them for a tie at the maximum.
+        model = Model(tiny_config(), seed=0)
+        pts = random_cloud(np.random.default_rng(3))
+        pts[[3, 7]] = np.nan
+        with pytest.raises(FloatingPointError):
+            model.predict_logits(pts)
 
     def test_segment_logits_shape(self):
         rng = np.random.default_rng(2)
@@ -532,7 +544,8 @@ class TestAccounting:
 
 
 class TestForwardOnlyMatchesTracked:
-    """The grad-free fast paths of max_reduce and relu give the tracked values."""
+    """The grad-free fast paths give the tracked values: max_reduce, relu and
+    SA-first in reference blocks, including a ragged last block."""
 
     def test_classification(self):
         model = Model(tiny_config(), seed=6)
@@ -553,6 +566,79 @@ class TestForwardOnlyMatchesTracked:
         assert tracked.needs_grad
         assert np.array_equal(model.predict_part_logits_batch(pts, labels),
                               tracked.values)
+
+    @staticmethod
+    def assert_splits_ragged(cfg, b):
+        step = SA_FIRST_BLOCK_ELEMS // (b * cfg.sa_first.k * max(cfg.sa_first.widths))
+        blocks = -(-cfg.sa_first.n_ref // step)
+        assert blocks > 2 and cfg.sa_first.n_ref % step
+        return blocks
+
+    def test_paper_scale_in_reference_blocks(self):
+        cfg = paper_scale_config()
+        assert self.assert_splits_ragged(cfg, 1) == 7
+        model = Model(cfg, seed=8)
+        pts = random_cloud(np.random.default_rng(93), cfg.n_points)[None]
+        tracked, _ = model.classify_batch(pts)
+        assert np.array_equal(model.predict_logits_batch(pts), tracked.values)
+
+    def test_normalized_desk_in_reference_blocks(self):
+        cfg = desk_classification_config(normalize=True)
+        self.assert_splits_ragged(cfg, 24)
+        model = Model(cfg, seed=9)
+        rng = np.random.default_rng(94)
+        pts = np.stack([random_cloud(rng, cfg.n_points) for _ in range(24)])
+        tracked, _ = model.classify_batch(pts)
+        assert np.array_equal(model.predict_logits_batch(pts), tracked.values)
+
+
+class TestGoldenOutputs:
+    """SHA-256 of float64 logits and of one step's gradients at fixed seeds.
+
+    Recorded before the kNN, FPS and SA-first forward paths were rewritten
+    for speed, and equal at one and two BLAS threads. A digest that moves
+    means some output bit moved: a change that means to move it says which
+    and why. The digests belong to the float64 kernels of the numpy and
+    OpenBLAS build they were recorded on; another BLAS kernel may round
+    differently.
+    """
+
+    @staticmethod
+    def digest(arrays) -> str:
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        return h.hexdigest()
+
+    def run(self, cfg, seed):
+        model = Model(cfg, seed=seed)
+        rng = np.random.default_rng(seed + 100)
+        pts = np.stack([random_cloud(rng) for _ in range(3)])
+        labels = np.array([0, 1, 2])
+        if cfg.n_parts:
+            scores = model.predict_part_logits_batch(pts, labels)
+            targets = rng.integers(0, cfg.n_parts, size=(3, cfg.n_points))
+            logits, pens = model.segment_batch(pts, np.eye(cfg.n_classes)[labels])
+        else:
+            scores = model.predict_logits_batch(pts)
+            targets = labels
+            logits, pens = model.classify_batch(pts)
+        ad.backward(model.loss_terms(logits, targets, pens))
+        grads = [np.zeros_like(p.values) if p.grad is None else p.grad
+                 for p in model.params.values()]
+        return self.digest([scores]), self.digest(grads)
+
+    def test_classification(self):
+        assert self.run(tiny_config(), 3) == (
+            "cc3d364cd8955ba03bd92ce6859478bc7ce84dcf605ced24cd4a47764238b8fc",
+            "67d244e42ae24321f71f000491b9dfd5df350816aee9103078873f4c593546b8",
+        )
+
+    def test_segmentation(self):
+        assert self.run(tiny_seg_config(), 4) == (
+            "6ecd3b1f8b4d3c61b37de2cf2a3eead5a88926d0aadf18b3a631e57cbb2e1ee9",
+            "ebddbeafe04801042fd8c32d7e2c866ba97ac7648742615bc96a92bd2dfd6b61",
+        )
 
 
 class TestLrfFallbackSurfacing:
