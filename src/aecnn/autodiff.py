@@ -9,6 +9,15 @@ orthogonality penalty) whose gradients are hand derived.
 
 Everything is float64 and single threaded on purpose: gradient checks sit at
 1e-4 relative tolerance and training runs must be bit-reproducible.
+
+Gradient buffers have one owner. A tensor's `.grad` belongs to that tensor
+alone, so an op's backward may work in its output's `.grad` in place and hand
+it on. An op hands each contribution to `_add_grad` either as a buffer it
+owns (one it just made, or its output's `.grad`, given up to one parent) or
+as a shared view. The first contribution adopts an owned buffer and copies a
+shared one; either way it stores exactly 0.0 + g, so -0.0 becomes +0.0 and
+every gradient, interior ones included, has the bits a zero-filled buffer
+plus g would give.
 """
 from __future__ import annotations
 
@@ -24,6 +33,13 @@ def set_finite_checks(enabled: bool) -> bool:
 
     With screening off nothing hides a NaN: `relu` passes it through (it is
     np.maximum, not a mask) and `max_reduce` pools it into the output.
+
+    Leaves, `Tensor(...)` and arithmetic ops screen their output. `relu`,
+    `max_reduce`, `gather_rows`, `concat`, `reshape` and `expand_set` do not:
+    they only select or copy values of their inputs (or zeros), which were
+    screened when they were made, so the scan could not fail. A tensor made
+    while screening was off is therefore not re-screened by those ops after
+    it is turned back on; the next arithmetic op raises.
     """
     global _finite_checks
     old = _finite_checks
@@ -37,9 +53,9 @@ class Tensor:
     __slots__ = ("values", "grad", "needs_grad", "name", "_parents", "_backward")
 
     def __init__(self, values, parents: tuple = (), needs_grad: bool = True,
-                 name: Optional[str] = None):
+                 name: Optional[str] = None, *, _screened: bool = False):
         v = np.asarray(values, dtype=np.float64)
-        if _finite_checks and not np.isfinite(v).all():
+        if _finite_checks and not _screened and not np.isfinite(v).all():
             raise FloatingPointError(
                 f"non-finite values entering tensor {name or '<anon>'}"
             )
@@ -58,12 +74,32 @@ class Tensor:
     def ndim(self):
         return self.values.ndim
 
-    def _add_grad(self, g: np.ndarray):
+    def _add_grad(self, g: np.ndarray, owned: bool = False):
+        """Accumulate one gradient contribution of this tensor's shape.
+
+        `owned=True` means the caller gives `g` up: no one else reads or
+        writes it afterwards. The first contribution then adopts it in place,
+        otherwise it is copied once, so `.grad` always belongs to this tensor
+        alone. Either way the first write stores 0.0 + g. A buffer is adopted
+        only when it and the values are C-contiguous, so `.grad` keeps the
+        layout of `zeros_like(values)` and reductions over it sum in the same
+        order.
+        """
         if not self.needs_grad:
             return
-        if self.grad is None:
-            self.grad = np.zeros_like(self.values)
-        self.grad += g
+        if g.shape != self.values.shape:
+            raise ValueError(
+                f"gradient of shape {g.shape} for tensor {self.name or '<anon>'} "
+                f"of shape {self.values.shape}"
+            )
+        if self.grad is not None:
+            self.grad += g
+        elif (owned and isinstance(g, np.ndarray) and g.flags.c_contiguous
+              and self.values.flags.c_contiguous):
+            g += 0.0
+            self.grad = g
+        else:
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.values))
 
     def zero_grad(self):
         self.grad = None
@@ -87,12 +123,17 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x)
 
 
-def _make(values, parents: Sequence[Tensor], backward_fn) -> Tensor:
-    """Wire an op output; skips the closure entirely on constant subgraphs."""
+def _make(values, parents: Sequence[Tensor], backward_fn,
+          screened: bool = False) -> Tensor:
+    """Wire an op output; skips the closure entirely on constant subgraphs.
+
+    `screened=True` skips the finiteness scan, for ops whose values are only
+    selected or copied from their (already screened) inputs.
+    """
     parents = tuple(parents)
     if not any(p.needs_grad for p in parents):
-        return Tensor(values, needs_grad=False)
-    out = Tensor(values, parents=parents, needs_grad=True)
+        return Tensor(values, needs_grad=False, _screened=screened)
+    out = Tensor(values, parents=parents, needs_grad=True, _screened=screened)
     out._backward = backward_fn(out)
     return out
 
@@ -102,6 +143,8 @@ def backward(loss: Tensor):
 
     The loss must be scalar. Visit order is a deterministic iterative
     post-order, so repeated runs accumulate in the same sequence bit for bit.
+    Each node's `.grad` is its own buffer (see `Tensor._add_grad`), so a
+    node's closure may modify it in place or hand it on to one parent.
     Interior nodes are consumed as the sweep passes them: their grad buffer
     and closure are dropped once propagated, so peak memory tracks the
     gradient frontier rather than the whole graph. A graph can therefore be
@@ -153,8 +196,10 @@ def add(a, b) -> Tensor:
 
     def bwd(out):
         def run():
-            a._add_grad(_unbroadcast(out.grad, a.values.shape))
-            b._add_grad(_unbroadcast(out.grad, b.values.shape))
+            if a.needs_grad:
+                a._add_grad(_unbroadcast(out.grad, a.values.shape))
+            if b.needs_grad:
+                b._add_grad(_unbroadcast(out.grad, b.values.shape))
         return run
 
     return _make(a.values + b.values, (a, b), bwd)
@@ -165,8 +210,11 @@ def sub(a, b) -> Tensor:
 
     def bwd(out):
         def run():
-            a._add_grad(_unbroadcast(out.grad, a.values.shape))
-            b._add_grad(-_unbroadcast(out.grad, b.values.shape))
+            # b gets a fresh negation, so a may own out.grad itself.
+            if a.needs_grad:
+                a._add_grad(_unbroadcast(out.grad, a.values.shape), owned=True)
+            if b.needs_grad:
+                b._add_grad(-_unbroadcast(out.grad, b.values.shape), owned=True)
         return run
 
     return _make(a.values - b.values, (a, b), bwd)
@@ -177,8 +225,13 @@ def mul(a, b) -> Tensor:
 
     def bwd(out):
         def run():
-            a._add_grad(_unbroadcast(out.grad * b.values, a.values.shape))
-            b._add_grad(_unbroadcast(out.grad * a.values, b.values.shape))
+            g = out.grad
+            if b.needs_grad:
+                b._add_grad(_unbroadcast(g * a.values, b.values.shape), owned=True)
+            if a.needs_grad:
+                # out.grad has the broadcast shape, so a's product fits in it.
+                np.multiply(g, b.values, out=g)
+                a._add_grad(_unbroadcast(g, a.values.shape), owned=True)
         return run
 
     return _make(a.values * b.values, (a, b), bwd)
@@ -190,7 +243,7 @@ def scale(a, c: float) -> Tensor:
 
     def bwd(out):
         def run():
-            a._add_grad(out.grad * c)
+            a._add_grad(out.grad * c, owned=True)
         return run
 
     return _make(a.values * c, (a,), bwd)
@@ -201,7 +254,7 @@ def square(a) -> Tensor:
 
     def bwd(out):
         def run():
-            a._add_grad(out.grad * (2.0 * a.values))
+            a._add_grad(out.grad * (2.0 * a.values), owned=True)
         return run
 
     return _make(a.values * a.values, (a,), bwd)
@@ -237,11 +290,11 @@ def linear(x, w, b=None) -> Tensor:
         def run():
             g2 = out.grad.reshape(-1, fout)
             if x.needs_grad:
-                x._add_grad((g2 @ w.values.T).reshape(*lead, fin))
+                x._add_grad((g2 @ w.values.T).reshape(*lead, fin), owned=True)
             if w.needs_grad:
-                w._add_grad(x2.T @ g2)
+                w._add_grad(x2.T @ g2, owned=True)
             if b is not None and b.needs_grad:
-                b._add_grad(g2.sum(axis=0))
+                b._add_grad(g2.sum(axis=0), owned=True)
         return run
 
     return _make(y2.reshape(*lead, fout), parents, bwd)
@@ -250,16 +303,19 @@ def linear(x, w, b=None) -> Tensor:
 def relu(x) -> Tensor:
     """max(x, 0); negative zeros come out as +0.0, as np.where(x > 0, x, 0) gives.
 
-    The mask that routes the gradient is built only when backward runs.
+    The mask that routes the gradient is built only when backward runs and
+    is applied in place to the output's own gradient, which is handed down.
     """
     x = as_tensor(x)
 
     def bwd(out):
         def run():
-            x._add_grad(out.grad * (x.values > 0.0))
+            g = out.grad
+            np.multiply(g, x.values > 0.0, out=g)
+            x._add_grad(g, owned=True)
         return run
 
-    return _make(np.maximum(x.values, 0.0), (x,), bwd)
+    return _make(np.maximum(x.values, 0.0), (x,), bwd, screened=True)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +332,7 @@ def max_reduce(x, axis: int) -> Tensor:
         # Nothing to route a gradient to, so skip the argmax. The plain max
         # is the same number; only a zero maximum reached by both -0.0 and
         # +0.0 may come out with the other sign.
-        return constant(x.values.max(axis=axis))
+        return Tensor(x.values.max(axis=axis), needs_grad=False, _screened=True)
     am = x.values.argmax(axis=axis)
     out_vals = np.take_along_axis(x.values, np.expand_dims(am, axis), axis)
 
@@ -286,10 +342,10 @@ def max_reduce(x, axis: int) -> Tensor:
             np.put_along_axis(
                 g, np.expand_dims(am, axis), np.expand_dims(out.grad, axis), axis
             )
-            x._add_grad(g)
+            x._add_grad(g, owned=True)
         return run
 
-    return _make(np.squeeze(out_vals, axis=axis), (x,), bwd)
+    return _make(np.squeeze(out_vals, axis=axis), (x,), bwd, screened=True)
 
 
 def max_pool_set(x) -> Tensor:
@@ -306,7 +362,7 @@ def sum_reduce(x, axis=None, keepdims: bool = False) -> Tensor:
             g = out.grad
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            x._add_grad(np.broadcast_to(g, x.values.shape).copy())
+            x._add_grad(np.broadcast_to(g, x.values.shape).copy(), owned=True)
         return run
 
     return _make(out_vals, (x,), bwd)
@@ -323,10 +379,10 @@ def reshape(x, shape: tuple) -> Tensor:
 
     def bwd(out):
         def run():
-            x._add_grad(out.grad.reshape(old))
+            x._add_grad(out.grad.reshape(old), owned=True)
         return run
 
-    return _make(x.values.reshape(shape), (x,), bwd)
+    return _make(x.values.reshape(shape), (x,), bwd, screened=True)
 
 
 def expand_set(x, size: int, axis: int = -2) -> Tensor:
@@ -340,10 +396,10 @@ def expand_set(x, size: int, axis: int = -2) -> Tensor:
 
     def bwd(out):
         def run():
-            x._add_grad(out.grad.sum(axis=ax))
+            x._add_grad(out.grad.sum(axis=ax), owned=True)
         return run
 
-    return _make(out_vals, (x,), bwd)
+    return _make(out_vals, (x,), bwd, screened=True)
 
 
 def concat(tensors: Sequence, axis: int = -1) -> Tensor:
@@ -366,7 +422,7 @@ def concat(tensors: Sequence, axis: int = -1) -> Tensor:
                     t._add_grad(out.grad[tuple(sl)])
         return run
 
-    return _make(out_vals, ts, bwd)
+    return _make(out_vals, ts, bwd, screened=True)
 
 
 def _scatter_add_rows(n_rows: int, flat_idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -410,10 +466,11 @@ def gather_rows(x, indices: np.ndarray) -> Tensor:
         def run():
             flat = (bfull * n + idx).ravel()
             rows = out.grad.reshape(-1, f)
-            x._add_grad(_scatter_add_rows(b * n, flat, rows).reshape(b, n, f))
+            x._add_grad(_scatter_add_rows(b * n, flat, rows).reshape(b, n, f),
+                        owned=True)
         return run
 
-    return _make(out_vals, (x,), bwd)
+    return _make(out_vals, (x,), bwd, screened=True)
 
 
 # ---------------------------------------------------------------------------
@@ -450,14 +507,14 @@ def standardize(x, gamma, beta, axes: tuple) -> Tensor:
             g = out.grad
             sum_axes = tuple(range(g.ndim - 1))
             if gamma.needs_grad:
-                gamma._add_grad((g * xhat).sum(axis=sum_axes))
+                gamma._add_grad((g * xhat).sum(axis=sum_axes), owned=True)
             if beta.needs_grad:
-                beta._add_grad(g.sum(axis=sum_axes))
+                beta._add_grad(g.sum(axis=sum_axes), owned=True)
             if x.needs_grad:
                 dxhat = g * gamma.values
                 t1 = dxhat.sum(axis=axes, keepdims=True)
                 t2 = (dxhat * xhat).sum(axis=axes, keepdims=True)
-                x._add_grad((inv / m) * (m * dxhat - t1 - xhat * t2))
+                x._add_grad((inv / m) * (m * dxhat - t1 - xhat * t2), owned=True)
         return run
 
     return _make(out_vals, (x, gamma, beta), bwd)
@@ -491,7 +548,7 @@ def cross_entropy(logits, labels) -> Tensor:
             p = e / s
             onehot = np.zeros_like(p)
             np.put_along_axis(onehot, lab[..., None], 1.0, axis=-1)
-            logits._add_grad((p - onehot) * (out.grad / n))
+            logits._add_grad((p - onehot) * (out.grad / n), owned=True)
         return run
 
     return _make(loss, (logits,), bwd)
@@ -505,9 +562,11 @@ def edge_matvec(m, x) -> Tensor:
     def bwd(out):
         def run():
             if m.needs_grad:
-                m._add_grad(np.einsum("...i,...j->...ij", out.grad, x.values))
+                m._add_grad(np.einsum("...i,...j->...ij", out.grad, x.values),
+                            owned=True)
             if x.needs_grad:
-                x._add_grad(np.einsum("...ij,...i->...j", m.values, out.grad))
+                x._add_grad(np.einsum("...ij,...i->...j", m.values, out.grad),
+                            owned=True)
         return run
 
     return _make(out_vals, (m, x), bwd)
@@ -532,7 +591,7 @@ def orthogonality_penalty(m) -> Tensor:
         def run():
             m._add_grad(np.einsum(
                 "...ij,...jk->...ik", dev, m.values
-            ) * (4.0 * out.grad / count))
+            ) * (4.0 * out.grad / count), owned=True)
         return run
 
     return _make(penalty, (m,), bwd)

@@ -5,7 +5,9 @@ All selection rules are exact and deterministic. Candidates are ordered by
 smaller point index; farthest point sampling breaks max-distance ties by
 lexicographically smallest coordinate triple, then smallest index. These
 tie-breaks are part of the contract (tests compare against brute-force
-oracles for equality, not closeness).
+oracles for equality, not closeness). No rule can order a NaN or an
+infinity, so every FPS, kNN and ball entry point rejects non-finite points
+with a ValueError, as `knn_feature_graph` rejects non-finite features.
 
 Two interchangeable query routes exist on purpose: a kd-tree (`build_index`
 plus `knn` / `ball_query`) for the public single-query interface, and flat
@@ -278,6 +280,13 @@ def ball_query(index: SpatialIndex, query, radius: float, max_k: int) -> np.ndar
 # farthest point sampling
 # ---------------------------------------------------------------------------
 
+def _require_finite(*arrays: np.ndarray):
+    """Reject NaN/Inf coordinates, which no selection rule can order."""
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("points must be finite")
+
+
 def _argmax_tied(values: np.ndarray, points: np.ndarray) -> int:
     """Argmax with ties resolved by smallest (x, y, z) triple, then index."""
     m = values.max()
@@ -298,6 +307,7 @@ def farthest_point_sampling(cloud, n_samples: int) -> np.ndarray:
     so symmetric inputs select deterministically.
     """
     pts = as_points(cloud)
+    _require_finite(pts)
     n = pts.shape[0]
     if not 1 <= n_samples <= n:
         raise ValueError(f"n_samples must be in [1, {n}], got {n_samples}")
@@ -322,6 +332,7 @@ def fps_batch(points: np.ndarray, n_samples: int) -> np.ndarray:
     coordinate-major (3, B, n) copy of the points into reused buffers.
     """
     points = np.asarray(points, dtype=np.float64)
+    _require_finite(points)
     b, n, _ = points.shape
     if not 1 <= n_samples <= n:
         raise ValueError(f"n_samples must be in [1, {n}], got {n_samples}")
@@ -478,6 +489,7 @@ def _point_sq_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
             f"expected (B, n, 3) points and queries, got {points.shape} and "
             f"{queries.shape}"
         )
+    _require_finite(points, queries)
     b, n, _ = points.shape
     q = queries.shape[1]
     pc = np.ascontiguousarray(points.transpose(2, 0, 1))

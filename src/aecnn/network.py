@@ -245,6 +245,8 @@ class Model:
                 f"this model expects {self.config.n_points} points per cloud, "
                 f"got {points.shape[1]}"
             )
+        if not np.isfinite(points).all():
+            raise FloatingPointError("non-finite point coordinates")
         order = np.stack([geo.canonical_order(p) for p in points])
         spts = np.take_along_axis(points, order[:, :, None], axis=1)
         return spts, order

@@ -72,6 +72,10 @@ class TestElementwise:
             lambda a, b: project(ad.mul(a, b)),
             [g.normal(size=(2, 3, 4)), g.normal(size=(3, 4))],
         )
+        check_grads(
+            lambda a, b: project(ad.mul(a, b)),
+            [g.normal(size=(3, 1)), g.normal(size=(2, 3, 4))],
+        )
 
     def test_scale_square(self):
         g = rng(63)
@@ -380,6 +384,91 @@ class TestGraphMechanics:
             for leaf in (ad.constant(x), ad.parameter(x)):
                 pooled = ad.max_reduce(ad.relu(leaf), axis=1).values
                 assert np.array_equal(pooled, [np.nan, 1.0], equal_nan=True)
+        finally:
+            ad.set_finite_checks(old)
+
+
+class TestGradientOwnership:
+    """Each tensor's .grad is its own buffer, written once per contribution."""
+
+    def test_add_same_tensor_twice(self):
+        x = ad.parameter(np.array([1.5, -2.0, 0.25]))
+        ad.backward(project(ad.add(x, x)))
+        w = np.random.default_rng(99).normal(size=3)
+        assert np.array_equal(x.grad, w + w)
+
+    def test_add_operands_do_not_share_a_buffer(self):
+        # Both operands receive add's upstream gradient, then more of their
+        # own; neither may see the other's later contributions.
+        x = ad.parameter(np.array([1.0, 2.0]))
+        y = ad.parameter(np.array([3.0, 4.0]))
+        s = ad.sum_reduce
+        ad.backward(ad.add(ad.add(s(ad.add(x, y)), s(ad.scale(x, 3.0))),
+                           s(ad.scale(y, 5.0))))
+        assert np.array_equal(x.grad, [4.0, 4.0])
+        assert np.array_equal(y.grad, [6.0, 6.0])
+
+    def test_sub_same_tensor_gives_zero(self):
+        x = ad.parameter(np.array([1.5, -2.0, 0.25]))
+        ad.backward(project(ad.sub(x, x)))
+        assert np.array_equal(x.grad, np.zeros(3))
+        assert not np.signbit(x.grad).any()
+
+    def test_concat_same_tensor_twice(self):
+        g = rng(84)
+        x = ad.parameter(g.normal(size=(2, 3)))
+        ad.backward(project(ad.concat([x, x])))
+        w = np.random.default_rng(99).normal(size=(2, 6))
+        assert np.array_equal(x.grad, w[:, :3] + w[:, 3:])
+
+    def test_relu_feeding_two_consumers(self):
+        # relu masks its output's grad in place and hands it down; the two
+        # consumers must each see the whole upstream gradient.
+        x = ad.parameter(np.array([[1.0, -1.0, 2.0]]))
+        h = ad.relu(x)
+        w = ad.parameter(np.array([[2.0], [3.0], [5.0]]))
+        y = ad.add(ad.sum_reduce(ad.linear(h, w)), ad.sum_reduce(ad.scale(h, 7.0)))
+        ad.backward(y)
+        assert np.array_equal(x.grad, [[9.0, 0.0, 12.0]])
+        assert np.array_equal(w.grad, [[1.0], [0.0], [2.0]])
+
+    def test_negative_zero_contribution_stored_as_positive_zero(self):
+        x = ad.parameter(np.array([3.0, -4.0]))
+        ad.backward(ad.sum_reduce(ad.scale(x, -0.0)))
+        assert np.array_equal(x.grad, [0.0, 0.0])
+        assert not np.signbit(x.grad).any()
+
+    def test_constant_operands_get_no_grad(self):
+        x = ad.parameter(np.array([1.0, 2.0]))
+        c = ad.constant(np.array([3.0, 4.0]))
+        d = ad.constant(np.array([5.0, 6.0]))
+        ad.backward(ad.sum_reduce(ad.add(ad.mul(x, c), ad.sub(x, d))))
+        assert np.array_equal(x.grad, [4.0, 5.0])
+        assert c.grad is None and d.grad is None
+
+    def test_wrong_gradient_shape_rejected(self):
+        x = ad.parameter(np.zeros((2, 3)), name="x")
+        with pytest.raises(ValueError, match=r"\(3,\).*\(2, 3\)"):
+            x._add_grad(np.ones(3))
+
+    def test_scalar_gradient_accepted(self):
+        x = ad.parameter(np.array(1.0))
+        x._add_grad(np.float64(2.0))
+        x._add_grad(np.float64(0.5))
+        assert x.grad.shape == () and float(x.grad) == 2.5
+
+    def test_selection_ops_do_not_rescreen(self):
+        # Values made while screening was off are not screened again by ops
+        # that only select or copy them; the next arithmetic op raises.
+        old = ad.set_finite_checks(False)
+        try:
+            x = ad.constant(np.array([[np.nan, 1.0]]))
+        finally:
+            ad.set_finite_checks(True)
+        try:
+            assert np.isnan(ad.relu(x).values[0, 0])
+            with pytest.raises(FloatingPointError):
+                ad.linear(x, ad.constant(np.ones((2, 1))))
         finally:
             ad.set_finite_checks(old)
 

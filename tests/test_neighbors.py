@@ -370,3 +370,31 @@ class TestPointScan:
     def test_rejects_other_widths(self):
         with pytest.raises(ValueError, match="3"):
             nb.knn_points_batch(np.zeros((1, 5, 4)), np.zeros((1, 2, 4)), 2)
+
+
+class TestNonFinitePoints:
+    """Every FPS, kNN and ball entry point rejects NaN/Inf coordinates."""
+
+    @staticmethod
+    def cloud(bad):
+        pts = rng(90).normal(size=(16, 3))
+        pts[3, 1] = bad
+        return pts
+
+    CALLS = {
+        "farthest_point_sampling": lambda p: nb.farthest_point_sampling(p, 4),
+        "fps_batch": lambda p: nb.fps_batch(p[None], 4),
+        "knn_points": lambda p: nb.knn_points(p, p[:2], 3),
+        "knn_points_batch": lambda p: nb.knn_points_batch(p[None], p[None, :2], 3),
+        "knn_points_batch_query": lambda p: nb.knn_points_batch(
+            np.zeros((1, 5, 3)), p[None], 3),
+        "ball_points": lambda p: nb.ball_points(p, p[0], 0.5, 3),
+        "ball_points_batch": lambda p: nb.ball_points_batch(
+            p[None], p[None, :2], 0.5, 3),
+    }
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_rejected(self, call, bad):
+        with pytest.raises(ValueError, match="points must be finite"):
+            self.CALLS[call](self.cloud(bad))
