@@ -3,7 +3,7 @@
 The package is organized bottom up:
 
 - geometry:  point cloud container, rotations, normalization, augmentation
-- neighbors: kd-tree searches, farthest point sampling, feature-space kNN
+- neighbors: kNN and ball searches, farthest point sampling, feature-space kNN
 - lrf:       per-point local reference frames and rotation-invariant coords
 - autodiff:  minimal reverse-mode engine over float64 arrays
 - nn:        shared MLPs, Adam, step schedule, binary checkpoints

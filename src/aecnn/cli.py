@@ -13,6 +13,7 @@ command run twice with the same arguments produces identical bytes.
 from __future__ import annotations
 
 import argparse
+import configparser
 import json
 import os
 import sys
@@ -28,6 +29,7 @@ from .config import (
     ConfigError,
     NetworkConfig,
     TrainConfig,
+    config_sections,
     load_config,
     save_config,
 )
@@ -116,6 +118,27 @@ def _resolve_dataset(token: str, n_per_class: int, n_points: int, seed: int,
     return dat.load_dataset_bin(token)
 
 
+def _resume_conflicts(config_path, network, training) -> list:
+    """Where the config a checkpoint was trained under differs from this run's.
+
+    Compares the INI text save_config writes, so a field it leaves out (the
+    segmentation widths of a classifier) cannot differ; a resume may change
+    the epoch count.
+    """
+    parser = configparser.ConfigParser()
+    try:
+        if not parser.read(config_path):
+            return [f"{config_path} is missing"]
+    except configparser.Error as e:
+        return [f"cannot parse {config_path}: {e}"]
+    old = {(s, k): v for s in parser.sections() for k, v in parser[s].items()}
+    new = {(s, k): v for s, values in config_sections(network, training).items()
+           for k, v in values.items()}
+    keys = sorted((old.keys() | new.keys()) - {("training", "epochs")})
+    return [f"[{s}] {k}: {old.get((s, k))} -> {new.get((s, k))}"
+            for s, k in keys if old.get((s, k)) != new.get((s, k))]
+
+
 def _model_from_checkpoint(args) -> tuple:
     """(model, network_config) for eval-style commands."""
     config_path = args.config
@@ -146,6 +169,14 @@ def cmd_train(args) -> int:
     except OSError as e:
         return _fail(e)
 
+    ckpt = os.path.join(args.out_dir, "model.ckpt")
+    config_path = os.path.join(args.out_dir, "config.ini")
+    conflicts = (_resume_conflicts(config_path, network, training)
+                 if os.path.exists(ckpt) else [])
+    if conflicts:
+        return _fail(f"{args.out_dir} holds a checkpoint trained under another "
+                     f"config; use a new OUT_DIR. Differences: {'; '.join(conflicts)}")
+
     os.makedirs(args.out_dir, exist_ok=True)
     seg = network.n_parts > 0
     try:
@@ -168,8 +199,7 @@ def cmd_train(args) -> int:
         return _fail("segmentation model but the dataset has no part labels")
 
     model = Model(network, seed=training.seed)
-    ckpt = os.path.join(args.out_dir, "model.ckpt")
-    save_config(os.path.join(args.out_dir, "config.ini"), network, training)
+    save_config(config_path, network, training)
     _emit({"type": "run", "schema": SCHEMA_VERSION, "seed": training.seed,
            "setting": training.setting, "out_dir": args.out_dir})
 

@@ -213,16 +213,18 @@ def _parse_widths(s: str) -> tuple:
     return tuple(int(p) for p in parts)
 
 
-def save_config(path, network: NetworkConfig, train: Optional[TrainConfig] = None):
-    cp = configparser.ConfigParser()
-    cp["network"] = {
+def config_sections(network: NetworkConfig,
+                    train: Optional[TrainConfig] = None) -> dict:
+    """The INI text of the configs as {section: {key: value string}}."""
+    sections: dict = {}
+    sections["network"] = {
         "n_points": str(network.n_points),
         "n_classes": str(network.n_classes),
         "features": network.features,
         "variant": network.variant,
         "normalize": str(bool(network.normalize)).lower(),
     }
-    cp["sa_first"] = {
+    sections["sa_first"] = {
         "n_ref": str(network.sa_first.n_ref),
         "k": str(network.sa_first.k),
         "search": network.sa_first.search,
@@ -231,21 +233,21 @@ def save_config(path, network: NetworkConfig, train: Optional[TrainConfig] = Non
         "widths": _fmt_widths(network.sa_first.widths),
     }
     for i, blk in enumerate(network.sa_next, start=1):
-        cp[f"sa_next_{i}"] = {"k": str(blk.k), "widths": _fmt_widths(blk.widths)}
+        sections[f"sa_next_{i}"] = {"k": str(blk.k), "widths": _fmt_widths(blk.widths)}
         if blk.variant:
-            cp[f"sa_next_{i}"]["variant"] = blk.variant
-    cp["head"] = {"widths": _fmt_widths(network.head_widths)}
+            sections[f"sa_next_{i}"]["variant"] = blk.variant
+    sections["head"] = {"widths": _fmt_widths(network.head_widths)}
     if network.n_parts:
-        cp["segmentation"] = {
+        sections["segmentation"] = {
             "n_parts": str(network.n_parts),
             "fp_widths": _fmt_widths(network.fp_widths),
             "point_head": _fmt_widths(network.point_head),
             "fp_align_hidden": str(network.fp_align_hidden),
         }
     if network.aeconv1_hidden != 64:
-        cp["align"] = {"aeconv1_hidden": str(network.aeconv1_hidden)}
+        sections["align"] = {"aeconv1_hidden": str(network.aeconv1_hidden)}
     if train is not None:
-        cp["training"] = {
+        sections["training"] = {
             "epochs": str(train.epochs),
             "batch_size": str(train.batch_size),
             "base_lr": repr(float(train.base_lr)),
@@ -256,7 +258,13 @@ def save_config(path, network: NetworkConfig, train: Optional[TrainConfig] = Non
             "votes": str(train.votes),
         }
         if train.early_stop_train_acc is not None:
-            cp["training"]["early_stop_train_acc"] = repr(float(train.early_stop_train_acc))
+            sections["training"]["early_stop_train_acc"] = repr(float(train.early_stop_train_acc))
+    return sections
+
+
+def save_config(path, network: NetworkConfig, train: Optional[TrainConfig] = None):
+    cp = configparser.ConfigParser()
+    cp.read_dict(config_sections(network, train))
     with open(path, "w") as f:
         cp.write(f)
 

@@ -1,4 +1,4 @@
-"""Neighborhood machinery: kd-tree, kNN / ball queries, FPS, feature graphs.
+"""Neighborhood machinery: kNN / ball queries, FPS, feature graphs.
 
 All selection rules are exact and deterministic. Candidates are ordered by
 (distance, index) lexicographically, so equal distances always resolve to the
@@ -9,11 +9,10 @@ oracles for equality, not closeness). No rule can order a NaN or an
 infinity, so every FPS, kNN and ball entry point rejects non-finite points
 with a ValueError, as `knn_feature_graph` rejects non-finite features.
 
-Two interchangeable query routes exist on purpose: a kd-tree (`build_index`
-plus `knn` / `ball_query`) for the public single-query interface, and flat
-vectorized scans (`knn_points`, `ball_points`, batched variants) that the
-network hot path uses. Both implement the identical ordering contract. The
-single-cloud scans are calls into the batched ones.
+Every search is a flat vectorized scan over a batch of clouds. The
+single-cloud and single-query entry points (`knn_points`, `ball_points`,
+`build_index` plus `knn` / `ball_query`, `farthest_point_sampling`) are calls
+into the batched ones, so each rule has one implementation.
 
 Distances come from one of two scans. Points in 3-D go through
 `_point_sq_distances`, which works on coordinate-major (3, B, n) copies with
@@ -35,8 +34,7 @@ first k columns of a stable argsort, bit for bit.
 """
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -124,156 +122,40 @@ def ball_points(points: np.ndarray, query: np.ndarray, radius: float,
 
 
 # ---------------------------------------------------------------------------
-# kd-tree index (public query interface)
+# single-query interface
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Node:
-    axis: int = -1
-    split: float = 0.0
-    index: int = -1          # leaf payload when axis == -1
-    left: Optional["_Node"] = None
-    right: Optional["_Node"] = None
-    lo: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    hi: np.ndarray = field(default_factory=lambda: np.zeros(3))
+def build_index(cloud) -> np.ndarray:
+    """The (n, 3) points of a cloud, checked for `knn` and `ball_query`."""
+    points = as_points(cloud)
+    if points.shape[0] < 1:
+        raise ValueError("cannot index an empty point set")
+    _require_finite(points)
+    return points
 
 
-class SpatialIndex:
-    """Balanced kd-tree over a fixed point set.
-
-    Median split on the widest bounding-box axis; one point per leaf. Queries
-    prune on strict inequality only, so equal-distance candidates are never
-    dropped and the (distance, index) ordering contract holds exactly.
-    """
-
-    def __init__(self, points: np.ndarray):
-        points = np.asarray(points, dtype=np.float64)
-        if points.ndim != 2 or points.shape[1] != 3:
-            raise ValueError(f"points must have shape (n, 3), got {points.shape}")
-        if points.shape[0] < 1:
-            raise ValueError("cannot index an empty point set")
-        if not np.isfinite(points).all():
-            raise ValueError("indexed points must be finite")
-        self.points = points
-        self._root = self._build(np.arange(points.shape[0]))
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    def _build(self, idx: np.ndarray) -> _Node:
-        pts = self.points[idx]
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        if idx.size == 1:
-            return _Node(axis=-1, index=int(idx[0]), lo=lo, hi=hi)
-        axis = int(np.argmax(hi - lo))
-        order = np.argsort(pts[:, axis], kind="stable")
-        mid = idx.size // 2
-        left_idx = idx[order[:mid]]
-        right_idx = idx[order[mid:]]
-        split = float(self.points[right_idx[0], axis])
-        return _Node(
-            axis=axis,
-            split=split,
-            left=self._build(left_idx),
-            right=self._build(right_idx),
-            lo=lo,
-            hi=hi,
-        )
+def _single_query(query) -> np.ndarray:
+    query = np.asarray(query, dtype=np.float64)
+    if query.shape != (3,):
+        raise ValueError(f"query must have shape (3,), got {query.shape}")
+    return query
 
 
-def build_index(cloud) -> SpatialIndex:
-    """Build a spatial index over a cloud (PointCloud or (n, 3) array)."""
-    return SpatialIndex(as_points(cloud))
-
-
-def _box_sqdist(query: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    d = np.maximum(np.maximum(lo - query, 0.0), query - hi)
-    return float(d @ d)
-
-
-def knn(index: SpatialIndex, query, k: int) -> np.ndarray:
+def knn(index: np.ndarray, query, k: int) -> np.ndarray:
     """k nearest indexed points for one query, ordered by (distance, index).
 
     Pads by repeating the nearest point when the index holds fewer than k.
     """
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (3,):
-        raise ValueError(f"query must have shape (3,), got {query.shape}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    pts = index.points
-    # Max-heap on (-d2, -idx): heap[0] is the current worst keeper, and a
-    # candidate replaces it when (d2, idx) is lexicographically smaller.
-    heap: list = []
-    kk = min(k, len(index))
-
-    def visit(node: _Node):
-        if len(heap) == kk and -heap[0][0] < _box_sqdist(query, node.lo, node.hi):
-            return
-        if node.axis == -1:
-            p = pts[node.index]
-            d = p - query
-            d2 = float(d @ d)
-            item = (-d2, -node.index)
-            if len(heap) < kk:
-                heapq.heappush(heap, item)
-            elif item > heap[0]:
-                heapq.heapreplace(heap, item)
-            return
-        if query[node.axis] < node.split:
-            near, far = node.left, node.right
-        else:
-            near, far = node.right, node.left
-        visit(near)
-        visit(far)
-
-    visit(index._root)
-    found = sorted((-d2, -ni) for d2, ni in heap)
-    out = np.array([i for _, i in found], dtype=np.int64)
-    if out.size < k:
-        out = np.concatenate([out, np.repeat(out[:1], k - out.size)])
-    return out
+    return knn_points(index, _single_query(query)[None], k)[0]
 
 
-def ball_query(index: SpatialIndex, query, radius: float, max_k: int) -> np.ndarray:
+def ball_query(index: np.ndarray, query, radius: float, max_k: int) -> np.ndarray:
     """Indexed points with distance <= radius, ordered by (distance, index).
 
     Truncated to max_k; padded by repeating the first hit; an empty ball
     degrades to the single nearest point.
     """
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (3,):
-        raise ValueError(f"query must have shape (3,), got {query.shape}")
-    if max_k < 1:
-        raise ValueError(f"max_k must be >= 1, got {max_k}")
-    if not radius > 0.0:
-        raise ValueError(f"radius must be positive, got {radius!r}")
-    pts = index.points
-    r2 = radius * radius
-    hits: list = []
-
-    def visit(node: _Node):
-        if _box_sqdist(query, node.lo, node.hi) > r2:
-            return
-        if node.axis == -1:
-            p = pts[node.index]
-            d = p - query
-            d2 = float(d @ d)
-            if d2 <= r2:
-                hits.append((d2, node.index))
-            return
-        visit(node.left)
-        visit(node.right)
-
-    visit(index._root)
-    if not hits:
-        return np.repeat(knn(index, query, 1)[:1], max_k)
-    hits.sort()
-    out = np.array([i for _, i in hits[:max_k]], dtype=np.int64)
-    if out.size < max_k:
-        out = np.concatenate([out, np.repeat(out[:1], max_k - out.size)])
-    return out
+    return ball_points(index, _single_query(query), radius, max_k)
 
 
 # ---------------------------------------------------------------------------
@@ -306,27 +188,13 @@ def farthest_point_sampling(cloud, n_samples: int) -> np.ndarray:
     lexicographically smallest coordinate triple, then the smallest index,
     so symmetric inputs select deterministically.
     """
-    pts = as_points(cloud)
-    _require_finite(pts)
-    n = pts.shape[0]
-    if not 1 <= n_samples <= n:
-        raise ValueError(f"n_samples must be in [1, {n}], got {n_samples}")
-    center = pts.mean(axis=0)
-    first = _argmax_tied(np.linalg.norm(pts - center, axis=1), pts)
-    selected = np.empty(n_samples, dtype=np.int64)
-    selected[0] = first
-    dmin = np.linalg.norm(pts - pts[first], axis=1)
-    for i in range(1, n_samples):
-        nxt = _argmax_tied(dmin, pts)
-        selected[i] = nxt
-        dmin = np.minimum(dmin, np.linalg.norm(pts - pts[nxt], axis=1))
-    return selected
+    return fps_batch(as_points(cloud)[None], n_samples)[0]
 
 
 def fps_batch(points: np.ndarray, n_samples: int) -> np.ndarray:
     """farthest_point_sampling over a (B, n, 3) stack, shape (B, n_samples).
 
-    Same selection rule as the single-cloud version; the generic step uses a
+    Same selection rule for every cloud; the generic step uses a
     first-occurrence argmax and falls back to the full tie-break only for
     rows that actually contain a tie. Distances are taken from a
     coordinate-major (3, B, n) copy of the points into reused buffers.

@@ -150,9 +150,9 @@ class Model:
         f_in = c.sa_first.widths[-1]
         for i, blk in enumerate(c.sa_next, start=1):
             variant = AlignVariant.from_name(blk.variant or c.variant)
-            align = self._build_align_mlp(
-                variant, f_in, c.aeconv1_hidden, rng, f"sa_next{i}.align"
-            )
+            hidden = c.aeconv1_hidden if variant is AlignVariant.AECONV1 else f_in
+            align = self._build_align_mlp(variant, f_in, hidden, rng,
+                                          f"sa_next{i}.align")
             q_in = 2 * f_in if variant is AlignVariant.PLAIN_EDGECONV else 2 * f_in + 3
             q = Mlp((q_in, *blk.widths), rng, self.params, f"sa_next{i}.q",
                     normalize=c.normalize)
@@ -174,10 +174,8 @@ class Model:
                 (c.fp_widths[0], 0, c.fp_widths[1]),
             ]
             for si, (f_coarse, f_skip, f_out) in enumerate(specs, start=1):
-                align = self._build_align_mlp(
-                    variant, f_coarse, c.fp_align_hidden, rng, f"fp{si}.align",
-                    hidden_override=c.fp_align_hidden,
-                )
+                align = self._build_align_mlp(variant, f_coarse, c.fp_align_hidden,
+                                              rng, f"fp{si}.align")
                 mlp = Mlp((f_coarse + f_skip, f_out, f_out), rng, self.params,
                           f"fp{si}.mlp", normalize=c.normalize)
                 self.fp_stages.append((variant, align, mlp))
@@ -186,17 +184,14 @@ class Model:
                 rng, self.params, "point_head", normalize=c.normalize,
             )
 
-    def _build_align_mlp(self, variant: AlignVariant, f: int, aeconv1_hidden: int,
-                         rng, name: str, hidden_override: Optional[int] = None):
+    def _build_align_mlp(self, variant: AlignVariant, f: int, hidden: int,
+                         rng, name: str):
         if variant is AlignVariant.PLAIN_EDGECONV:
             return None
         if variant is AlignVariant.AECONV1:
-            hidden = hidden_override or aeconv1_hidden
             return Mlp((12, hidden, f * f), rng, self.params, name)
         if variant is AlignVariant.AECONV2:
-            hidden = hidden_override or f
             return Mlp((21 + f, hidden, f), rng, self.params, name)
-        hidden = hidden_override or f
         return Mlp((12 + f, hidden, f), rng, self.params, name)
 
     # -- weight management ---------------------------------------------------
@@ -286,30 +281,21 @@ class Model:
         return _Level(pts=ref_pts, bases=bases, feat=feat)
 
     def _sa_first_batch(self, pts: np.ndarray) -> _Level:
-        c = self.config.sa_first
-        b = pts.shape[0]
-        ref_idx = nb.fps_batch(pts, c.n_ref)
-        ref_pts = pts[_bidx(b, ref_idx), ref_idx]
-        if c.search == "knn":
-            nb_idx = nb.knn_points_batch(pts, ref_pts, c.k)
-        else:
-            nb_idx = nb.ball_points_batch(pts, ref_pts, c.radius, c.k)
-        nb_pts = pts[_bidx(b, nb_idx), nb_idx]
-        bases = lrf.compute_lrf_batch(
-            ref_pts, nb_pts, strategy=c.anchor, counts=self.lrf_fallbacks
-        )
+        ref_idx = nb.fps_batch(pts, self.config.sa_first.n_ref)
+        nb_idx, bases = self._point_frames(pts, pts[_bidx(pts.shape[0], ref_idx), ref_idx])
         return self._first_level(pts, nb_idx, bases, ref_idx)
 
-    def _all_point_frames(self, pts: np.ndarray):
-        """Frames for every point, used by the segmentation head."""
+    def _point_frames(self, pts: np.ndarray, queries: np.ndarray):
+        """SA-first neighbor indices into pts around queries (b, q, 3), and
+        the frames there; the segmentation head takes them at every point."""
         c = self.config.sa_first
         if c.search == "knn":
-            nb_idx = nb.knn_points_batch(pts, pts, c.k)
+            nb_idx = nb.knn_points_batch(pts, queries, c.k)
         else:
-            nb_idx = nb.ball_points_batch(pts, pts, c.radius, c.k)
+            nb_idx = nb.ball_points_batch(pts, queries, c.radius, c.k)
         nb_pts = pts[_bidx(pts.shape[0], nb_idx), nb_idx]
         bases = lrf.compute_lrf_batch(
-            pts, nb_pts, strategy=c.anchor, counts=self.lrf_fallbacks
+            queries, nb_pts, strategy=c.anchor, counts=self.lrf_fallbacks
         )
         return nb_idx, bases
 
@@ -317,20 +303,27 @@ class Model:
 
     def _sa_next_batch(self, level: _Level, block_index: int,
                        penalties: list) -> _Level:
-        variant, align_mlp, q_mlp, k = self.block_mlps[block_index]
+        k = self.block_mlps[block_index][3]
         b, r_in = level.pts.shape[:2]
-        r_out = r_in // 4
-        sub = nb.fps_batch(level.pts, r_out)                      # (b, r_out)
-        new_pts = level.pts[_bidx(b, sub), sub]
-        new_bases = level.bases[_bidx(b, sub), sub]
+        sub = nb.fps_batch(level.pts, r_in // 4)                  # (b, r_out)
         corpus = level.feat.values
         queries = corpus[_bidx(b, sub), sub]
         graph = nb.knn_features_batch(corpus, queries, k)         # (b, r_out, k)
-        x_i = ad.gather_rows(level.feat, sub)                     # (b, r_out, f)
-        x_j = ad.gather_rows(level.feat, graph)                   # (b, r_out, k, f)
+        return self._edge_conv(level, sub, graph, block_index, penalties)
+
+    def _edge_conv(self, level: _Level, sub: np.ndarray, graph: np.ndarray,
+                   block_index: int, penalties: list) -> _Level:
+        """Block `block_index`'s aligned edge convolution over level's rows:
+        sub (b, r) picks the references, graph (b, r, k) their neighbors."""
+        variant, align_mlp, q_mlp, _ = self.block_mlps[block_index]
+        b, k = graph.shape[0], graph.shape[-1]
+        new_pts = level.pts[_bidx(b, sub), sub]
+        new_bases = level.bases[_bidx(b, sub), sub]
+        x_i = ad.gather_rows(level.feat, sub)                     # (b, r, f)
+        x_j = ad.gather_rows(level.feat, graph)                   # (b, r, k, f)
         nb_pos = level.pts[_bidx(b, graph), graph]
         nb_bases = level.bases[_bidx(b, graph), graph]
-        t = lrf.rir_batch(nb_pos, new_pts, new_bases)             # (b, r_out, k, 3)
+        t = lrf.rir_batch(nb_pos, new_pts, new_bases)             # (b, r, k, 3)
         xhat = _align_edge_features(variant, align_mlp, x_j, new_bases, nb_bases,
                                     t, penalties)
         xi_rep = ad.expand_set(x_i, k)
@@ -380,7 +373,7 @@ class Model:
         penalties: list = []
 
         # Frames everywhere; sa_first reuses the ones at its references.
-        nb_all, bases_all = self._all_point_frames(pts)
+        nb_all, bases_all = self._point_frames(pts, pts)
         ref_idx = nb.fps_batch(pts, c.sa_first.n_ref)
         bases_ref = bases_all[_bidx(b, ref_idx), ref_idx]
         nb_idx = nb_all[_bidx(b, ref_idx), ref_idx]
@@ -442,11 +435,8 @@ class Model:
         return logits.values
 
     def predict_part_logits(self, points: np.ndarray, class_label: int) -> np.ndarray:
-        onehot = np.zeros((1, self.config.n_classes))
-        onehot[0, int(class_label)] = 1.0
-        with self._inference():
-            logits, _ = self.segment_batch(np.asarray(points)[None], onehot)
-        return logits.values[0]
+        return self.predict_part_logits_batch(np.asarray(points)[None],
+                                              [int(class_label)])[0]
 
     def predict_part_logits_batch(self, points: np.ndarray,
                                   class_labels: np.ndarray) -> np.ndarray:
@@ -479,10 +469,6 @@ def as_model(config: NetworkConfig, weights: Union[Model, dict, None],
     return model
 
 
-def _points_of(cloud) -> np.ndarray:
-    return geo.as_points(cloud)
-
-
 def pointnet_kernel(rirs: np.ndarray, weights) -> np.ndarray:
     """Shared MLP over rows of (k, d) coordinates, max pooled to one vector."""
     mlp = weights.h_mlp if isinstance(weights, Model) else weights
@@ -498,7 +484,7 @@ def pointnet_kernel(rirs: np.ndarray, weights) -> np.ndarray:
 def sa_first(cloud, config: NetworkConfig, weights) -> SaOutput:
     """First abstraction level of a single cloud."""
     model = as_model(config, weights)
-    pts = _points_of(cloud)
+    pts = geo.as_points(cloud)
     with model._inference():
         spts, _ = model._canonicalize(pts[None])
         level = model._sa_first_batch(spts)
@@ -544,33 +530,17 @@ def aligned_edge_conv(prev: SaOutput, graph: nb.NeighborGraph, weights,
     if model is None:
         raise ValueError("aligned_edge_conv needs the Model as weights")
     variant = AlignVariant.from_name(variant)
-    block_variant, align_mlp, q_mlp, _ = model.block_mlps[0]
+    block_variant = model.block_mlps[0][0]
     if variant is not block_variant:
         raise ValueError(
             f"model block 0 was built for {block_variant.value!r}, not {variant.value!r}"
         )
-    refs = graph.reference_indices
-    lists = graph.neighbor_lists
+    level = _Level(pts=prev.ref_points[None], bases=prev.frame_bases[None],
+                   feat=ad.constant(prev.features[None]))
     with model._inference():
-        feat = ad.constant(prev.features[None])
-        new_pts = prev.ref_points[refs][None]
-        new_bases = prev.frame_bases[refs][None]
-        x_i = ad.gather_rows(feat, refs[None])
-        x_j = ad.gather_rows(feat, lists[None])
-        nb_pos = prev.ref_points[lists][None]
-        nb_bases = prev.frame_bases[lists][None]
-        t = lrf.rir_batch(nb_pos, new_pts, new_bases)
-        pens: list = []
-        xhat = _align_edge_features(variant, align_mlp, x_j, new_bases, nb_bases,
-                                    t, pens)
-        k = lists.shape[1]
-        xi_rep = ad.expand_set(x_i, k)
-        parts = [xi_rep, ad.sub(xhat, xi_rep)]
-        if variant is not AlignVariant.PLAIN_EDGECONV:
-            parts.append(ad.constant(t))
-        edge = q_mlp(ad.concat(parts), set_axes=(2,))
-        out = ad.max_reduce(edge, axis=2)
-        return out.values[0]
+        out = model._edge_conv(level, graph.reference_indices[None],
+                               graph.neighbor_lists[None], 0, [])
+        return out.feat.values[0]
 
 
 def sa_next(prev: SaOutput, config: NetworkConfig, weights,
@@ -590,7 +560,7 @@ def sa_next(prev: SaOutput, config: NetworkConfig, weights,
 def classify(cloud, config: NetworkConfig, weights) -> np.ndarray:
     """Class logits (c,) for one cloud."""
     model = as_model(config, weights)
-    return model.predict_logits(_points_of(cloud))
+    return model.predict_logits(geo.as_points(cloud))
 
 
 def feature_propagation(coarse: SaOutput, fine_points: np.ndarray,
@@ -621,12 +591,10 @@ def feature_propagation(coarse: SaOutput, fine_points: np.ndarray,
 def segment(cloud, object_onehot, config: NetworkConfig, weights) -> np.ndarray:
     """Per-point part logits (n, n_parts) for one cloud."""
     model = as_model(config, weights)
-    pts = _points_of(cloud)
+    pts = geo.as_points(cloud)
     onehot = np.asarray(object_onehot, dtype=np.float64)
     if onehot.ndim == 0 or onehot.size == 1:
-        idx = int(onehot)
-        onehot = np.zeros(model.config.n_classes)
-        onehot[idx] = 1.0
+        return model.predict_part_logits(pts, int(onehot))
     with model._inference():
         logits, _ = model.segment_batch(pts[None], onehot[None])
     return logits.values[0]
@@ -640,60 +608,44 @@ def _mlp_macs(widths) -> int:
     return sum(a * b for a, b in zip(widths[:-1], widths[1:]))
 
 
+def _align_macs(variant: AlignVariant, align_mlp) -> int:
+    """MACs to align one neighbor feature: the align MLP, plus the FxF
+    matrix application for AEConv1 (out_width == F*F)."""
+    if align_mlp is None:
+        return 0
+    macs = _mlp_macs(align_mlp.widths)
+    if variant is AlignVariant.AECONV1:
+        macs += align_mlp.out_width
+    return macs
+
+
 def count_operations(config: NetworkConfig) -> dict:
     """Analytic per-sample multiply-accumulate counts, by section.
 
-    Only MAC-bearing work (MLPs and the AEConv1 matrix application) is
-    counted; distance computations and sorting are excluded. flops = 2*macs.
+    Read from the MLP widths of a built Model, as count_parameters reads its
+    weight shapes. Only MAC-bearing work (MLPs and the AEConv1 matrix
+    application) is counted; distance computations and sorting are excluded.
+    flops = 2*macs.
     """
     c = config.validated()
-    out: dict = {}
-    in_dim = 3 if c.features == "rir" else 6
+    model = Model(c)
     refs = c.ref_counts()
-    out["sa_first"] = refs[0] * c.sa_first.k * _mlp_macs((in_dim, *c.sa_first.widths))
-    f_in = c.sa_first.widths[-1]
-    for i, blk in enumerate(c.sa_next, start=1):
-        variant = AlignVariant.from_name(blk.variant or c.variant)
-        r_out = refs[i]
-        edges = r_out * blk.k
-        macs = 0
-        if variant is AlignVariant.AECONV1:
-            macs += edges * _mlp_macs((12, c.aeconv1_hidden, f_in * f_in))
-            macs += edges * f_in * f_in
-        elif variant is AlignVariant.AECONV2:
-            macs += edges * _mlp_macs((21 + f_in, f_in, f_in))
-        elif variant is AlignVariant.AECONV3:
-            macs += edges * _mlp_macs((12 + f_in, f_in, f_in))
-        q_in = 2 * f_in if variant is AlignVariant.PLAIN_EDGECONV else 2 * f_in + 3
-        macs += edges * _mlp_macs((q_in, *blk.widths))
-        out[f"sa_next{i}"] = macs
-        f_in = blk.widths[-1]
+    out: dict = {"sa_first": refs[0] * c.sa_first.k * _mlp_macs(model.h_mlp.widths)}
+    for i, (variant, align, q, k) in enumerate(model.block_mlps, start=1):
+        out[f"sa_next{i}"] = refs[i] * k * (_align_macs(variant, align)
+                                            + _mlp_macs(q.widths))
     if not c.n_parts:
         # Only classification runs the head; segmentation models build it
         # (it is checkpointed) but never call it.
-        out["head"] = _mlp_macs((f_in, *c.head_widths, c.n_classes))
+        out["head"] = _mlp_macs(model.head_mlp.widths)
     else:
-        variant = AlignVariant.from_name(c.variant)
-        widths = c.feature_widths()
         fine_counts = (refs[0], c.n_points)
-        specs = [(widths[-1], widths[0], c.fp_widths[0]),
-                 (c.fp_widths[0], 0, c.fp_widths[1])]
-        for si, ((fc, fs, fo), nf) in enumerate(zip(specs, fine_counts), start=1):
-            macs = 0
-            if variant is AlignVariant.AECONV1:
-                macs += nf * FP_NEIGHBORS * (
-                    _mlp_macs((12, c.fp_align_hidden, fc * fc)) + fc * fc
-                )
-            elif variant is AlignVariant.AECONV2:
-                macs += nf * FP_NEIGHBORS * _mlp_macs((21 + fc, c.fp_align_hidden, fc))
-            elif variant is AlignVariant.AECONV3:
-                macs += nf * FP_NEIGHBORS * _mlp_macs((12 + fc, c.fp_align_hidden, fc))
-            macs += nf * _mlp_macs((fc + fs, fo, fo))
-            out[f"fp{si}"] = macs
-        out["point_head"] = c.n_points * _mlp_macs(
-            (c.fp_widths[1] + c.n_classes, *c.point_head, c.n_parts)
-        )
-    out["total_macs"] = sum(v for k, v in out.items())
+        for si, ((variant, align, mlp), nf) in enumerate(
+                zip(model.fp_stages, fine_counts), start=1):
+            out[f"fp{si}"] = nf * (FP_NEIGHBORS * _align_macs(variant, align)
+                                   + _mlp_macs(mlp.widths))
+        out["point_head"] = c.n_points * _mlp_macs(model.point_head.widths)
+    out["total_macs"] = sum(out.values())
     out["flops"] = 2 * out["total_macs"]
     return out
 

@@ -3,7 +3,8 @@
 Everything in here is deliberately written on a different route from the
 library: quaternions instead of the axis-angle matrix formula, python sorted()
 on (distance, index) pairs instead of vectorized argsorts, O(n^2) greedy loops
-instead of incremental minima, central finite differences instead of
+instead of incremental minima, per-cloud loops instead of batched
+coordinate-major scans, central finite differences instead of
 backpropagation. Slow and obvious beats fast and shared-bug.
 """
 from __future__ import annotations
@@ -103,6 +104,28 @@ def brute_fps(points, n_samples):
     for _ in range(n_samples - 1):
         nxt = best(lambda i: min(_dist(points[i], points[c]) for c in chosen))
         chosen.append(nxt)
+    return np.array(chosen, dtype=np.int64)
+
+
+def loop_fps(points, n_samples):
+    """Greedy max-min selection, one cloud at a time, with incremental minima.
+
+    Distances come from np.linalg.norm and ties go to Python's min over
+    (tuple(point), index), so exact symmetric ties resolve to the smallest
+    coordinate triple, then the smallest index. Fast enough for the paper's
+    1024-point clouds, where brute_fps is not.
+    """
+    points = np.asarray(points, dtype=np.float64)
+
+    def farthest(dist):
+        tied = np.flatnonzero(dist == dist.max())
+        return min((tuple(points[i]), int(i)) for i in tied)[1]
+
+    chosen = [farthest(np.linalg.norm(points - points.mean(axis=0), axis=1))]
+    dmin = np.linalg.norm(points - points[chosen[0]], axis=1)
+    for _ in range(n_samples - 1):
+        chosen.append(farthest(dmin))
+        dmin = np.minimum(dmin, np.linalg.norm(points - points[chosen[-1]], axis=1))
     return np.array(chosen, dtype=np.int64)
 
 

@@ -106,6 +106,29 @@ class TestTrain:
         epochs = [r["epoch"] for r in recorded if r["type"] == "epoch"]
         assert epochs == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("flags,drop_config,named", [
+        (["--seed", "7", "--setting", "YY"], False,
+         ["[training] seed: 1 -> 7", "[training] setting: ARAR -> YY"]),
+        (["--variant", "aeconv1"], False, ["[network] variant: aeconv3 -> aeconv1"]),
+        ([], True, ["config.ini is missing"]),
+    ], ids=["seed-and-setting", "variant", "missing-config"])
+    def test_refuses_resume_under_another_config(self, tmp_path, capsys, flags,
+                                                 drop_config, named):
+        cfg = write_cfg(tmp_path / "c.ini", tiny_cfg())
+        out = tmp_path / "run"
+        argv = ["train", cfg, str(out), "--n-per-class", "2", "--epochs", "1"]
+        assert main(argv) == 0
+        if drop_config:
+            (out / "config.ini").unlink()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(argv[:-1] + ["3", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        for field in named:
+            assert field in captured.err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_trains_segmentation_models(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.ini", tiny_seg_cfg())
         out = tmp_path / "run"

@@ -519,22 +519,32 @@ class TestAccounting:
         assert "fp1" in ops and "fp2" in ops and "point_head" in ops
         assert all(v > 0 for v in ops.values())
 
+    @pytest.mark.parametrize("variant", ["edgeconv", "aeconv1", "aeconv2", "aeconv3"])
     @pytest.mark.parametrize("seg", [False, True])
-    def test_count_matches_executed_linear_macs(self, monkeypatch, seg):
-        # Count what ad.linear really multiplies for one cloud, from its
-        # argument shapes; a built but unused head must not be counted.
-        cfg = tiny_seg_config() if seg else tiny_config()
+    def test_count_matches_executed_linear_macs(self, monkeypatch, seg, variant):
+        # Count what ad.linear and ad.edge_matvec (AEConv1's matrix product)
+        # really multiply for one cloud, from their argument shapes; a built
+        # but unused head must not be counted.
+        cfg = (tiny_seg_config if seg else tiny_config)(variant=variant)
         model = Model(cfg, seed=0)
         executed = []
-        real_linear = ad.linear
+        real_linear, real_matvec = ad.linear, ad.edge_matvec
+
+        def rows(x):
+            return int(np.prod(np.shape(getattr(x, "values", x))[:-1], dtype=np.int64))
 
         def counting_linear(x, w, b=None):
-            lead = np.shape(getattr(x, "values", x))[:-1]
             fin, fout = w.values.shape
-            executed.append(int(np.prod(lead, dtype=np.int64)) * fin * fout)
+            executed.append(rows(x) * fin * fout)
             return real_linear(x, w, b)
 
+        def counting_matvec(m, x):
+            f = np.shape(x.values)[-1]
+            executed.append(rows(x) * f * f)
+            return real_matvec(m, x)
+
         monkeypatch.setattr(ad, "linear", counting_linear)
+        monkeypatch.setattr(ad, "edge_matvec", counting_matvec)
         pts = random_cloud(np.random.default_rng(90))[None]
         if seg:
             model.predict_part_logits_batch(pts, np.array([1]))
