@@ -4,8 +4,18 @@ Tensors wrap ndarrays and remember how they were produced; `backward` walks
 the graph once in reverse topological order. The op set is exactly what the
 set-abstraction network needs: affine maps, relu, set max pooling, last-axis
 concatenation, batched row gathers, per-set standardization, stable softmax
-cross entropy, and two fused edge kernels (matrix-vector alignment and the
-orthogonality penalty) whose gradients are hand derived.
+cross entropy, and three fused edge kernels (the DGCNN edge feature
+[x_i, xhat - x_i, t], matrix-vector alignment and the orthogonality
+penalty) whose gradients are hand derived.
+
+Two ops save a buffer and keep the bits of the op chain they replace.
+`relu_inplace` overwrites its input's values, so it may only take a tensor
+nobody else reads: `Mlp` applies it to the output of its own hidden
+`linear` or `standardize`, whose backward reads its inputs, never its
+output. `edge_features` writes the edge feature into one buffer and lists
+its parents as (xhat, x_i), the order in which the backward sweep reached
+them through expand_set, sub and concat; another order sums the
+contributions to a shared source tensor in another order and moves bits.
 
 Everything is float64 and single threaded on purpose: gradient checks sit at
 1e-4 relative tolerance and training runs must be bit-reproducible.
@@ -35,7 +45,8 @@ def set_finite_checks(enabled: bool) -> bool:
     np.maximum, not a mask) and `max_reduce` pools it into the output.
 
     Leaves, `Tensor(...)` and arithmetic ops screen their output. `relu`,
-    `max_reduce`, `gather_rows`, `concat`, `reshape` and `expand_set` do not:
+    `relu_inplace`, `max_reduce`, `gather_rows`, `concat`, `reshape` and
+    `expand_set` do not:
     they only select or copy values of their inputs (or zeros), which were
     screened when they were made, so the scan could not fail. A tensor made
     while screening was off is therefore not re-screened by those ops after
@@ -318,6 +329,27 @@ def relu(x) -> Tensor:
     return _make(np.maximum(x.values, 0.0), (x,), bwd, screened=True)
 
 
+def relu_inplace(x: Tensor) -> Tensor:
+    """`relu` written over x's own values, which x gives up.
+
+    Only for an x that nothing else reads: the output of an affine map or a
+    standardization whose backward does not read its output's values, held
+    by the caller alone (`Mlp` hidden layers). The values and gradients are
+    relu's bit for bit, without a second buffer of x's size. The gradient
+    mask is built from the output: out > 0 exactly where x > 0.
+    """
+
+    def bwd(out):
+        def run():
+            g = out.grad
+            np.multiply(g, out.values > 0.0, out=g)
+            x._add_grad(g, owned=True)
+        return run
+
+    return _make(np.maximum(x.values, 0.0, out=x.values), (x,), bwd,
+                 screened=True)
+
+
 # ---------------------------------------------------------------------------
 # reductions and shape ops
 # ---------------------------------------------------------------------------
@@ -333,7 +365,7 @@ def max_reduce(x, axis: int) -> Tensor:
         # is the same number; only a zero maximum reached by both -0.0 and
         # +0.0 may come out with the other sign.
         return Tensor(x.values.max(axis=axis), needs_grad=False, _screened=True)
-    am = x.values.argmax(axis=axis)
+    am = _first_argmax(x.values, axis)
     out_vals = np.take_along_axis(x.values, np.expand_dims(am, axis), axis)
 
     def bwd(out):
@@ -346,6 +378,27 @@ def max_reduce(x, axis: int) -> Tensor:
         return run
 
     return _make(np.squeeze(out_vals, axis=axis), (x,), bwd, screened=True)
+
+
+def _first_argmax(v: np.ndarray, axis: int) -> np.ndarray:
+    """`v.argmax(axis)`, from the max and one equality pass per slice.
+
+    Scans the slices along axis from the last to the first, marking each
+    place that equals the max, so the first maximum is written last. A NaN
+    equals nothing, so a max holding a NaN (finite checks off) takes argmax,
+    which returns the first NaN.
+    """
+    m = v.max(axis=axis)
+    if np.isnan(m).any():
+        return v.argmax(axis=axis)
+    idx = np.zeros(m.shape, dtype=np.intp)
+    hit = np.empty(m.shape, dtype=bool)
+    sl = [slice(None)] * v.ndim
+    for j in range(v.shape[axis] - 1, -1, -1):
+        sl[axis] = j
+        np.equal(v[tuple(sl)], m, out=hit)
+        np.putmask(idx, hit, j)
+    return idx
 
 
 def max_pool_set(x) -> Tensor:
@@ -423,6 +476,48 @@ def concat(tensors: Sequence, axis: int = -1) -> Tensor:
         return run
 
     return _make(out_vals, ts, bwd, screened=True)
+
+
+def edge_features(x_i, xhat, t: Optional[np.ndarray] = None) -> Tensor:
+    """The DGCNN edge feature [x_i, xhat - x_i, t] in one buffer.
+
+    x_i: (..., f) reference features; xhat: (..., k, f) their (aligned)
+    neighbor features; t: optional constant (..., k, c) edge geometry.
+    Output (..., k, 2f [+ c]): x_i repeated over k, then xhat - x_i, then t.
+    The values equal concat([expand_set(x_i, k), sub(xhat, expand_set(x_i,
+    k)), t]) and so do the gradients: xhat gets its slice of the output
+    gradient g once, and x_i gets (g_a - g_b).sum over k, where g_a and g_b
+    are its own and xhat's slices, with the same bits as that op chain.
+    The parents are (xhat, x_i), in that order; the backward sweep then
+    visits the graph as it did for the chain, so contributions to a tensor
+    both come from are summed in the same order.
+    """
+    x_i, xhat = as_tensor(x_i), as_tensor(xhat)
+    f = x_i.values.shape[-1]
+    if xhat.values.shape[:-2] + xhat.values.shape[-1:] != x_i.values.shape:
+        raise ValueError(
+            f"edge_features: x_i {x_i.values.shape} does not match xhat "
+            f"{xhat.values.shape}"
+        )
+    width = 2 * f + (0 if t is None else t.shape[-1])
+    out_vals = np.empty(xhat.values.shape[:-1] + (width,))
+    xi_rep = x_i.values[..., None, :]
+    out_vals[..., :f] = xi_rep
+    np.subtract(xhat.values, xi_rep, out=out_vals[..., f:2 * f])
+    if t is not None:
+        out_vals[..., 2 * f:] = t
+
+    def bwd(out):
+        def run():
+            g = out.grad
+            if xhat.needs_grad:
+                xhat._add_grad(g[..., f:2 * f])
+            if x_i.needs_grad:
+                x_i._add_grad(np.subtract(g[..., :f], g[..., f:2 * f]).sum(axis=-2),
+                              owned=True)
+        return run
+
+    return _make(out_vals, (xhat, x_i), bwd)
 
 
 def _scatter_add_rows(n_rows: int, flat_idx: np.ndarray, rows: np.ndarray) -> np.ndarray:

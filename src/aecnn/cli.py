@@ -29,6 +29,7 @@ from .config import (
     ConfigError,
     NetworkConfig,
     TrainConfig,
+    atomic_write,
     config_sections,
     load_config,
     save_config,
@@ -378,7 +379,7 @@ def cmd_ablate(args) -> int:
                     rows.append(row)
                     _emit(row)
 
-    with open(out_path, "w") as f:
+    with atomic_write(out_path) as f:
         for row in rows:
             f.write(json.dumps(row) + "\n")
     return EXIT_OK

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import configparser
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -262,10 +264,34 @@ def config_sections(network: NetworkConfig,
     return sections
 
 
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a file that replaces `path` only once it is completely written.
+
+    Writes go to a temporary file in the same directory, which is flushed,
+    fsynced and then renamed over `path` with `os.replace`. If the body
+    raises, the temporary file is removed and `path` keeps its old contents
+    (or stays absent).
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_config(path, network: NetworkConfig, train: Optional[TrainConfig] = None):
     cp = configparser.ConfigParser()
     cp.read_dict(config_sections(network, train))
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         cp.write(f)
 
 

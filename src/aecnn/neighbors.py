@@ -19,10 +19,18 @@ Distances come from one of two scans. Points in 3-D go through
 in-place ufuncs and sums each pair as (dx^2 + dz^2) + dy^2. That is the
 order numpy's `einsum` uses for a contiguous length-3 reduction, so the
 result equals `feature_sq_distances` bit for bit at about four times the
-speed. Features of any width go through `feature_sq_distances`, which
-computes squared distances from explicit differences, one cloud at a time,
-in query blocks whose difference tensor fits in about 4 MB, so the working
-set stays cache sized however wide the features are.
+speed. `feature_sq_distances` is the exact formula for features of any
+width: squared distances from explicit differences, one cloud at a time, in
+query blocks whose difference tensor fits in about 4 MB.
+
+Feature kNN (`knn_features_batch`, and `knn_feature_graph` through it)
+does not scan every difference. It screens with |q|^2 + |c|^2 - 2 q.c from
+one batched matmul over all clouds, keeps every candidate whose screen value
+is within a proven rounding bound of the row's k-th smallest, and re-scores
+only those survivors from explicit differences with the same einsum, so the
+neighbours are exactly the full scan's (the proof is in
+`_screened_nearest_k`). When k >= n, or a norm is NaN, infinite or too large
+for the bound, it scans in full.
 
 `_nearest_k` then selects without sorting whole rows: `np.partition` finds
 each row's k-th smallest distance and every candidate not above it is kept.
@@ -69,15 +77,23 @@ def _nearest_k(d2: np.ndarray, k: int) -> np.ndarray:
     kth = np.partition(flat, k - 1, axis=1)[:, k - 1:k]
     # "not above" rather than "<=": a row whose k-th value is NaN keeps every
     # entry, and NaN candidates sort after all numbers, as argsort puts them.
-    keep = ~(flat > kth)
+    return _first_k_kept(flat, ~(flat > kth), k).reshape(*d2.shape[:-1], k)
+
+
+def _first_k_kept(flat: np.ndarray, keep: np.ndarray, k: int) -> np.ndarray:
+    """First k by (distance, index) among each row's kept columns.
+
+    Every row keeps at least k columns, and only kept entries of flat are
+    read. Rows that keep exactly k take a stable sort of their k distances,
+    the rest a (distance, index) lexsort.
+    """
     exact = np.count_nonzero(keep, axis=1) == k
     if exact.all():
-        out = _sort_exact_rows(flat, keep, k)
-    else:
-        out = np.empty((flat.shape[0], k), dtype=np.intp)
-        out[exact] = _sort_exact_rows(flat[exact], keep[exact], k)
-        out[~exact] = _lexsort_kept(flat[~exact], keep[~exact], k)
-    return out.reshape(*d2.shape[:-1], k)
+        return _sort_exact_rows(flat, keep, k)
+    out = np.empty((flat.shape[0], k), dtype=np.intp)
+    out[exact] = _sort_exact_rows(flat[exact], keep[exact], k)
+    out[~exact] = _lexsort_kept(flat[~exact], keep[~exact], k)
+    return out
 
 
 def _sort_exact_rows(flat: np.ndarray, keep: np.ndarray, k: int) -> np.ndarray:
@@ -326,21 +342,109 @@ def knn_feature_graph(features: np.ndarray, k: int,
         refs = np.asarray(reference_indices, dtype=np.int64)
         if refs.ndim != 1 or (refs.size and (refs.min() < 0 or refs.max() >= n)):
             raise ValueError("reference_indices out of range")
-    lists = _nearest_k(feature_sq_distances(features, features[refs]), k)
+    lists = knn_features_batch(features[None], features[refs][None], k)[0]
     return NeighborGraph(refs, lists, "feature")
 
 
 def knn_features_batch(corpus: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     """Batched feature kNN: corpus (B, n, f), queries (B, q, f) -> (B, q, k).
 
-    Distances come from `feature_sq_distances`, one cloud at a time; the
-    selection is `_nearest_k`, the rule every flat kNN scan shares.
+    Equal, bit for bit, to `_nearest_k` over `feature_sq_distances` of each
+    cloud. When k < n and every norm is finite, `_screened_nearest_k` finds
+    the same neighbours from a GEMM screen; otherwise (k >= n, or a NaN,
+    infinity or overflowing norm) the explicit differences are scanned in
+    full.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    corpus = np.asarray(corpus, dtype=np.float64)
+    queries = np.asarray(queries, dtype=np.float64)
+    if k < corpus.shape[1]:
+        found = _screened_nearest_k(corpus, queries, k)
+        if found is not None:
+            return found
     b, n, _ = corpus.shape
     d2 = np.empty((b, queries.shape[1], n), dtype=np.float64)
     for i in range(b):
         d2[i] = feature_sq_distances(corpus[i], queries[i])
     return _nearest_k(d2, k)
+
+
+# Survivors re-scored at once: two gathered (rows, f) float64 blocks of about
+# 256 KB each, which stay in cache between the gather and the einsum.
+RESCORE_BLOCK_ELEMS = 32_768
+
+
+def _screened_nearest_k(corpus: np.ndarray, queries: np.ndarray,
+                        k: int) -> Optional[np.ndarray]:
+    """`knn_features_batch` for k < n from a GEMM screen, or None.
+
+    Screen. s = |q|^2 + |c|^2 - 2 q.c, from one batched matmul. A rounding
+    bound B per query row (below) gives |s_j - d_j| <= B for every
+    candidate j, where d_j is what `feature_sq_distances` returns. Let t be
+    the row's k-th smallest s. The k candidates with s <= t have d <= t + B,
+    so the k-th smallest d is at most t + B, and every candidate with d up
+    to it, ties included, has s <= d + B <= t + 2B. Candidates with
+    s <= t + 2B are therefore kept; the comparison is made in floating
+    point, and rounding is monotone, so it keeps every one of them. The
+    survivors (about k per row unless many distances tie) are re-scored
+    from explicit differences with the einsum `feature_sq_distances` uses,
+    which gives the same bits, and the first k of them by (distance, index)
+    are the full scan's first k.
+
+    Bound. Let u = 2^-53, g_m = m u / (1 - m u), f the width and
+    P = |q|^2 + |c|^2, so d's exact value D = |q - c|^2 <= 2P.
+      - d sums f terms fl(fl(q_i - c_i)^2) >= 0, three roundings each plus
+        f - 1 additions in any order: |d - D| <= g_{f+2} D <= 2 g_{f+2} P.
+      - The norms carry g_f of their value, the matmul's dot product g_f of
+        sum |q_i c_i| <= P / 2 in any summation order, with or without FMA;
+        the two sums that form s add one rounding each:
+        |s - D| <= 2 g_{f+2} P.
+      - So |s - d| <= 4 g_{f+2} P, and P exceeds the computed |q|^2 + |c|^2
+        by at most a factor 1 / (1 - g_{f+1}). B = 8 g_{f+3} (|q|^2 +
+        max_j |c_j|^2), in computed norms, covers this twice over, which
+        absorbs B's own two roundings. (|q| + |c|)^2 lies between P and 2P,
+        so this is the same order as g_{f+3} (|q| + |c|)^2.
+      - Underflow adds at most 2^-1075 to each rounded product, about 5f of
+        them in all; B adds 4 (f + 1) 2^-1074.
+      - Overflow: when 8 (|q|^2 + max |c|^2) is not finite (a NaN, an
+        infinity, or norms near the float64 range) the screen returns None
+        and the caller scans in full.
+    """
+    b, n, f = corpus.shape
+    q = queries.shape[1]
+    cn = np.einsum("bnf,bnf->bn", corpus, corpus)
+    qn = np.einsum("bqf,bqf->bq", queries, queries)
+    p_max = qn + cn.max(axis=1)[:, None]                           # (b, q)
+    if not np.isfinite(8.0 * p_max).all():
+        return None
+    u = 2.0 ** -53
+    gamma = (f + 3) * u / (1.0 - (f + 3) * u)
+    bound = 8.0 * gamma * p_max + 4.0 * (f + 1) * 2.0 ** -1074
+    s = np.matmul(queries, corpus.transpose(0, 2, 1))
+    s *= -2.0
+    s += qn[:, :, None]
+    s += cn[:, None, :]
+    flat = s.reshape(-1, n)
+    kth = np.partition(flat, k - 1, axis=1)[:, k - 1]
+    keep = flat <= (kth + 2.0 * bound.reshape(-1))[:, None]
+    rows, cols = np.nonzero(keep)
+    # Re-score the survivors over their screen values (the selection reads
+    # only kept entries), in blocks gathered into two reused buffers.
+    qflat = queries.reshape(-1, f)
+    cflat = corpus.reshape(-1, f)
+    crow = (rows // q) * n + cols
+    step = max(1, min(rows.size, RESCORE_BLOCK_ELEMS // max(1, f)))
+    qbuf, cbuf = np.empty((2, step, f))
+    for lo in range(0, rows.size, step):
+        r, c = rows[lo:lo + step], cols[lo:lo + step]
+        # mode="clip" (the indices are in range) lets take write into out
+        # directly; the default mode buffers it.
+        diff = np.take(qflat, r, axis=0, out=qbuf[:r.size], mode="clip")
+        np.subtract(diff, np.take(cflat, crow[lo:lo + step], axis=0,
+                                  out=cbuf[:r.size], mode="clip"), out=diff)
+        flat[r, c] = np.einsum("sf,sf->s", diff, diff)
+    return _first_k_kept(flat, keep, k).reshape(b, q, k)
 
 
 def _point_sq_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:

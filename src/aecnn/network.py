@@ -316,7 +316,7 @@ class Model:
         """Block `block_index`'s aligned edge convolution over level's rows:
         sub (b, r) picks the references, graph (b, r, k) their neighbors."""
         variant, align_mlp, q_mlp, _ = self.block_mlps[block_index]
-        b, k = graph.shape[0], graph.shape[-1]
+        b = graph.shape[0]
         new_pts = level.pts[_bidx(b, sub), sub]
         new_bases = level.bases[_bidx(b, sub), sub]
         x_i = ad.gather_rows(level.feat, sub)                     # (b, r, f)
@@ -326,11 +326,8 @@ class Model:
         t = lrf.rir_batch(nb_pos, new_pts, new_bases)             # (b, r, k, 3)
         xhat = _align_edge_features(variant, align_mlp, x_j, new_bases, nb_bases,
                                     t, penalties)
-        xi_rep = ad.expand_set(x_i, k)
-        parts = [xi_rep, ad.sub(xhat, xi_rep)]
-        if variant is not AlignVariant.PLAIN_EDGECONV:
-            parts.append(ad.constant(t))
-        edge = q_mlp(ad.concat(parts), set_axes=(2,))
+        geometry = None if variant is AlignVariant.PLAIN_EDGECONV else t
+        edge = q_mlp(ad.edge_features(x_i, xhat, geometry), set_axes=(2,))
         feat = ad.max_reduce(edge, axis=2)
         return _Level(pts=new_pts, bases=new_bases, feat=feat)
 

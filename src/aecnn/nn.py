@@ -8,6 +8,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
+from .config import atomic_write
 
 
 class Mlp:
@@ -53,7 +54,8 @@ class Mlp:
             if not last:
                 if gamma is not None and set_axes:
                     x = ad.standardize(x, gamma, beta, set_axes)
-                x = ad.relu(x)
+                # x is this MLP's own fresh output, so relu may overwrite it.
+                x = ad.relu_inplace(x)
         return x
 
     def parameters(self) -> list:
@@ -142,8 +144,9 @@ def save_checkpoint(path, arrays: dict):
 
     Layout: magic, then per array a uint32 name length, the utf-8 name, a
     uint32 rank, that many uint32 dims, and the little-endian float64 values.
+    The file is replaced atomically: a write that fails leaves the old one.
     """
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         for name, arr in arrays.items():
             # ascontiguousarray would promote 0-d arrays to 1-d; keep rank.

@@ -154,6 +154,32 @@ class TestReductions:
         assert tracked.needs_grad and not plain.needs_grad
         assert np.array_equal(plain.values, tracked.values)
 
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_tracked_max_matches_argmax_bitwise(self, axis):
+        # Ties, ties between -0.0 and +0.0, and (checks off) NaN: the tracked
+        # max picks argmax's index and returns the value stored there.
+        g = rng(72)
+        x = g.integers(-2, 3, size=(5, 6, 7)).astype(np.float64)
+        x[x == 0] = -0.0
+        x[g.random(x.shape) < 0.3] = 0.0
+        x[1, 2, 3] = np.nan
+        x[3, :, :] = -0.0
+        old = ad.set_finite_checks(False)
+        try:
+            for v in (x, np.nan_to_num(x, nan=-1.0)):
+                p = ad.parameter(v)
+                out = ad.max_reduce(p, axis=axis)
+                am = np.expand_dims(v.argmax(axis=axis), axis)
+                want = np.squeeze(np.take_along_axis(v, am, axis), axis=axis)
+                assert np.array_equal(out.values, want, equal_nan=True)
+                assert np.array_equal(np.signbit(out.values), np.signbit(want))
+                ad.backward(ad.sum_reduce(out))
+                routed = np.zeros_like(v)
+                np.put_along_axis(routed, am, 1.0, axis)
+                assert np.array_equal(p.grad, routed)
+        finally:
+            ad.set_finite_checks(old)
+
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             ad.max_pool_set(ad.constant(np.zeros((2, 0, 3))))
@@ -228,6 +254,64 @@ class TestConcatGather:
             np.add.at(want, idx, rows)
             got = ad._scatter_add_rows(n, idx, rows)
             assert np.allclose(got, want, atol=1e-12)
+
+
+def edge_chain(x_i, xhat, t):
+    """The edge feature built from expand_set, sub and concat."""
+    rep = ad.expand_set(x_i, xhat.values.shape[-2])
+    parts = [rep, ad.sub(xhat, rep)]
+    if t is not None:
+        parts.append(ad.constant(t))
+    return ad.concat(parts)
+
+
+class TestEdgeFeatures:
+    def test_matches_finite_differences(self):
+        g = rng(90)
+        t = g.normal(size=(2, 3, 5, 3))
+        check_grads(lambda a, b: project(ad.edge_features(a, b, t)),
+                    [g.normal(size=(2, 3, 4)), g.normal(size=(2, 3, 5, 4))])
+
+    @pytest.mark.parametrize("with_t", [False, True])
+    def test_equals_concat_chain_bitwise(self, with_t):
+        # x_i and xhat are both gathered from one source, as in the network,
+        # and xhat also passes through an affine map.
+        g = rng(91)
+        src0 = g.normal(size=(2, 9, 4))
+        w0 = g.normal(size=(4, 4))
+        sub = g.integers(0, 9, size=(2, 3))
+        graph = g.integers(0, 9, size=(2, 3, 5))
+        t = g.normal(size=(2, 3, 5, 3)) if with_t else None
+        got = []
+        for build in (ad.edge_features, edge_chain):
+            src, w = ad.parameter(src0), ad.parameter(w0)
+            x_i = ad.gather_rows(src, sub)
+            xhat = ad.linear(ad.gather_rows(src, graph), w)
+            out = build(x_i, xhat, t)
+            ad.backward(project(ad.relu(out)))
+            got.append((out.values, src.grad, w.grad))
+        for a, b in zip(*got):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    def test_x_i_and_xhat_of_one_tensor(self):
+        # xhat repeats x_i itself: both contributions reach one tensor, and
+        # neither may alias a buffer the other writes.
+        g = rng(92)
+        x0 = g.normal(size=(2, 3, 4))
+        grads = []
+        for build in (ad.edge_features, edge_chain):
+            x = ad.parameter(x0)
+            ad.backward(project(build(x, ad.expand_set(x, 5), None)))
+            grads.append(x.grad)
+        assert np.array_equal(grads[0], grads[1])
+        w = np.random.default_rng(99).normal(size=(2, 3, 5, 8))
+        assert np.allclose(grads[0], w[..., :4].sum(axis=2), atol=1e-12)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="edge_features"):
+            ad.edge_features(ad.constant(np.zeros((2, 3, 4))),
+                             ad.constant(np.zeros((2, 3, 5, 6))))
 
 
 class TestStandardize:

@@ -1,4 +1,6 @@
 """Config validation and INI round-trip behavior."""
+import configparser
+
 import numpy as np
 import pytest
 
@@ -138,3 +140,18 @@ class TestIniRoundTrip:
         with pytest.raises(ConfigError) as exc:
             load_config(path)
         assert len(exc.value.problems) >= 2
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "config.ini"
+        save_config(path, desk_classification_config())
+        before = path.read_text()
+
+        def write_half(cp, f, *args, **kwargs):
+            f.write("[network]\n")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(configparser.ConfigParser, "write", write_half)
+        with pytest.raises(OSError, match="disk full"):
+            save_config(path, desk_segmentation_config())
+        assert path.read_text() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["config.ini"]

@@ -320,6 +320,96 @@ class TestSelectionMatchesStableArgsort:
             assert np.array_equal(nb._nearest_k(d2[[0, 5]], k), stable_topk(d2[[0, 5]], k))
 
 
+class TestScreenedFeatureKnn:
+    """The GEMM-screened feature kNN returns the full scan's neighbours."""
+
+    @staticmethod
+    def full_scan(corpus, queries, k):
+        d2 = np.stack([nb.feature_sq_distances(c, q) for c, q in zip(corpus, queries)])
+        return stable_topk(d2, k)
+
+    def check(self, corpus, queries, k, screened=True):
+        want = self.full_scan(corpus, queries, k)
+        assert np.array_equal(nb.knn_features_batch(corpus, queries, k), want)
+        if screened:
+            # The screen itself ran and agreed, rather than the fallback.
+            got = nb._screened_nearest_k(corpus, queries, k)
+            assert got is not None and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("f", [3, 4, 7, 16, 64, 128, 129, 256, 512])
+    def test_widths(self, f):
+        g = rng(100 + f)
+        corpus = np.maximum(g.normal(size=(3, 70, f)), 0.0)
+        queries = np.concatenate([corpus[:, ::4], corpus[:, :5] + 1e-9], axis=1)
+        for k in (1, 5, 16, 69):
+            self.check(corpus, queries, k)
+
+    @pytest.mark.parametrize("exponent", [-160, -150, -100, -20, 0, 20, 100, 150, 160])
+    def test_magnitudes(self, exponent):
+        # Below 1e-154 squares underflow; above 1e154 the squared norms
+        # overflow, and the full scan runs instead of the screen.
+        g = rng(110)
+        corpus = g.normal(size=(2, 40, 32)) * 10.0 ** exponent
+        corpus[:, 20:30] = corpus[:, :10]
+        queries = corpus[:, ::3] * (1.0 + 1e-12)
+        self.check(corpus, queries, 7, screened=exponent < 160)
+        if exponent == 160:
+            assert nb._screened_nearest_k(corpus, queries, 7) is None
+
+    @pytest.mark.parametrize("f", [3, 5, 8])
+    def test_lattice_with_many_equal_distances(self, f):
+        g = rng(120 + f)
+        corpus = g.integers(-2, 3, size=(2, 90, f)).astype(np.float64)
+        queries = np.concatenate([corpus[:, :10], np.zeros((2, 1, f))], axis=1)
+        for k in (1, 4, 10, 33, 89):
+            self.check(corpus, queries, k)
+
+    @pytest.mark.parametrize("f", [4, 16, 96])
+    def test_distances_small_against_the_norms(self, f):
+        # A large common offset: the screen's cancellation error dwarfs the
+        # gaps between distances, so only the re-scoring orders them.
+        g = rng(125 + f)
+        offsets = g.integers(-2, 3, size=(2, 80, f)) * 1e-3
+        corpus = 1e3 + g.normal(size=f) + offsets
+        queries = corpus[:, ::5] + g.integers(-1, 2, size=(2, 16, f)) * 5e-4
+        for k in (1, 3, 8, 40):
+            self.check(corpus, queries, k)
+
+    def test_duplicates_and_mirror_symmetric_cloud(self):
+        g = rng(130)
+        half = g.normal(size=(2, 60, 24))
+        mirror = half.copy()
+        mirror[..., ::2] *= -1.0
+        corpus = np.concatenate([half, mirror, half[:, :15]], axis=1)
+        # Queries on the mirror plane are equidistant from each mirrored pair.
+        plane = half[:, :12].copy()
+        plane[..., ::2] = 0.0
+        queries = np.concatenate([corpus[:, ::7], plane], axis=1)
+        for k in (2, 6, 31):
+            self.check(corpus, queries, k)
+
+    @pytest.mark.parametrize("extra", [0, 3])
+    def test_k_at_or_above_n_scans_in_full(self, extra):
+        g = rng(140)
+        corpus = g.normal(size=(2, 12, 9))
+        self.check(corpus, corpus[:, :5], 12 + extra, screened=False)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_features_scan_in_full(self, bad):
+        # Reachable from the network with autodiff's finite checks off.
+        g = rng(150)
+        corpus = g.normal(size=(2, 30, 10))
+        corpus[1, 4, 2] = bad
+        queries = corpus[:, :8].copy()
+        assert nb._screened_nearest_k(corpus, queries, 5) is None
+        with np.errstate(invalid="ignore"):     # inf - inf in the full scan
+            self.check(corpus, queries, 5, screened=False)
+
+    def test_no_queries(self):
+        corpus = rng(160).normal(size=(2, 10, 4))
+        assert nb.knn_features_batch(corpus, corpus[:, :0], 3).shape == (2, 0, 3)
+
+
 class TestPointScan:
     """The coordinate-major 3-D scan gives the feature scan's bits."""
 

@@ -43,6 +43,37 @@ class TestMlp:
         out = mlp(ad.constant(x), set_axes=(1,))
         assert out.shape == (2, 10, 4)
 
+    @pytest.mark.parametrize("set_axes", [None, (1,), (1, 2)])
+    def test_in_place_relu_gives_relu_bits(self, set_axes):
+        # The same MLP written out with the out-of-place relu: equal output,
+        # input gradient and parameter gradients, bit for bit, and the input
+        # itself is left as it was.
+        store = {}
+        mlp = nn.Mlp((5, 7, 6, 3), rng(8), store, "m", normalize=True)
+        x0 = rng(9).normal(size=(2, 4, 6, 5))
+        x0[0, 0, 0] = 0.0
+        runs = []
+        for manual in (False, True):
+            for p in store.values():
+                p.zero_grad()
+            x = ad.parameter(x0.copy())
+            if manual:
+                h = x
+                for w, b, gamma, beta, last in mlp.layers:
+                    h = ad.linear(h, w, b)
+                    if not last:
+                        if set_axes:
+                            h = ad.standardize(h, gamma, beta, set_axes)
+                        h = ad.relu(h)
+                out = h
+            else:
+                out = mlp(x, set_axes=set_axes)
+            assert np.array_equal(x.values, x0)
+            ad.backward(ad.sum_reduce(ad.mul(out, ad.constant(np.cos(out.values)))))
+            runs.append([out.values, x.grad] + [p.grad for p in store.values()])
+        for a, b in zip(*runs):
+            assert np.array_equal(a, b)
+
     def test_rejects_bad_widths(self):
         with pytest.raises(ValueError):
             nn.Mlp((3,), rng(), {}, "m")
@@ -170,3 +201,14 @@ class TestCheckpoint:
         nn.save_checkpoint(p1, arrays)
         nn.save_checkpoint(p2, nn.load_checkpoint(p1))
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        # An empty name raises after the first array is written.
+        g = rng(11)
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint(path, {"a": g.normal(size=3)})
+        before = path.read_bytes()
+        with pytest.raises(nn.CheckpointError):
+            nn.save_checkpoint(path, {"a": g.normal(size=4), "": np.zeros(2)})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
