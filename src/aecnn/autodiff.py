@@ -1,12 +1,14 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 Tensors wrap ndarrays and remember how they were produced; `backward` walks
-the graph once in reverse topological order. The op set is exactly what the
-set-abstraction network needs: affine maps, relu, set max pooling, last-axis
-concatenation, batched row gathers, per-set standardization, stable softmax
-cross entropy, and three fused edge kernels (the DGCNN edge feature
-[x_i, xhat - x_i, t], matrix-vector alignment and the orthogonality
-penalty) whose gradients are hand derived.
+the graph once in reverse topological order. The network uses affine maps,
+in-place relu, set max pooling, last-axis concatenation, batched row
+gathers, per-set standardization, stable softmax cross entropy, and three
+fused edge kernels (the DGCNN edge feature [x_i, xhat - x_i, t],
+matrix-vector alignment and the orthogonality penalty) whose gradients are
+hand derived. `sub`, `square`, `mean_reduce`, `expand_set` and `relu` have
+no caller in the package: the tests use them as references for the fused
+and in-place ops and as gradient-check helpers.
 
 Two ops save a buffer and keep the bits of the op chain they replace.
 `relu_inplace` overwrites its input's values, so it may only take a tensor

@@ -107,15 +107,34 @@ def _synth_dataset(kind: str, n_per_class: int, n_points: int, seed: int,
     return dat.synth_classification(n_per_class, n_points, rng)
 
 
+def _synth_pair(kind: str, n_per_class: int, n_points: int, seed: int) -> tuple:
+    """The synthetic train set of a seed and its half-size test set."""
+    return (_synth_dataset(kind, n_per_class, n_points, seed, TRAIN_DATA_STREAM),
+            _synth_dataset(kind, max(1, n_per_class // 2), n_points, seed,
+                           TEST_DATA_STREAM))
+
+
+def _score(model: Model, test_set: dat.Dataset, setting: str, seed: int,
+           votes: int) -> dat.Metrics:
+    """mIoU for a segmenter on a part-labelled set, accuracy otherwise, under
+    the setting's test rotations drawn from the seed's evaluation stream."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(EVAL_ROTATION_STREAM,))
+    )
+    if model.config.n_parts and all(s.part_labels is not None for s in test_set):
+        metrics = dat.evaluate_miou(predict_parts(model, test_set, setting, rng),
+                                    test_set)
+        metrics.setting = setting
+        return metrics
+    return dat.evaluate_classification(model, test_set, setting, rng, votes=votes)
+
+
 def _resolve_dataset(token: str, n_per_class: int, n_points: int, seed: int,
                      stream: int) -> dat.Dataset:
     """A dataset argument is a file path or a synth-<kind> token."""
-    if token == "synth-classification":
-        return _synth_dataset("classification", n_per_class, n_points, seed,
-                              stream)
-    if token == "synth-segmentation":
-        return _synth_dataset("segmentation", n_per_class, n_points, seed,
-                              stream)
+    if token in ("synth-classification", "synth-segmentation"):
+        return _synth_dataset(token[len("synth-"):], n_per_class, n_points,
+                              seed, stream)
     return dat.load_dataset_bin(token)
 
 
@@ -178,7 +197,6 @@ def cmd_train(args) -> int:
         return _fail(f"{args.out_dir} holds a checkpoint trained under another "
                      f"config; use a new OUT_DIR. Differences: {'; '.join(conflicts)}")
 
-    os.makedirs(args.out_dir, exist_ok=True)
     seg = network.n_parts > 0
     try:
         if args.dataset is not None:
@@ -186,19 +204,17 @@ def cmd_train(args) -> int:
             test_set = (dat.load_dataset_bin(args.eval_dataset)
                         if args.eval_dataset else None)
         else:
-            kind = "segmentation" if seg else "classification"
-            train_set = _synth_dataset(kind, args.n_per_class,
-                                       network.n_points, training.seed,
-                                       TRAIN_DATA_STREAM)
-            test_set = _synth_dataset(kind, max(1, args.n_per_class // 2),
-                                      network.n_points, training.seed,
-                                      TEST_DATA_STREAM)
+            train_set, test_set = _synth_pair(
+                "segmentation" if seg else "classification", args.n_per_class,
+                network.n_points, training.seed)
     except (dat.FileFormatError, ValueError, OSError) as e:
         return _fail(e)
 
-    if seg and any(s.part_labels is None for s in train_set):
-        return _fail("segmentation model but the dataset has no part labels")
+    for name, dataset in [("dataset", train_set), ("eval dataset", test_set)]:
+        if seg and dataset is not None and any(s.part_labels is None for s in dataset):
+            return _fail(f"segmentation model but the {name} has no part labels")
 
+    os.makedirs(args.out_dir, exist_ok=True)
     model = Model(network, seed=training.seed)
     save_config(config_path, network, training)
     _emit({"type": "run", "schema": SCHEMA_VERSION, "seed": training.seed,
@@ -210,18 +226,9 @@ def cmd_train(args) -> int:
     trainer = train_segmenter if seg else train_classifier
     record = trainer(model, train_set, training, checkpoint_path=ckpt,
                      on_epoch=show)
-
     if test_set is not None:
-        rot_rng = np.random.default_rng(
-            np.random.SeedSequence(training.seed, spawn_key=(EVAL_ROTATION_STREAM,))
-        )
-        if seg:
-            preds = predict_parts(model, test_set, training.setting, rot_rng)
-            record.final_metrics = dat.evaluate_miou(preds, test_set)
-        else:
-            record.final_metrics = dat.evaluate_classification(
-                model, test_set, training.setting, rot_rng, votes=training.votes
-            )
+        record.final_metrics = _score(model, test_set, training.setting,
+                                      training.seed, training.votes)
 
     lines = record.to_lines()
     with open(os.path.join(args.out_dir, "run.jsonl"), "a") as f:
@@ -246,16 +253,7 @@ def cmd_eval(args) -> int:
     except (CheckpointError, dat.FileFormatError, ValueError, OSError) as e:
         return _fail(e)
 
-    rng = np.random.default_rng(
-        np.random.SeedSequence(args.seed, spawn_key=(EVAL_ROTATION_STREAM,))
-    )
-    if network.n_parts and all(s.part_labels is not None for s in test_set):
-        preds = predict_parts(model, test_set, args.setting, rng)
-        metrics = dat.evaluate_miou(preds, test_set)
-        metrics.setting = args.setting
-    else:
-        metrics = dat.evaluate_classification(model, test_set, args.setting,
-                                              rng, votes=args.votes)
+    metrics = _score(model, test_set, args.setting, args.seed, args.votes)
     _emit({"type": "metrics", "schema": SCHEMA_VERSION, **metrics.to_dict()})
     return EXIT_OK
 
@@ -309,10 +307,6 @@ def cmd_invariance_audit(args) -> int:
 # ablation grid
 # ---------------------------------------------------------------------------
 
-def _parse_csv(text: str, cast=str) -> tuple:
-    return tuple(cast(t.strip()) for t in text.split(",") if t.strip())
-
-
 def cmd_ablate(args) -> int:
     try:
         network, training = _load_configs(args.config, args)
@@ -321,25 +315,20 @@ def cmd_ablate(args) -> int:
     except OSError as e:
         return _fail(e)
 
-    variants = _parse_csv(args.variants)
-    searches = _parse_csv(args.searches)
-    anchors = _parse_csv(args.anchors)
-    ks = _parse_csv(args.ks, int)
-    seeds = _parse_csv(args.seeds, int)
-
     os.makedirs(args.out_dir, exist_ok=True)
     out_path = os.path.join(args.out_dir, "ablation.jsonl")
     rows = []
     _emit({"type": "ablation_header", "schema": SCHEMA_VERSION,
-           "grid": {"variant": list(variants), "search": list(searches),
-                    "anchor": list(anchors), "k": list(ks)},
-           "seeds": list(seeds), "setting": training.setting,
-           "cells": len(variants) * len(searches) * len(anchors) * len(ks)})
+           "grid": {"variant": list(args.variants), "search": list(args.searches),
+                    "anchor": list(args.anchors), "k": list(args.ks)},
+           "seeds": list(args.seeds), "setting": training.setting,
+           "cells": (len(args.variants) * len(args.searches) * len(args.anchors)
+                     * len(args.ks))})
 
-    for variant in variants:
-        for search in searches:
-            for anchor in anchors:
-                for k in ks:
+    for variant in args.variants:
+        for search in args.searches:
+            for anchor in args.anchors:
+                for k in args.ks:
                     cfg = replace(
                         network, variant=variant,
                         sa_first=replace(network.sa_first, search=search,
@@ -350,23 +339,13 @@ def cmd_ablate(args) -> int:
                     except ConfigError as e:
                         return _fail_config(e)
                     accs = []
-                    for seed in seeds:
+                    for seed in args.seeds:
                         tc = replace(training, seed=seed)
-                        train_set = _synth_dataset(
-                            "classification", args.n_per_class, cfg.n_points,
-                            seed, TRAIN_DATA_STREAM)
-                        test_set = _synth_dataset(
-                            "classification", max(1, args.n_per_class // 2),
-                            cfg.n_points, seed, TEST_DATA_STREAM)
+                        train_set, test_set = _synth_pair(
+                            "classification", args.n_per_class, cfg.n_points, seed)
                         model = Model(cfg, seed=seed)
                         train_classifier(model, train_set, tc)
-                        rot_rng = np.random.default_rng(
-                            np.random.SeedSequence(seed,
-                                                   spawn_key=(EVAL_ROTATION_STREAM,))
-                        )
-                        m = dat.evaluate_classification(
-                            model, test_set, tc.setting, rot_rng,
-                            votes=tc.votes)
+                        m = _score(model, test_set, tc.setting, seed, tc.votes)
                         accs.append(m.accuracy)
                     row = {
                         "type": "ablation", "variant": variant,
@@ -419,6 +398,27 @@ def cmd_lrf_dump(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _listed(cast=str):
+    """An argparse type: a non-empty comma-separated list of `cast` values."""
+    def parse(text: str) -> tuple:
+        values = tuple(cast(t.strip()) for t in text.split(",") if t.strip())
+        if not values:
+            raise argparse.ArgumentTypeError("needs at least one value")
+        return values
+    return parse
+
+
+def _at_least(minimum: int):
+    """An argparse type: an int no smaller than `minimum`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"   # argparse names the type in its "invalid" message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="aecnn",
@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_votes:
             sp.add_argument("--setting", default="ARAR",
                             choices=["YY", "YAR", "ARAR"])
-            sp.add_argument("--votes", type=int, default=1,
+            sp.add_argument("--votes", type=_at_least(1), default=1,
                             help="average softmax over this many rotated copies")
 
     t = sub.add_parser("train", help="train a model and write checkpoint + run record")
@@ -455,22 +455,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="AEDS1 file (default: synthetic data from the seed)")
     t.add_argument("--eval-dataset", default=None,
                    help="AEDS1 file scored after training")
-    t.add_argument("--n-per-class", dest="n_per_class", type=int, default=200)
+    t.add_argument("--n-per-class", dest="n_per_class", type=_at_least(1), default=200)
     t.set_defaults(fn=cmd_train)
 
     e = sub.add_parser("eval", help="score a checkpoint on a dataset")
     e.add_argument("checkpoint")
     e.add_argument("dataset",
                    help="AEDS1 file, synth-classification, or synth-segmentation")
-    e.add_argument("--n-per-class", dest="n_per_class", type=int, default=100)
+    e.add_argument("--n-per-class", dest="n_per_class", type=_at_least(1), default=100)
     add_eval_flags(e)
     e.set_defaults(fn=cmd_eval)
 
     a = sub.add_parser("invariance-audit",
                        help="measure logit deviation under random rotations")
     a.add_argument("checkpoint")
-    a.add_argument("--rotations", type=int, default=20)
-    a.add_argument("--clouds", type=int, default=50)
+    a.add_argument("--rotations", type=_at_least(0), default=20)
+    a.add_argument("--clouds", type=_at_least(1), default=50)
     a.add_argument("--tolerance", type=float, default=1e-5)
     add_eval_flags(a, with_votes=False)
     a.set_defaults(fn=cmd_invariance_audit)
@@ -478,24 +478,24 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("ablate", help="train/evaluate an alignment ablation grid")
     b.add_argument("config")
     b.add_argument("out_dir")
-    b.add_argument("--variants", default=",".join(ABLATION_VARIANTS))
-    b.add_argument("--searches", default=",".join(ABLATION_SEARCHES))
-    b.add_argument("--anchors", default=",".join(ABLATION_ANCHORS))
-    b.add_argument("--ks", default=",".join(str(k) for k in ABLATION_KS))
-    b.add_argument("--seeds", default="0,1,2")
+    b.add_argument("--variants", type=_listed(), default=",".join(ABLATION_VARIANTS))
+    b.add_argument("--searches", type=_listed(), default=",".join(ABLATION_SEARCHES))
+    b.add_argument("--anchors", type=_listed(), default=",".join(ABLATION_ANCHORS))
+    b.add_argument("--ks", type=_listed(int), default=",".join(str(k) for k in ABLATION_KS))
+    b.add_argument("--seeds", type=_listed(int), default="0,1,2")
     b.add_argument("--setting", default="YAR", choices=["YY", "YAR", "ARAR"])
     b.add_argument("--seed", type=int, default=None)
     b.add_argument("--epochs", type=int, default=None)
     b.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     b.add_argument("--early-stop-acc", dest="early_stop_acc", type=float,
                    default=None)
-    b.add_argument("--n-per-class", dest="n_per_class", type=int, default=200)
+    b.add_argument("--n-per-class", dest="n_per_class", type=_at_least(1), default=200)
     b.set_defaults(fn=cmd_ablate)
 
     d = sub.add_parser("lrf-dump",
                        help="dump per-point frames and neighbor coordinates")
     d.add_argument("cloud", help=".xyz file")
-    d.add_argument("--k", type=int, default=8)
+    d.add_argument("--k", type=_at_least(1), default=8)
     d.add_argument("--anchor", default="mean",
                    choices=["mean", "max_projection"])
     d.set_defaults(fn=cmd_lrf_dump)

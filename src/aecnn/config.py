@@ -206,61 +206,86 @@ class TrainConfig:
 # INI round trip
 # ---------------------------------------------------------------------------
 
-def _fmt_widths(ws) -> str:
-    return ", ".join(str(int(w)) for w in ws)
+# Each section's keys and the config attributes they hold. A value is written
+# and parsed by the type of the attribute's dataclass default; the one field
+# whose default is None (early_stop_train_acc) is a float.
+_SECTIONS = {
+    "network": {k: k for k in ("n_points", "n_classes", "features", "variant",
+                               "normalize")},
+    "sa_first": {k: k for k in ("n_ref", "k", "search", "radius", "anchor",
+                                "widths")},
+    "sa_next": {k: k for k in ("k", "widths", "variant")},
+    "head": {"widths": "head_widths"},
+    "segmentation": {k: k for k in ("n_parts", "fp_widths", "point_head",
+                                    "fp_align_hidden")},
+    "align": {"aeconv1_hidden": "aeconv1_hidden"},
+    "training": {k: k for k in ("epochs", "batch_size", "base_lr", "lr_decay",
+                                "lr_boundaries", "setting", "seed", "votes",
+                                "early_stop_train_acc")},
+}
 
 
-def _parse_widths(s: str) -> tuple:
-    parts = [p.strip() for p in str(s).replace(";", ",").split(",") if p.strip()]
-    return tuple(int(p) for p in parts)
+def _table(section: str) -> Optional[dict]:
+    """A section's key table (every sa_next_<i> shares one), or None."""
+    if section.startswith("sa_next_"):
+        return _SECTIONS["sa_next"]
+    return None if section == "sa_next" else _SECTIONS.get(section)
+
+
+def _format(default, value) -> str:
+    """The INI text of a value, by the type of its field's default."""
+    if isinstance(default, bool):
+        return str(bool(value)).lower()
+    if default is None or isinstance(default, float):
+        return repr(float(value))
+    if isinstance(default, tuple):
+        return ", ".join(str(int(w)) for w in value)
+    return str(value)
+
+
+def _parse(default, raw: str):
+    """An INI value as the type of its field's default; ValueError names why."""
+    if isinstance(default, bool):
+        states = configparser.ConfigParser.BOOLEAN_STATES
+        if raw.lower() not in states:
+            raise ValueError("expected a boolean")
+        return states[raw.lower()]
+    try:
+        if default is None or isinstance(default, float):
+            return float(raw)
+        if isinstance(default, tuple):
+            return tuple(int(p) for p in raw.replace(";", ",").split(",") if p.strip())
+        return type(default)(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"cannot parse {raw!r}") from None
 
 
 def config_sections(network: NetworkConfig,
                     train: Optional[TrainConfig] = None) -> dict:
-    """The INI text of the configs as {section: {key: value string}}."""
-    sections: dict = {}
-    sections["network"] = {
-        "n_points": str(network.n_points),
-        "n_classes": str(network.n_classes),
-        "features": network.features,
-        "variant": network.variant,
-        "normalize": str(bool(network.normalize)).lower(),
-    }
-    sections["sa_first"] = {
-        "n_ref": str(network.sa_first.n_ref),
-        "k": str(network.sa_first.k),
-        "search": network.sa_first.search,
-        "radius": repr(float(network.sa_first.radius)),
-        "anchor": network.sa_first.anchor,
-        "widths": _fmt_widths(network.sa_first.widths),
-    }
-    for i, blk in enumerate(network.sa_next, start=1):
-        sections[f"sa_next_{i}"] = {"k": str(blk.k), "widths": _fmt_widths(blk.widths)}
-        if blk.variant:
-            sections[f"sa_next_{i}"]["variant"] = blk.variant
-    sections["head"] = {"widths": _fmt_widths(network.head_widths)}
+    """The INI text of the configs as {section: {key: value string}}.
+
+    [segmentation] is written only for a segmenter and [align] only when
+    aeconv1_hidden is not its default; an unset optional value (a block's
+    inherited variant, no early stop) is left out.
+    """
+    objects = [("network", network), ("sa_first", network.sa_first)]
+    objects += [(f"sa_next_{i}", blk) for i, blk in enumerate(network.sa_next, start=1)]
+    objects.append(("head", network))
     if network.n_parts:
-        sections["segmentation"] = {
-            "n_parts": str(network.n_parts),
-            "fp_widths": _fmt_widths(network.fp_widths),
-            "point_head": _fmt_widths(network.point_head),
-            "fp_align_hidden": str(network.fp_align_hidden),
-        }
-    if network.aeconv1_hidden != 64:
-        sections["align"] = {"aeconv1_hidden": str(network.aeconv1_hidden)}
+        objects.append(("segmentation", network))
+    if network.aeconv1_hidden != NetworkConfig.aeconv1_hidden:
+        objects.append(("align", network))
     if train is not None:
-        sections["training"] = {
-            "epochs": str(train.epochs),
-            "batch_size": str(train.batch_size),
-            "base_lr": repr(float(train.base_lr)),
-            "lr_decay": repr(float(train.lr_decay)),
-            "lr_boundaries": _fmt_widths(train.lr_boundaries),
-            "setting": train.setting,
-            "seed": str(train.seed),
-            "votes": str(train.votes),
-        }
-        if train.early_stop_train_acc is not None:
-            sections["training"]["early_stop_train_acc"] = repr(float(train.early_stop_train_acc))
+        objects.append(("training", train))
+    sections = {}
+    for section, obj in objects:
+        defaults = type(obj)()
+        values = sections[section] = {}
+        for key, attr in _table(section).items():
+            default, value = getattr(defaults, attr), getattr(obj, attr)
+            if default in (None, "") and value == default:
+                continue
+            values[key] = _format(default, value)
     return sections
 
 
@@ -295,127 +320,59 @@ def save_config(path, network: NetworkConfig, train: Optional[TrainConfig] = Non
         cp.write(f)
 
 
-_KNOWN_SECTIONS = ("network", "sa_first", "head", "segmentation", "align", "training")
-
-_KNOWN_KEYS = {
-    "network": {"n_points", "n_classes", "features", "variant", "normalize"},
-    "sa_first": {"n_ref", "k", "search", "radius", "anchor", "widths"},
-    "sa_next": {"k", "widths", "variant"},
-    "head": {"widths"},
-    "segmentation": {"n_parts", "fp_widths", "point_head", "fp_align_hidden"},
-    "align": {"aeconv1_hidden"},
-    "training": {"epochs", "batch_size", "base_lr", "lr_decay", "lr_boundaries",
-                 "setting", "seed", "votes", "early_stop_train_acc"},
-}
-
-
 def load_config(path):
     """Parse an INI file into (NetworkConfig, TrainConfig or None).
 
     Unknown sections or keys are validation errors, as are malformed values;
-    everything wrong is reported at once.
+    everything wrong is reported at once. A [segmentation] section without
+    n_parts means two parts.
     """
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigError([f"cannot read config file {path!r}"])
+    try:
+        if not cp.read(path):
+            raise ConfigError([f"cannot read config file {path!r}"])
+    except configparser.Error as e:
+        raise ConfigError([f"cannot parse config file: {e}"]) from None
     problems = []
     for section in cp.sections():
-        base = "sa_next" if section.startswith("sa_next_") else section
-        if base not in _KNOWN_KEYS or (base == section and section not in _KNOWN_SECTIONS):
+        table = _table(section)
+        if table is None:
             problems.append(f"unknown section [{section}]")
             continue
-        for key in cp[section]:
-            if key not in _KNOWN_KEYS[base]:
-                problems.append(f"unknown key {key!r} in section [{section}]")
+        problems.extend(f"unknown key {key!r} in section [{section}]"
+                        for key in cp[section] if key not in table)
 
-    def get(section, key, conv, default, target=None):
-        if section not in cp or key not in cp[section]:
-            return default
-        raw = cp[section][key]
-        try:
-            return conv(raw)
-        except (TypeError, ValueError):
-            problems.append(f"[{section}] {key}: cannot parse {raw!r}")
-            return default
+    def read(section, obj):
+        """obj with the values that the file sets in `section`."""
+        if section not in cp:
+            return obj
+        defaults = type(obj)()
+        updates = {}
+        for key, attr in _table(section).items():
+            if key in cp[section]:
+                try:
+                    updates[attr] = _parse(getattr(defaults, attr), cp[section][key])
+                except ValueError as e:
+                    problems.append(f"[{section}] {key}: {e}")
+        return replace(obj, **updates)
 
-    def get_bool(section, key, default):
-        if section not in cp or key not in cp[section]:
-            return default
-        try:
-            return cp.getboolean(section, key)
-        except ValueError:
-            problems.append(f"[{section}] {key}: expected a boolean")
-            return default
-
-    network = NetworkConfig()
-    network = replace(
-        network,
-        n_points=get("network", "n_points", int, network.n_points),
-        n_classes=get("network", "n_classes", int, network.n_classes),
-        features=get("network", "features", str, network.features),
-        variant=get("network", "variant", str, network.variant),
-        normalize=get_bool("network", "normalize", network.normalize),
-    )
-    sa = network.sa_first
-    network = replace(network, sa_first=replace(
-        sa,
-        n_ref=get("sa_first", "n_ref", int, sa.n_ref),
-        k=get("sa_first", "k", int, sa.k),
-        search=get("sa_first", "search", str, sa.search),
-        radius=get("sa_first", "radius", float, sa.radius),
-        anchor=get("sa_first", "anchor", str, sa.anchor),
-        widths=get("sa_first", "widths", _parse_widths, sa.widths),
-    ))
+    network = read("network", NetworkConfig())
+    network = replace(network, sa_first=read("sa_first", network.sa_first))
     blocks = []
-    blk_default = SaNextConfig()
-    i = 1
-    while f"sa_next_{i}" in cp:
-        blocks.append(SaNextConfig(
-            k=get(f"sa_next_{i}", "k", int, blk_default.k),
-            widths=get(f"sa_next_{i}", "widths", _parse_widths, blk_default.widths),
-            variant=get(f"sa_next_{i}", "variant", str, ""),
-        ))
-        i += 1
-    consumed = {f"sa_next_{j}" for j in range(1, i)}
-    for section in cp.sections():
-        if section.startswith("sa_next_") and section not in consumed:
-            problems.append(
-                f"section [{section}] is not part of a contiguous sa_next_1..N run"
-            )
+    while f"sa_next_{len(blocks) + 1}" in cp:
+        blocks.append(read(f"sa_next_{len(blocks) + 1}", SaNextConfig()))
+    run = {f"sa_next_{i}" for i in range(1, len(blocks) + 1)}
+    problems.extend(
+        f"section [{section}] is not part of a contiguous sa_next_1..N run"
+        for section in cp.sections()
+        if section.startswith("sa_next_") and section not in run
+    )
     if blocks:
         network = replace(network, sa_next=tuple(blocks))
-    network = replace(
-        network,
-        head_widths=get("head", "widths", _parse_widths, network.head_widths),
-        aeconv1_hidden=get("align", "aeconv1_hidden", int, network.aeconv1_hidden),
-    )
+    network = read("align", read("head", network))
     if "segmentation" in cp:
-        network = replace(
-            network,
-            n_parts=get("segmentation", "n_parts", int, 2),
-            fp_widths=get("segmentation", "fp_widths", _parse_widths, network.fp_widths),
-            point_head=get("segmentation", "point_head", _parse_widths, network.point_head),
-            fp_align_hidden=get("segmentation", "fp_align_hidden", int,
-                                network.fp_align_hidden),
-        )
-    train = None
-    if "training" in cp:
-        t = TrainConfig()
-        early = get("training", "early_stop_train_acc", float, None)
-        train = replace(
-            t,
-            epochs=get("training", "epochs", int, t.epochs),
-            batch_size=get("training", "batch_size", int, t.batch_size),
-            base_lr=get("training", "base_lr", float, t.base_lr),
-            lr_decay=get("training", "lr_decay", float, t.lr_decay),
-            lr_boundaries=get("training", "lr_boundaries", _parse_widths,
-                              t.lr_boundaries),
-            setting=get("training", "setting", str, t.setting),
-            seed=get("training", "seed", int, t.seed),
-            votes=get("training", "votes", int, t.votes),
-            early_stop_train_acc=early,
-        )
+        network = read("segmentation", replace(network, n_parts=2))
+    train = read("training", TrainConfig()) if "training" in cp else None
     problems.extend(network.validate())
     if train is not None:
         problems.extend(train.validate())

@@ -80,12 +80,16 @@ class Lrf:
         return self.basis[2]
 
 
-def anchor_mean(neighbors: np.ndarray) -> np.ndarray:
-    """Anchor = barycenter of the neighborhood."""
+def _neighbor_array(neighbors) -> np.ndarray:
     neighbors = np.asarray(neighbors, dtype=np.float64)
     if neighbors.ndim != 2 or neighbors.shape[1] != 3 or neighbors.shape[0] < 1:
         raise ValueError(f"neighbors must have shape (k, 3), got {neighbors.shape}")
-    return neighbors.mean(axis=0)
+    return neighbors
+
+
+def anchor_mean(neighbors: np.ndarray) -> np.ndarray:
+    """Anchor = barycenter of the neighborhood."""
+    return _neighbor_array(neighbors).mean(axis=0)
 
 
 def anchor_max_projection(neighbors: np.ndarray, reference, origin=ORIGIN) -> np.ndarray:
@@ -94,22 +98,11 @@ def anchor_max_projection(neighbors: np.ndarray, reference, origin=ORIGIN) -> np
     The projected distance is measured perpendicular to z = (reference -
     origin); ties resolve to the smallest neighbor index.
     """
-    neighbors = np.asarray(neighbors, dtype=np.float64)
-    if neighbors.ndim != 2 or neighbors.shape[1] != 3 or neighbors.shape[0] < 1:
-        raise ValueError(f"neighbors must have shape (k, 3), got {neighbors.shape}")
-    reference = np.asarray(reference, dtype=np.float64)
+    neighbors = _neighbor_array(neighbors)
     origin = np.asarray(origin, dtype=np.float64)
-    z_vec = reference - origin
-    zn = np.linalg.norm(z_vec)
-    if zn <= EPS:
-        raise DegenerateReferenceError(
-            f"reference within {EPS} of the origin, z axis undefined"
-        )
-    z = z_vec / zn
-    rel = neighbors - origin
-    perp = rel - np.outer(rel @ z, z)
-    dist = np.linalg.norm(perp, axis=1)
-    return neighbors[int(np.argmax(dist))]
+    z, bad_ref = _z_axes(np.asarray(reference, dtype=np.float64), origin)
+    _raise_if_degenerate(bad_ref)
+    return _farthest_from_axis(neighbors, z, origin)
 
 
 def compute_lrf(reference, neighbors, origin=ORIGIN,
@@ -122,29 +115,22 @@ def compute_lrf(reference, neighbors, origin=ORIGIN,
     deterministic fallback axes instead.
     """
     reference = np.asarray(reference, dtype=np.float64)
-    origin = np.asarray(origin, dtype=np.float64)
-    strategy = AnchorStrategy.from_name(strategy)
-    z_vec = reference - origin
-    zn = np.linalg.norm(z_vec)
-    if zn <= EPS:
+    basis, bad_ref, bad_anchor = _frames(reference, _neighbor_array(neighbors),
+                                         origin, strategy)
+    _raise_if_degenerate(bad_ref, bad_anchor)
+    return Lrf(origin=reference.copy(), basis=basis)
+
+
+def _raise_if_degenerate(bad_ref, bad_anchor=False):
+    """Raise for a single frame where compute_lrf_batch would fall back."""
+    if bad_ref:
         raise DegenerateReferenceError(
             f"reference within {EPS} of the origin, z axis undefined"
         )
-    z = z_vec / zn
-    if strategy is AnchorStrategy.MEAN:
-        m = anchor_mean(neighbors)
-    else:
-        m = anchor_max_projection(neighbors, reference, origin)
-    om = m - origin
-    x_dir = om - z * float(om @ z)
-    xn = np.linalg.norm(x_dir)
-    if xn <= EPS:
+    if bad_anchor:
         raise DegenerateAnchorError(
             f"anchor within {EPS} of the z axis, x axis undefined"
         )
-    x = x_dir / xn
-    y = np.cross(z, x)
-    return Lrf(origin=reference.copy(), basis=np.stack([x, y, z]))
 
 
 def rir(point, frame: Lrf) -> np.ndarray:
@@ -211,40 +197,7 @@ def compute_lrf_batch(references: np.ndarray, neighborhoods: np.ndarray,
     then projected +y) and are counted in `counts` and logged, because a
     training batch cannot abort on one bad neighborhood mid-epoch.
     """
-    references = np.asarray(references, dtype=np.float64)
-    neighborhoods = np.asarray(neighborhoods, dtype=np.float64)
-    origin = np.asarray(origin, dtype=np.float64)
-    strategy = AnchorStrategy.from_name(strategy)
-    lead = references.shape[:-1]
-
-    z_vec = references - origin
-    zn = np.linalg.norm(z_vec, axis=-1, keepdims=True)
-    bad_ref = zn[..., 0] <= EPS
-    z = np.where(bad_ref[..., None], _FALLBACK_Z, z_vec / np.where(zn <= EPS, 1.0, zn))
-
-    if strategy is AnchorStrategy.MEAN:
-        m = neighborhoods.mean(axis=-2)
-    else:
-        rel = neighborhoods - origin
-        proj = np.einsum("...kd,...d->...k", rel, z)
-        perp = rel - proj[..., None] * z[..., None, :]
-        dist2 = np.einsum("...kd,...kd->...k", perp, perp)
-        pick = dist2.argmax(axis=-1)
-        m = np.take_along_axis(
-            neighborhoods, pick[..., None, None].repeat(3, axis=-1), axis=-2
-        )[..., 0, :]
-
-    om = m - origin
-    x_dir = om - np.einsum("...d,...d->...", om, z)[..., None] * z
-    xn = np.linalg.norm(x_dir, axis=-1, keepdims=True)
-    bad_x = xn[..., 0] <= EPS
-    bad_anchor = bad_x & ~bad_ref
-    x = x_dir / np.where(xn <= EPS, 1.0, xn)
-    if bad_x.any():
-        x = _fallback_x(x, z, bad_x)
-    y = np.cross(z, x)
-    bases = np.stack([x, y, z], axis=-2)
-
+    bases, bad_ref, bad_anchor = _frames(references, neighborhoods, origin, strategy)
     n_bad_ref = int(bad_ref.sum())
     n_bad_anchor = int(bad_anchor.sum())
     if counts is not None:
@@ -257,9 +210,56 @@ def compute_lrf_batch(references: np.ndarray, neighborhoods: np.ndarray,
         log.log(
             level,
             "lrf fallback: %d degenerate references, %d degenerate anchors (of %d)",
-            n_bad_ref, n_bad_anchor, int(np.prod(lead)) if lead else 1,
+            n_bad_ref, n_bad_anchor, bad_ref.size,
         )
     return bases
+
+
+def _frames(references, neighborhoods, origin, strategy):
+    """Bases (..., 3, 3) for references (..., 3) with neighborhoods
+    (..., k, 3), plus the degenerate-reference and degenerate-anchor masks
+    (...); flagged rows take the fallback axes."""
+    references = np.asarray(references, dtype=np.float64)
+    neighborhoods = np.asarray(neighborhoods, dtype=np.float64)
+    origin = np.asarray(origin, dtype=np.float64)
+    z, bad_ref = _z_axes(references, origin)
+    if AnchorStrategy.from_name(strategy) is AnchorStrategy.MEAN:
+        m = neighborhoods.mean(axis=-2)
+    else:
+        m = _farthest_from_axis(neighborhoods, z, origin)
+    om = m - origin
+    x_dir = om - np.einsum("...d,...d->...", om, z)[..., None] * z
+    xn = np.linalg.norm(x_dir, axis=-1, keepdims=True)
+    bad_x = xn[..., 0] <= EPS
+    x = x_dir / np.where(xn <= EPS, 1.0, xn)
+    if bad_x.any():
+        x = _fallback_x(x, z, bad_x)
+    y = np.cross(z, x)
+    return np.stack([x, y, z], axis=-2), bad_ref, bad_x & ~bad_ref
+
+
+def _z_axes(references: np.ndarray, origin: np.ndarray):
+    """Unit axes (..., 3) from origin to references, +z where a reference
+    lies within EPS of the origin, and the mask (...) of those references."""
+    z_vec = references - origin
+    zn = np.linalg.norm(z_vec, axis=-1, keepdims=True)
+    bad_ref = zn[..., 0] <= EPS
+    z = np.where(bad_ref[..., None], _FALLBACK_Z, z_vec / np.where(zn <= EPS, 1.0, zn))
+    return z, bad_ref
+
+
+def _farthest_from_axis(neighborhoods: np.ndarray, z: np.ndarray,
+                        origin: np.ndarray) -> np.ndarray:
+    """The first neighbor (..., 3) of each neighborhood farthest from its
+    z axis through origin, by perpendicular distance."""
+    rel = neighborhoods - origin
+    proj = np.einsum("...kd,...d->...k", rel, z)
+    perp = rel - proj[..., None] * z[..., None, :]
+    dist2 = np.einsum("...kd,...kd->...k", perp, perp)
+    pick = dist2.argmax(axis=-1)
+    return np.take_along_axis(
+        neighborhoods, pick[..., None, None].repeat(3, axis=-1), axis=-2
+    )[..., 0, :]
 
 
 def _fallback_x(x: np.ndarray, z: np.ndarray, bad: np.ndarray) -> np.ndarray:

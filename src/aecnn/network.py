@@ -86,7 +86,7 @@ class _Level:
 
     pts: np.ndarray           # (b, r, 3)
     bases: np.ndarray         # (b, r, 3, 3)
-    feat: Optional[object]    # Tensor (b, r, f) or None at the raw level
+    feat: object              # Tensor (b, r, f)
 
 
 def _bidx(b: int, idx: np.ndarray) -> np.ndarray:
@@ -333,25 +333,18 @@ class Model:
 
     # -- forward passes --------------------------------------------------------
 
-    def encode_batch(self, points: np.ndarray):
-        """Canonical order, SAFirst, all SANext blocks.
-
-        Returns (levels, order, penalties): levels[0] is the raw sorted cloud
-        (no features), then one level per abstraction stage.
-        """
-        pts, order = self._canonicalize(points)
-        penalties: list = []
-        first = self._sa_first_batch(pts)
-        levels = [_Level(pts=pts, bases=np.empty(0), feat=None), first]
-        cur = first
+    def _encode(self, first: _Level, penalties: list) -> list:
+        """The SA-first level, then one level per SA-next block."""
+        levels = [first]
         for i in range(len(self.block_mlps)):
-            cur = self._sa_next_batch(cur, i, penalties)
-            levels.append(cur)
-        return levels, order, penalties
+            levels.append(self._sa_next_batch(levels[-1], i, penalties))
+        return levels
 
     def classify_batch(self, points: np.ndarray):
         """Logits Tensor (b, c) plus the regularization penalty Tensor list."""
-        levels, _, penalties = self.encode_batch(points)
+        pts, _ = self._canonicalize(points)
+        penalties: list = []
+        levels = self._encode(self._sa_first_batch(pts), penalties)
         pooled = ad.max_reduce(levels[-1].feat, axis=1)
         return self.head_mlp(pooled), penalties
 
@@ -374,16 +367,9 @@ class Model:
         ref_idx = nb.fps_batch(pts, c.sa_first.n_ref)
         bases_ref = bases_all[_bidx(b, ref_idx), ref_idx]
         nb_idx = nb_all[_bidx(b, ref_idx), ref_idx]
-        first = self._first_level(pts, nb_idx, bases_ref, ref_idx)
-
-        levels = [first]
-        cur = first
-        for i in range(len(self.block_mlps)):
-            cur = self._sa_next_batch(cur, i, penalties)
-            levels.append(cur)
-
-        fine_mid = levels[0]
-        coarse = levels[-1]
+        levels = self._encode(self._first_level(pts, nb_idx, bases_ref, ref_idx),
+                              penalties)
+        fine_mid, coarse = levels[0], levels[-1]
         variant1, align1, mlp1 = self.fp_stages[0]
         g1 = self._propagate(coarse, fine_mid.pts, fine_mid.bases,
                              fine_mid.feat, variant1, align1, mlp1, penalties)

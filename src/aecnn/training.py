@@ -150,35 +150,26 @@ def prepared_points(sample: geo.PointCloud, setting: str, side: str,
     return cloud.points @ rot.T
 
 
-def _classification_batch(samples, idx, setting: str, rng):
-    n = samples[idx[0]].points.shape[0]
-    pts = np.empty((len(idx), n, 3))
-    labels = np.empty(len(idx), dtype=np.int64)
-    for row, i in enumerate(idx):
-        pts[row] = prepared_points(samples[i], setting, "train", rng)
-        labels[row] = samples[i].class_label
-    return pts, labels
-
-
-def _segmentation_batch(samples, idx, setting: str, n_classes: int, rng):
-    n = samples[idx[0]].points.shape[0]
-    pts = np.empty((len(idx), n, 3))
-    onehot = np.zeros((len(idx), n_classes))
-    labels = np.empty((len(idx), n), dtype=np.int64)
-    for row, i in enumerate(idx):
-        pts[row] = prepared_points(samples[i], setting, "train", rng)
-        onehot[row, samples[i].class_label] = 1.0
-        labels[row] = samples[i].part_labels
-    return pts, onehot, labels
+def _batch(samples, idx, setting: str, rng, segment: bool):
+    """samples[idx] through the input pipeline: points (b, n, 3), class
+    labels (b,), and the targets, part labels (b, n) when segmenting and
+    the class labels otherwise."""
+    pts = np.stack([prepared_points(samples[i], setting, "train", rng) for i in idx])
+    classes = np.array([samples[i].class_label for i in idx], dtype=np.int64)
+    if not segment:
+        return pts, classes, classes
+    return pts, classes, np.array([samples[i].part_labels for i in idx], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
-# the two training loops
+# the training loop
 # ---------------------------------------------------------------------------
 
-def _train_loop(model: Model, dataset: Dataset, tc: TrainConfig,
-                run_batch: Callable, checkpoint_path=None,
-                on_epoch: Optional[Callable] = None) -> RunRecord:
+def _train(model: Model, dataset: Dataset, tc: TrainConfig, segment: bool,
+           checkpoint_path, on_epoch: Optional[Callable]) -> RunRecord:
+    tc = tc.validated()
+    if segment and not model.config.n_parts:
+        raise ValueError("model has no segmentation head")
     record = RunRecord(seed=tc.seed, setting=tc.setting,
                        config={"network": asdict(model.config),
                                "training": asdict(tc)})
@@ -186,6 +177,7 @@ def _train_loop(model: Model, dataset: Dataset, tc: TrainConfig,
     start_epoch = 0
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         adam, start_epoch = load_training_checkpoint(checkpoint_path, model)
+    class_codes = np.eye(model.config.n_classes)
     t0 = time.perf_counter()
     samples = dataset.samples
     for epoch in range(start_epoch, tc.epochs):
@@ -198,10 +190,18 @@ def _train_loop(model: Model, dataset: Dataset, tc: TrainConfig,
         total = 0
         for lo in range(0, len(perm), tc.batch_size):
             idx = perm[lo:lo + tc.batch_size]
-            loss_val, batch_hits, batch_total = run_batch(idx, rng, lr, adam)
-            loss_sum += loss_val * len(idx)
-            hits += batch_hits
-            total += batch_total
+            pts, classes, labels = _batch(samples, idx, tc.setting, rng, segment)
+            if segment:
+                logits, pens = model.segment_batch(pts, class_codes[classes])
+            else:
+                logits, pens = model.classify_batch(pts)
+            loss = model.loss_terms(logits, labels, pens)
+            ad.backward(loss)
+            adam_step(model.params, adam, lr)
+            zero_grads(model.params)
+            loss_sum += float(loss.values) * len(idx)
+            hits += int((logits.values.argmax(axis=-1) == labels).sum())
+            total += labels.size
         stats = EpochStats(epoch=epoch, loss=loss_sum / len(perm),
                            accuracy=hits / total, lr=lr,
                            seconds=time.perf_counter() - e0)
@@ -221,43 +221,13 @@ def _train_loop(model: Model, dataset: Dataset, tc: TrainConfig,
 def train_classifier(model: Model, dataset: Dataset, tc: TrainConfig,
                      checkpoint_path=None,
                      on_epoch: Optional[Callable] = None) -> RunRecord:
-    tc = tc.validated()
-    samples = dataset.samples
-
-    def run_batch(idx, rng, lr, adam):
-        pts, labels = _classification_batch(samples, idx, tc.setting, rng)
-        logits, pens = model.classify_batch(pts)
-        loss = model.loss_terms(logits, labels, pens)
-        ad.backward(loss)
-        adam_step(model.params, adam, lr)
-        zero_grads(model.params)
-        hits = int((logits.values.argmax(axis=1) == labels).sum())
-        return float(loss.values), hits, len(idx)
-
-    return _train_loop(model, dataset, tc, run_batch, checkpoint_path, on_epoch)
+    return _train(model, dataset, tc, False, checkpoint_path, on_epoch)
 
 
 def train_segmenter(model: Model, dataset: Dataset, tc: TrainConfig,
                     checkpoint_path=None,
                     on_epoch: Optional[Callable] = None) -> RunRecord:
-    tc = tc.validated()
-    if not model.config.n_parts:
-        raise ValueError("model has no segmentation head")
-    samples = dataset.samples
-    n_classes = model.config.n_classes
-
-    def run_batch(idx, rng, lr, adam):
-        pts, onehot, labels = _segmentation_batch(samples, idx, tc.setting,
-                                                  n_classes, rng)
-        logits, pens = model.segment_batch(pts, onehot)
-        loss = model.loss_terms(logits, labels, pens)
-        ad.backward(loss)
-        adam_step(model.params, adam, lr)
-        zero_grads(model.params)
-        hits = int((logits.values.argmax(axis=-1) == labels).sum())
-        return float(loss.values), hits, labels.size
-
-    return _train_loop(model, dataset, tc, run_batch, checkpoint_path, on_epoch)
+    return _train(model, dataset, tc, True, checkpoint_path, on_epoch)
 
 
 # ---------------------------------------------------------------------------

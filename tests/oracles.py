@@ -186,6 +186,19 @@ def brute_miou(predictions, truths, class_labels, n_parts_per_class):
 # misc
 # ---------------------------------------------------------------------------
 
+def max_projection_anchor(neighbors, reference, origin):
+    """The first neighbor farthest from the z axis, found by a loop."""
+    z = reference - origin
+    z = z / np.linalg.norm(z)
+    best, best_dist = None, -1.0
+    for q in neighbors:
+        rel = q - origin
+        dist = np.linalg.norm(rel - (rel @ z) * z)
+        if dist > best_dist:
+            best, best_dist = q, dist
+    return best
+
+
 def gram_schmidt_frame(reference, anchor, origin):
     """Frame construction routed through np.linalg instead of hand algebra."""
     z = reference - origin

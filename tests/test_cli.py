@@ -13,7 +13,12 @@ from aecnn.config import (
     TrainConfig,
     save_config,
 )
-from aecnn.data import save_dataset_bin, save_xyz, synth_classification
+from aecnn.data import (
+    save_dataset_bin,
+    save_xyz,
+    synth_classification,
+    synth_segmentation,
+)
 from aecnn.lrf import compute_lrf, rir
 from aecnn.nn import load_checkpoint
 
@@ -136,6 +141,29 @@ class TestTrain:
             "train", cfg, str(out), "--n-per-class", "2", "--epochs", "1"])
         assert code == 0
         assert "miou" in lines[-1]["metrics"]
+
+    def test_segmentation_summary_names_setting(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.ini", tiny_seg_cfg())
+        code, lines = run_lines(capsys, [
+            "train", cfg, str(tmp_path / "run"), "--n-per-class", "2",
+            "--epochs", "1", "--setting", "YAR"])
+        assert code == 0
+        assert lines[-1]["metrics"]["setting"] == "YAR"
+
+    def test_unlabelled_eval_set_refused_before_training(self, tmp_path, capsys):
+        train_path = tmp_path / "train.aeds"
+        eval_path = tmp_path / "eval.aeds"
+        save_dataset_bin(train_path, synth_segmentation(2, 24, np.random.default_rng(0)))
+        save_dataset_bin(eval_path, synth_classification(1, 24, np.random.default_rng(1)))
+        cfg = write_cfg(tmp_path / "c.ini", tiny_seg_cfg())
+        out = tmp_path / "run"
+        code = main(["train", cfg, str(out), "--epochs", "1", "--dataset",
+                     str(train_path), "--eval-dataset", str(eval_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "eval dataset has no part labels" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_file_dataset(self, tmp_path, capsys):
         ds = synth_classification(2, 24, np.random.default_rng(0))
@@ -323,3 +351,32 @@ class TestLrfDump:
         path.write_text("1 2\n")
         assert main(["lrf-dump", str(path)]) == 2
         assert "line 1" in capsys.readouterr().err
+
+
+class TestCountsCheckedAtParse:
+    @pytest.mark.parametrize("argv,message", [
+        (["invariance-audit", "CKPT", "--clouds", "0"], "--clouds: must be >= 1, got 0"),
+        (["invariance-audit", "CKPT", "--rotations", "-1"],
+         "--rotations: must be >= 0, got -1"),
+        (["train", "CFG", "OUT", "--n-per-class", "0"],
+         "--n-per-class: must be >= 1, got 0"),
+        (["eval", "CKPT", "synth-classification", "--n-per-class", "0"],
+         "--n-per-class: must be >= 1, got 0"),
+        (["eval", "CKPT", "synth-classification", "--votes", "0"],
+         "--votes: must be >= 1, got 0"),
+        (["lrf-dump", "CLOUD", "--k", "0"], "--k: must be >= 1, got 0"),
+        (["ablate", "CFG", "OUT", "--seeds", ""], "--seeds: needs at least one value"),
+    ], ids=["audit-clouds", "audit-rotations", "train-n-per-class",
+            "eval-n-per-class", "eval-votes", "lrf-dump-k", "ablate-seeds"])
+    def test_rejected_with_exit_2(self, tmp_path, capsys, argv, message):
+        cfg = write_cfg(tmp_path / "c.ini", tiny_cfg())
+        names = {"CKPT": str(tmp_path / "model.ckpt"), "CFG": cfg,
+                 "OUT": str(tmp_path / "out"), "CLOUD": str(tmp_path / "c.xyz")}
+        before = sorted(p.name for p in tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            main([names.get(a, a) for a in argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert message in captured.err
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == before

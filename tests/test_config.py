@@ -131,6 +131,17 @@ class TestIniRoundTrip:
         with pytest.raises(ConfigError, match="sa_next"):
             load_config(path)
 
+    @pytest.mark.parametrize("text", [
+        "n_points = 64\n",
+        "[network]\nn_points = 64\n[network]\nn_classes = 3\n",
+        "[network]\nn_points = 64\nn_points = 32\n",
+    ], ids=["no-section-header", "duplicate-section", "duplicate-key"])
+    def test_unparsable_file_is_a_config_error(self, tmp_path, text):
+        path = tmp_path / "broken.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="cannot parse config file"):
+            load_config(path)
+
     def test_load_collects_multiple_problems(self, tmp_path):
         path = tmp_path / "multi.ini"
         save_config(path, NetworkConfig())
@@ -155,3 +166,91 @@ class TestIniRoundTrip:
             save_config(path, desk_segmentation_config())
         assert path.read_text() == before
         assert [p.name for p in tmp_path.iterdir()] == ["config.ini"]
+
+    def test_every_field_round_trips(self, tmp_path):
+        path = tmp_path / "all.ini"
+        cfg = desk_segmentation_config(
+            n_parts=4, variant="aeconv2", aeconv1_hidden=17, fp_align_hidden=19,
+            sa_next=(SaNextConfig(11, (24, 40), variant="edgeconv"),
+                     SaNextConfig(10, (40, 56), variant="aeconv1")),
+        )
+        train = TrainConfig(epochs=7, batch_size=5, base_lr=3.3e-4, lr_decay=0.5,
+                            lr_boundaries=(2, 5, 6), setting="YY", seed=42,
+                            early_stop_train_acc=0.875, votes=3)
+        save_config(path, cfg, train)
+        back, btrain = load_config(path)
+        assert back == cfg
+        assert btrain == train
+
+    def test_segmentation_section_without_n_parts_has_two_parts(self, tmp_path):
+        path = tmp_path / "seg.ini"
+        save_config(path, desk_segmentation_config(n_parts=5, fp_widths=(40, 30)))
+        text = path.read_text().replace("n_parts = 5\n", "")
+        path.write_text(text)
+        back, _ = load_config(path)
+        assert back == desk_segmentation_config(n_parts=2, fp_widths=(40, 30))
+
+    def test_malformed_values_named_together(self, tmp_path):
+        path = tmp_path / "bad.ini"
+        save_config(path, NetworkConfig(), TrainConfig())
+        text = (path.read_text()
+                .replace("normalize = false", "normalize = maybe")
+                .replace("radius = 0.2", "radius = wide")
+                .replace("widths = 64, 128", "widths = 64, x")
+                .replace("votes = 1", "votes = 1.5"))
+        path.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert exc.value.problems == [
+            "[network] normalize: expected a boolean",
+            "[sa_first] radius: cannot parse 'wide'",
+            "[sa_next_1] widths: cannot parse '64, x'",
+            "[training] votes: cannot parse '1.5'",
+        ]
+
+    def test_saved_desk_text(self, tmp_path):
+        # cmd_train compares this text with config.ini files already on disk,
+        # so a change to it is a change to what a resume accepts.
+        path = tmp_path / "desk.ini"
+        save_config(path, desk_classification_config(), TrainConfig())
+        assert path.read_text() == DESK_INI
+
+
+DESK_INI = """\
+[network]
+n_points = 256
+n_classes = 4
+features = rir
+variant = aeconv3
+normalize = false
+
+[sa_first]
+n_ref = 64
+k = 16
+search = knn
+radius = 0.2
+anchor = mean
+widths = 32, 64
+
+[sa_next_1]
+k = 12
+widths = 64, 128
+
+[sa_next_2]
+k = 12
+widths = 128, 192
+
+[head]
+widths = 128
+
+[training]
+epochs = 60
+batch_size = 32
+base_lr = 0.001
+lr_decay = 0.2
+lr_boundaries = 24, 48
+setting = ARAR
+seed = 0
+votes = 1
+
+"""

@@ -8,7 +8,7 @@ from aecnn import geometry as geo
 from aecnn import lrf
 from aecnn import neighbors as nb
 
-from oracles import gram_schmidt_frame
+from oracles import gram_schmidt_frame, max_projection_anchor
 
 
 def rng(seed=0):
@@ -50,6 +50,15 @@ class TestAnchors:
         ])
         got = lrf.anchor_max_projection(neighbors, reference)
         assert np.allclose(got, neighbors[1])
+
+    def test_anchor_max_projection_matches_loop(self):
+        g = rng(55)
+        for _ in range(50):
+            reference, neighbors = make_neighborhood(g)
+            origin = g.normal(size=3) * 0.1
+            got = lrf.anchor_max_projection(neighbors, reference, origin)
+            want = max_projection_anchor(neighbors, reference, origin)
+            assert np.array_equal(got, want)
 
     def test_strategy_parse(self):
         assert lrf.AnchorStrategy.from_name("mean") is lrf.AnchorStrategy.MEAN
@@ -194,15 +203,22 @@ class TestEquivariance:
 
 
 class TestBatchKernels:
-    def test_batch_matches_scalar(self):
+    def test_batch_matches_gram_schmidt_oracle(self):
         g = rng(52)
         refs = np.stack([make_neighborhood(g)[0] for _ in range(15)])
         hoods = np.stack([g.normal(size=(7, 3)) + refs[i] for i in range(15)])
-        for strategy in ("mean", "max_projection"):
-            bases = lrf.compute_lrf_batch(refs, hoods, strategy=strategy)
+        origin = g.normal(size=3) * 0.1
+        anchors = {
+            "mean": [h.mean(axis=0) for h in hoods],
+            "max_projection": [max_projection_anchor(h, r, origin)
+                               for r, h in zip(refs, hoods)],
+        }
+        for strategy, picks in anchors.items():
+            bases = lrf.compute_lrf_batch(refs, hoods, origin=origin,
+                                          strategy=strategy)
             for i in range(15):
-                frame = lrf.compute_lrf(refs[i], hoods[i], strategy=strategy)
-                assert np.allclose(bases[i], frame.basis, atol=1e-14)
+                oracle = gram_schmidt_frame(refs[i], picks[i], origin)
+                assert np.allclose(bases[i], oracle, atol=1e-14)
 
     def test_rir_batch_matches_scalar(self):
         g = rng(53)
