@@ -37,6 +37,7 @@ from .config import (
 from .network import Model, count_operations, count_parameters
 from .nn import CheckpointError, load_checkpoint
 from .training import (
+    load_training_checkpoint,
     predict_parts,
     train_classifier,
     train_segmenter,
@@ -114,14 +115,25 @@ def _synth_pair(kind: str, n_per_class: int, n_points: int, seed: int) -> tuple:
                            TEST_DATA_STREAM))
 
 
+def _check_fits(network: NetworkConfig, dataset: dat.Dataset, name: str):
+    """Raise ValueError unless `network` can train on and score `dataset`."""
+    seg = network.n_parts > 0
+    if seg and any(s.part_labels is None for s in dataset):
+        raise ValueError(f"segmentation model but the {name} has no part labels")
+    for what, have, room in [("classes", len(dataset.class_names), network.n_classes),
+                             ("parts", seg * len(dataset.part_names), network.n_parts)]:
+        if have > room:
+            raise ValueError(f"the {name} has {have} {what} but the model has {room}")
+
+
 def _score(model: Model, test_set: dat.Dataset, setting: str, seed: int,
            votes: int) -> dat.Metrics:
-    """mIoU for a segmenter on a part-labelled set, accuracy otherwise, under
-    the setting's test rotations drawn from the seed's evaluation stream."""
+    """mIoU for a segmenter, accuracy for a classifier, under the setting's
+    test rotations drawn from the seed's evaluation stream."""
     rng = np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(EVAL_ROTATION_STREAM,))
     )
-    if model.config.n_parts and all(s.part_labels is not None for s in test_set):
+    if model.config.n_parts:
         metrics = dat.evaluate_miou(predict_parts(model, test_set, setting, rng),
                                     test_set)
         metrics.setting = setting
@@ -161,19 +173,15 @@ def _resume_conflicts(config_path, network, training) -> list:
 
 def _model_from_checkpoint(args) -> tuple:
     """(model, network_config) for eval-style commands."""
-    config_path = args.config
-    if config_path is None:
-        config_path = os.path.join(os.path.dirname(os.path.abspath(args.checkpoint)),
-                                   "config.ini")
+    config_path = args.config or os.path.join(
+        os.path.dirname(os.path.abspath(args.checkpoint)), "config.ini")
     if not os.path.exists(config_path):
         raise FileNotFoundError(
             f"no config at {config_path}; pass --config explicitly"
         )
-    network, _ = load_config(config_path)
-    network = network.validated()
+    network = load_config(config_path)[0].validated()
     model = Model(network, seed=0)
-    arrays = load_checkpoint(args.checkpoint)
-    model.load_values(weights_from_checkpoint(arrays))
+    model.load_values(weights_from_checkpoint(load_checkpoint(args.checkpoint)))
     return model, network
 
 
@@ -191,11 +199,16 @@ def cmd_train(args) -> int:
 
     ckpt = os.path.join(args.out_dir, "model.ckpt")
     config_path = os.path.join(args.out_dir, "config.ini")
-    conflicts = (_resume_conflicts(config_path, network, training)
-                 if os.path.exists(ckpt) else [])
-    if conflicts:
-        return _fail(f"{args.out_dir} holds a checkpoint trained under another "
-                     f"config; use a new OUT_DIR. Differences: {'; '.join(conflicts)}")
+    model = Model(network, seed=training.seed)
+    if os.path.exists(ckpt):
+        conflicts = _resume_conflicts(config_path, network, training)
+        if conflicts:
+            return _fail(f"{args.out_dir} holds a checkpoint trained under another "
+                         f"config; use a new OUT_DIR. Differences: {'; '.join(conflicts)}")
+        try:  # the trainer loads it again; refuse here, before anything is written
+            load_training_checkpoint(ckpt, model)
+        except (KeyError, ValueError, OSError) as e:  # CheckpointError is a ValueError
+            return _fail(f"cannot resume from {ckpt}: {e}")
 
     seg = network.n_parts > 0
     try:
@@ -207,15 +220,13 @@ def cmd_train(args) -> int:
             train_set, test_set = _synth_pair(
                 "segmentation" if seg else "classification", args.n_per_class,
                 network.n_points, training.seed)
+        for name, dataset in [("dataset", train_set), ("eval dataset", test_set)]:
+            if dataset is not None:
+                _check_fits(network, dataset, name)
     except (dat.FileFormatError, ValueError, OSError) as e:
         return _fail(e)
 
-    for name, dataset in [("dataset", train_set), ("eval dataset", test_set)]:
-        if seg and dataset is not None and any(s.part_labels is None for s in dataset):
-            return _fail(f"segmentation model but the {name} has no part labels")
-
     os.makedirs(args.out_dir, exist_ok=True)
-    model = Model(network, seed=training.seed)
     save_config(config_path, network, training)
     _emit({"type": "run", "schema": SCHEMA_VERSION, "seed": training.seed,
            "setting": training.setting, "out_dir": args.out_dir})
@@ -248,6 +259,7 @@ def cmd_eval(args) -> int:
         test_set = _resolve_dataset(args.dataset, args.n_per_class,
                                     network.n_points, args.seed,
                                     TEST_DATA_STREAM)
+        _check_fits(network, test_set, "dataset")
     except ConfigError as e:
         return _fail_config(e)
     except (CheckpointError, dat.FileFormatError, ValueError, OSError) as e:
@@ -282,17 +294,19 @@ def cmd_invariance_audit(args) -> int:
     worst = 0.0
     agree = 0
     trials = 0
-    for _ in range(args.clouds):
+    for c in range(args.clouds):
         pts = geo.normalize(
             geo.PointCloud(rng.normal(size=(network.n_points, 3)))
         ).points
-        base = model.predict_logits(pts)
-        base_label = int(base.argmax())
+        # A segmenter is audited on its part logits, with cloud c as class c.
+        predict = (lambda p: model.predict_part_logits(p, c % network.n_classes)
+                   ) if network.n_parts else model.predict_logits
+        base = predict(pts)
         for _ in range(args.rotations):
             rot = geo.sample_arbitrary_rotation(rng)
-            got = model.predict_logits(pts @ rot.T)
+            got = predict(pts @ rot.T)
             worst = max(worst, float(np.abs(got - base).max()))
-            agree += int(got.argmax()) == base_label
+            agree += float(np.mean(got.argmax(axis=-1) == base.argmax(axis=-1)))
             trials += 1
     agreement = agree / trials
     passed = worst <= args.tolerance
@@ -313,6 +327,14 @@ def cmd_ablate(args) -> int:
     except ConfigError as e:
         return _fail_config(e)
     except OSError as e:
+        return _fail(e)
+    # Every cell of a seed trains and scores on the same pair, and every pair
+    # carries the same names.
+    pairs = {seed: _synth_pair("classification", args.n_per_class,
+                               network.n_points, seed) for seed in args.seeds}
+    try:
+        _check_fits(network, pairs[args.seeds[0]][0], "synthetic classification set")
+    except ValueError as e:
         return _fail(e)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -341,8 +363,7 @@ def cmd_ablate(args) -> int:
                     accs = []
                     for seed in args.seeds:
                         tc = replace(training, seed=seed)
-                        train_set, test_set = _synth_pair(
-                            "classification", args.n_per_class, cfg.n_points, seed)
+                        train_set, test_set = pairs[seed]
                         model = Model(cfg, seed=seed)
                         train_classifier(model, train_set, tc)
                         m = _score(model, test_set, tc.setting, seed, tc.votes)

@@ -144,11 +144,6 @@ def relative_rotation(frame_i: Lrf, frame_j: Lrf) -> np.ndarray:
     return frame_i.basis @ frame_j.basis.T
 
 
-def relative_translation(frame_i: Lrf, point) -> np.ndarray:
-    """Offset of `point` from frame_i's root, expressed in frame_i. Same as rir."""
-    return rir(point, frame_i)
-
-
 @dataclass
 class RirPoint:
     """A neighbor j seen from reference i, in rotation-invariant terms."""

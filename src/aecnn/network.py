@@ -4,9 +4,9 @@ Layout: an SAFirst block groups Euclidean neighborhoods around FPS reference
 points, expresses them in local reference frames, and pools a shared MLP per
 neighborhood. SANext blocks keep a quarter of the references (FPS over their
 positions), build kNN graphs in feature space, and run an edge convolution
-whose neighbor features are first aligned into the reference's frame. A max
-pool plus head MLP produces class logits; the segmentation head propagates
-features back to full resolution through two aligned interpolation stages.
+whose neighbor features are first aligned into the reference's frame. A
+model has one head: a max pool plus head MLP for class logits, or two aligned
+interpolation stages that propagate features back to every point's part logits.
 
 Every input cloud is canonically reordered (lexicographic point sort) on
 entry, which makes the full pipeline bitwise permutation invariant, and all
@@ -159,8 +159,10 @@ class Model:
             self.block_mlps.append((variant, align, q, blk.k))
             f_in = blk.widths[-1]
 
-        self.head_mlp = Mlp((f_in, *c.head_widths, c.n_classes), rng, self.params,
-                            "head")
+        # A segmenter draws and drops this head, so later weights keep their bits.
+        head = Mlp((f_in, *c.head_widths, c.n_classes), rng,
+                   {} if c.n_parts else self.params, "head")
+        self.head_mlp = None if c.n_parts else head
 
         self.fp_stages = []
         self.point_head = None
@@ -342,6 +344,8 @@ class Model:
 
     def classify_batch(self, points: np.ndarray):
         """Logits Tensor (b, c) plus the regularization penalty Tensor list."""
+        if self.head_mlp is None:
+            raise ConfigError(["this model was configured without a classification head"])
         pts, _ = self._canonicalize(points)
         penalties: list = []
         levels = self._encode(self._sa_first_batch(pts), penalties)
@@ -618,8 +622,6 @@ def count_operations(config: NetworkConfig) -> dict:
         out[f"sa_next{i}"] = refs[i] * k * (_align_macs(variant, align)
                                             + _mlp_macs(q.widths))
     if not c.n_parts:
-        # Only classification runs the head; segmentation models build it
-        # (it is checkpointed) but never call it.
         out["head"] = _mlp_macs(model.head_mlp.widths)
     else:
         fine_counts = (refs[0], c.n_points)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import geometry as geo
-from .config import TrainConfig
+from .config import ConfigError, TrainConfig
 from .data import Dataset, Metrics, protocol_rotation
 from .network import Model
 from .nn import (
@@ -168,8 +168,9 @@ def _batch(samples, idx, setting: str, rng, segment: bool):
 def _train(model: Model, dataset: Dataset, tc: TrainConfig, segment: bool,
            checkpoint_path, on_epoch: Optional[Callable]) -> RunRecord:
     tc = tc.validated()
-    if segment and not model.config.n_parts:
-        raise ValueError("model has no segmentation head")
+    if segment != bool(model.config.n_parts):
+        head = "segmentation" if segment else "classification"
+        raise ConfigError([f"model has no {head} head"])
     record = RunRecord(seed=tc.seed, setting=tc.setting,
                        config={"network": asdict(model.config),
                                "training": asdict(tc)})

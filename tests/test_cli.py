@@ -14,13 +14,15 @@ from aecnn.config import (
     save_config,
 )
 from aecnn.data import (
+    Dataset,
     save_dataset_bin,
     save_xyz,
     synth_classification,
     synth_segmentation,
 )
 from aecnn.lrf import compute_lrf, rir
-from aecnn.nn import load_checkpoint
+from aecnn.network import Model
+from aecnn.nn import Mlp, load_checkpoint, save_checkpoint
 
 
 def tiny_cfg(**kw):
@@ -37,8 +39,14 @@ def tiny_cfg(**kw):
     return NetworkConfig(**base)
 
 
-def tiny_seg_cfg():
-    return tiny_cfg(n_classes=2, n_parts=2, fp_widths=(12, 8), point_head=(8,))
+def tiny_seg_cfg(**kw):
+    return tiny_cfg(n_classes=2, n_parts=2, fp_widths=(12, 8), point_head=(8,), **kw)
+
+
+def three_part_set() -> Dataset:
+    """24-point barbells and mushrooms that name a third part."""
+    ds = synth_segmentation(1, 24, np.random.default_rng(2))
+    return Dataset(ds.samples, ds.class_names, (*ds.part_names, "cap"))
 
 
 def write_cfg(path, network, training=None):
@@ -165,6 +173,50 @@ class TestTrain:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_too_many_classes_refused_before_writing(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.ini", tiny_cfg(n_classes=2))
+        out = tmp_path / "run"
+        code = main(["train", cfg, str(out), "--n-per-class", "2", "--epochs", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "the dataset has 4 classes but the model has 2" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "no-meta", "old-head-layout"])
+    def test_unloadable_checkpoint_refused(self, tmp_path, capsys, damage):
+        cfg = write_cfg(tmp_path / "c.ini", tiny_seg_cfg())
+        out = tmp_path / "run"
+        argv = ["train", cfg, str(out), "--n-per-class", "2", "--epochs", "1"]
+        assert main(argv) == 0
+        ckpt = out / "model.ckpt"
+        if damage == "truncated":
+            ckpt.write_bytes(ckpt.read_bytes()[: ckpt.stat().st_size // 2])
+            named = "values of"
+        elif damage == "no-meta":
+            arrays = load_checkpoint(ckpt)
+            save_checkpoint(ckpt, {k: v for k, v in arrays.items()
+                                   if not k.startswith("meta.")})
+            named = "meta.adam_step"
+        else:
+            # Segmentation checkpoints once also held the classification head.
+            arrays = load_checkpoint(ckpt)
+            store: dict = {}
+            Mlp((16, 12, 2), np.random.default_rng(0), store, "head")
+            for name, t in store.items():
+                for prefix in ("param.", "adam_m.", "adam_v."):
+                    arrays[prefix + name] = t.values
+            save_checkpoint(ckpt, arrays)
+            named = "unexpected ['head.w0'"
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(argv[:-1] + ["2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot resume from {ckpt}" in captured.err
+        assert named in captured.err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_file_dataset(self, tmp_path, capsys):
         ds = synth_classification(2, 24, np.random.default_rng(0))
         data_path = tmp_path / "train.aeds"
@@ -221,6 +273,23 @@ class TestEval:
         assert code == 0
         assert "miou" in lines[0]
 
+    @pytest.mark.parametrize("dataset,message", [
+        ("synth-classification", "segmentation model but the dataset has no part labels"),
+        ("three-parts", "the dataset has 3 parts but the model has 2"),
+    ])
+    def test_segmenter_refuses_unfit_dataset(self, tmp_path, capsys, dataset,
+                                             message):
+        ckpt = self.make_run(tmp_path, capsys, network=tiny_seg_cfg())
+        if dataset != "synth-classification":
+            path = tmp_path / f"{dataset}.aeds"
+            save_dataset_bin(path, three_part_set())
+            dataset = str(path)
+        code = main(["eval", str(ckpt), dataset, "--n-per-class", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         ckpt = self.make_run(tmp_path, capsys)
         code = main(["eval", str(tmp_path / "ghost.ckpt"),
@@ -266,6 +335,31 @@ class TestInvarianceAudit:
         assert lines[0]["passed"] is False
         assert lines[0]["max_abs_deviation"] > 1e-2
 
+    @pytest.mark.parametrize("features,code", [("rir", 0), ("absolute", 3)])
+    def test_segmenter_audited_on_part_logits(self, tmp_path, capsys, monkeypatch,
+                                              features, code):
+        net = tiny_seg_cfg(features=features, variant="edgeconv")
+        ckpt = self.make_run(tmp_path, capsys, network=net)
+        calls = []
+        real = Model.predict_part_logits
+
+        def spy(model, points, class_label):
+            calls.append(class_label)
+            return real(model, points, class_label)
+
+        monkeypatch.setattr(Model, "predict_part_logits", spy)
+        got, lines = run_lines(capsys, [
+            "invariance-audit", str(ckpt), "--clouds", "3", "--rotations", "4"])
+        assert got == code
+        assert calls == [0] * 5 + [1] * 5 + [0] * 5   # cloud c scored as class c % 2
+        report = lines[0]
+        assert report["passed"] is (code == 0)
+        if code == 0:
+            assert report["max_abs_deviation"] < 1e-12
+            assert report["argmax_agreement"] == 1.0
+        else:
+            assert report["max_abs_deviation"] > 1e-2
+
     def test_zero_rotations_vacuous_pass(self, tmp_path, capsys):
         ckpt = self.make_run(tmp_path, capsys)
         code, lines = run_lines(capsys, [
@@ -295,6 +389,18 @@ class TestAblate:
         saved = [json.loads(l) for l in
                  (out / "ablation.jsonl").read_text().splitlines()]
         assert len(saved) == 2
+
+    def test_segmentation_config_refused(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.ini", tiny_seg_cfg())
+        out = tmp_path / "abl"
+        code = main(["ablate", cfg, str(out), "--variants", "edgeconv",
+                     "--searches", "knn", "--anchors", "mean", "--ks", "6",
+                     "--seeds", "0", "--epochs", "1", "--n-per-class", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "segmentation model but the synthetic" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_default_grid_is_full_cross_product(self, tmp_path, capsys):
         # Only the header math; running 48 trainings is a flag away.

@@ -125,13 +125,6 @@ class TestRirOps:
         # Reconstruct: origin + basis^T @ coords must give p back.
         assert np.allclose(frame.origin + frame.basis.T @ got, p, atol=1e-12)
 
-    def test_relative_translation_alias(self):
-        g = rng(46)
-        reference, neighbors = make_neighborhood(g)
-        frame = lrf.compute_lrf(reference, neighbors)
-        p = g.normal(size=3)
-        assert np.array_equal(lrf.relative_translation(frame, p), lrf.rir(p, frame))
-
     def test_relative_rotation_identity_for_same_frame(self):
         g = rng(47)
         reference, neighbors = make_neighborhood(g)

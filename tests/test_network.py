@@ -9,6 +9,7 @@ import aecnn.geometry as geo
 import aecnn.lrf as lrfmod
 import aecnn.neighbors as nb
 from aecnn.config import (
+    ConfigError,
     NetworkConfig,
     SaFirstConfig,
     SaNextConfig,
@@ -113,6 +114,16 @@ class TestShapes:
         model = Model(tiny_config(), seed=0)
         with pytest.raises(Exception, match="segmentation"):
             model.segment_batch(np.zeros((1, 32, 3)), np.zeros((1, 3)))
+
+    def test_classify_needs_class_head(self):
+        cfg = tiny_seg_config()
+        model = Model(cfg, seed=0)
+        pts = random_cloud(np.random.default_rng(4))
+        for run in [lambda: model.classify_batch(pts[None]),
+                    lambda: model.predict_logits(pts),
+                    lambda: classify(pts, cfg, model)]:
+            with pytest.raises(ConfigError, match="classification head"):
+                run()
 
     def test_segment_onehot_shape_checked(self):
         model = Model(tiny_seg_config(), seed=0)
@@ -233,8 +244,6 @@ class TestGradients:
         loss = model.loss_terms(logits, labels, pens)
         ad.backward(loss)
         for name, p in model.params.items():
-            if name.startswith("head."):
-                continue  # classification head is unused by segmentation
             assert p.grad is not None, f"no gradient reached {name}"
 
     def test_loss_gradient_matches_finite_differences(self):
@@ -290,6 +299,19 @@ class TestWeightManagement:
         vals["rogue"] = np.zeros(3)
         with pytest.raises(ValueError, match="rogue"):
             m.load_values(vals)
+
+    def test_segmenter_holds_no_classification_head(self):
+        model = Model(tiny_seg_config(), seed=0)
+        assert model.head_mlp is None
+        assert not [n for n in model.values() if n.startswith("head.")]
+
+    def test_load_names_old_layout_head(self):
+        # Segmentation checkpoints once held the classification head too.
+        seg = Model(tiny_seg_config(), seed=0)
+        old = {**seg.values(), **{n: v for n, v in Model(tiny_config()).values().items()
+                                  if n.startswith("head.")}}
+        with pytest.raises(ValueError, match="unexpected.*head.w0"):
+            seg.load_values(old)
 
     def test_load_rejects_shape_mismatch(self):
         m = Model(tiny_config(), seed=0)
@@ -514,6 +536,13 @@ class TestAccounting:
         assert ops1["total_macs"] > ops3["total_macs"] > opse["total_macs"]
         assert ops1["flops"] == 2 * ops1["total_macs"]
 
+    def test_parameter_counts(self):
+        # A segmenter counts no classification head: 25,220 fewer at desk
+        # scale, 395,012 fewer at paper scale with four parts.
+        assert count_parameters(desk_classification_config()) == 145_924
+        assert count_parameters(desk_segmentation_config()) == 208_418
+        assert count_parameters(paper_scale_config(n_parts=4)) == 905_348
+
     def test_segmentation_sections_counted(self):
         ops = count_operations(tiny_seg_config())
         assert "fp1" in ops and "fp2" in ops and "point_head" in ops
@@ -610,7 +639,9 @@ class TestGoldenOutputs:
     means some output bit moved: a change that means to move it says which
     and why. The digests belong to the float64 kernels of the numpy and
     OpenBLAS build they were recorded on; another BLAS kernel may round
-    differently.
+    differently. The segmentation gradient digest moved once, when
+    segmenters stopped holding the classification head: it is the earlier
+    digest with the head's zero gradients left out.
     """
 
     @staticmethod
@@ -647,7 +678,7 @@ class TestGoldenOutputs:
     def test_segmentation(self):
         assert self.run(tiny_seg_config(), 4) == (
             "6ecd3b1f8b4d3c61b37de2cf2a3eead5a88926d0aadf18b3a631e57cbb2e1ee9",
-            "ebddbeafe04801042fd8c32d7e2c866ba97ac7648742615bc96a92bd2dfd6b61",
+            "4eeb0abdd78e95d1ed08b9e028be61bd68b308f27e0740bd51a4bdb98c32da5a",
         )
 
 

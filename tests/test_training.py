@@ -4,7 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from aecnn.config import NetworkConfig, SaFirstConfig, SaNextConfig, TrainConfig
+from aecnn.config import (
+    ConfigError,
+    NetworkConfig,
+    SaFirstConfig,
+    SaNextConfig,
+    TrainConfig,
+)
 from aecnn.data import synth_classification, synth_segmentation
 from aecnn.network import Model
 from aecnn.nn import load_checkpoint
@@ -209,6 +215,25 @@ class TestLearning:
         model = Model(tiny_cfg(n_classes=2), seed=0)
         with pytest.raises(ValueError, match="segmentation head"):
             train_segmenter(model, ds, tiny_train())
+
+    def test_classifier_trainer_refuses_segmenter(self, tmp_path):
+        ds = synth_segmentation(2, 24, np.random.default_rng(9))
+        model = Model(tiny_seg_cfg(), seed=0)
+        before = model.values()
+        ck = tmp_path / "seg.ckpt"
+        with pytest.raises(ConfigError, match="classification head"):
+            train_classifier(model, ds, tiny_train(), checkpoint_path=str(ck))
+        assert not ck.exists()
+        assert all(np.array_equal(v, before[k]) for k, v in model.values().items())
+
+    def test_segmenter_checkpoint_has_no_classification_head(self, tmp_path):
+        ds = synth_segmentation(2, 24, np.random.default_rng(9))
+        model = Model(tiny_seg_cfg(), seed=0)
+        ck = tmp_path / "seg.ckpt"
+        train_segmenter(model, ds, tiny_train(epochs=1), checkpoint_path=str(ck))
+        names = [k.split(".", 1)[1] for k in load_checkpoint(ck) if "." in k]
+        assert "point_head.w0" in names
+        assert not [n for n in names if n.startswith("head.")]
 
 
 class TestPipeline:
