@@ -3,21 +3,30 @@
 Tensors wrap ndarrays and remember how they were produced; `backward` walks
 the graph once in reverse topological order. The network uses affine maps,
 in-place relu, set max pooling, last-axis concatenation, batched row
-gathers, per-set standardization, stable softmax cross entropy, and three
+gathers (optionally behind a constant prefix), inverse-distance weighted
+sums, per-set standardization, stable softmax cross entropy, and three
 fused edge kernels (the DGCNN edge feature [x_i, xhat - x_i, t],
 matrix-vector alignment and the orthogonality penalty) whose gradients are
-hand derived. `sub`, `square`, `mean_reduce`, `expand_set` and `relu` have
-no caller in the package: the tests use them as references for the fused
-and in-place ops and as gradient-check helpers.
+hand derived. `sub`, `mul`, `square`, `sum_reduce`, `mean_reduce`,
+`expand_set` and `relu` have no caller in the package: the tests use them
+as references for the fused and in-place ops and as gradient-check helpers.
 
-Two ops save a buffer and keep the bits of the op chain they replace.
+Four ops save a buffer and keep the bits of the op chain they replace.
 `relu_inplace` overwrites its input's values, so it may only take a tensor
 nobody else reads: `Mlp` applies it to the output of its own hidden
 `linear` or `standardize`, whose backward reads its inputs, never its
-output. `edge_features` writes the edge feature into one buffer and lists
-its parents as (xhat, x_i), the order in which the backward sweep reached
-them through expand_set, sub and concat; another order sums the
+output. `edge_features` writes the edge feature into one buffer and
+lists its parents as (xhat, x_i), the order in which the backward sweep
+reached them through expand_set, sub and concat; another order sums the
 contributions to a shared source tensor in another order and moves bits.
+`gather_rows(x, idx, prefix=p)` writes a constant prefix and the gathered
+rows into one buffer, equal to concat([constant(p), gather_rows(x, idx)]),
+and scatters its gradient straight from the rows' slice of the output
+gradient. `weighted_sum(x, w)` is sum_reduce(mul(x, constant(w[..., None])),
+axis=-2) without keeping the product or broadcasting the gradient first.
+The signed zeros these skip (the chains store 0.0 + g before passing a
+gradient on) can only move the sign of a zero partial sum, and every
+gradient is stored as 0.0 + g in the end, so no stored bit moves.
 
 Everything is float64 and single threaded on purpose: gradient checks sit at
 1e-4 relative tolerance and training runs must be bit-reproducible.
@@ -46,18 +55,26 @@ def set_finite_checks(enabled: bool) -> bool:
     With screening off nothing hides a NaN: `relu` passes it through (it is
     np.maximum, not a mask) and `max_reduce` pools it into the output.
 
-    Leaves, `Tensor(...)` and arithmetic ops screen their output. `relu`,
-    `relu_inplace`, `max_reduce`, `gather_rows`, `concat`, `reshape` and
-    `expand_set` do not:
-    they only select or copy values of their inputs (or zeros), which were
-    screened when they were made, so the scan could not fail. A tensor made
-    while screening was off is therefore not re-screened by those ops after
-    it is turned back on; the next arithmetic op raises.
+    Leaves, `Tensor(...)` and arithmetic ops, `weighted_sum` among them,
+    screen their output. `relu`, `relu_inplace`, `max_reduce`, `gather_rows`,
+    `concat`, `reshape` and `expand_set` do not: they only select or copy
+    values of their inputs (or zeros), which were screened when they were
+    made, so the scan could not fail. A tensor made while screening was off
+    is therefore not re-screened by those ops after it is turned back on;
+    the next arithmetic op raises. The constant arrays that ops take as
+    plain arrays, `gather_rows`'s prefix and `weighted_sum`'s weights, are
+    screened as `constant` screens its values.
     """
     global _finite_checks
     old = _finite_checks
     _finite_checks = bool(enabled)
     return old
+
+
+def _screen(v: np.ndarray, what: str):
+    """Raise FloatingPointError if screening is on and v holds a NaN or Inf."""
+    if _finite_checks and not np.isfinite(v).all():
+        raise FloatingPointError(f"non-finite values entering {what}")
 
 
 class Tensor:
@@ -68,10 +85,8 @@ class Tensor:
     def __init__(self, values, parents: tuple = (), needs_grad: bool = True,
                  name: Optional[str] = None, *, _screened: bool = False):
         v = np.asarray(values, dtype=np.float64)
-        if _finite_checks and not _screened and not np.isfinite(v).all():
-            raise FloatingPointError(
-                f"non-finite values entering tensor {name or '<anon>'}"
-            )
+        if not _screened:
+            _screen(v, f"tensor {name or '<anon>'}")
         self.values = v
         self.grad: Optional[np.ndarray] = None
         self.needs_grad = needs_grad
@@ -423,6 +438,31 @@ def sum_reduce(x, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out_vals, (x,), bwd)
 
 
+def weighted_sum(x, w: np.ndarray) -> Tensor:
+    """(x * w[..., None]).sum(axis=-2) for a constant weight array w.
+
+    x: (..., k, f); w: (..., k). Values and gradient equal
+    sum_reduce(mul(x, constant(w[..., None])), axis=-2), but no product is
+    kept and the gradient g[..., None, :] * w[..., None] is written once. w
+    is screened as `constant` screens it.
+    """
+    x = as_tensor(x)
+    w = np.asarray(w, dtype=np.float64)
+    if x.values.shape[:-1] != w.shape:
+        raise ValueError(
+            f"weighted_sum: weights {w.shape} do not match x {x.values.shape}"
+        )
+    _screen(w, "the weighted_sum weights")
+    wc = w[..., None]
+
+    def bwd(out):
+        def run():
+            x._add_grad(out.grad[..., None, :] * wc, owned=True)
+        return run
+
+    return _make((x.values * wc).sum(axis=-2), (x,), bwd)
+
+
 def mean_reduce(x) -> Tensor:
     x = as_tensor(x)
     return scale(sum_reduce(x), 1.0 / x.values.size)
@@ -522,29 +562,49 @@ def edge_features(x_i, xhat, t: Optional[np.ndarray] = None) -> Tensor:
     return _make(out_vals, (xhat, x_i), bwd)
 
 
+# Rows per block that _scatter_add_rows copies into its column buffer.
+SCATTER_BLOCK_ROWS = 256
+
+
 def _scatter_add_rows(n_rows: int, flat_idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Deterministic segmented scatter-add of 2d rows into an (n_rows, f) array.
 
     Sort + np.add.reduceat instead of np.add.at: same result, an order of
     magnitude faster, and the within-segment summation order is fixed by the
-    stable sort.
+    stable sort. The sorted rows are copied, SCATTER_BLOCK_ROWS at a time, into
+    the columns of an (f, N) buffer, so reduceat walks contiguous memory
+    instead of striding down each column. For each column it sums a segment
+    as the first element plus numpy's pairwise sum of the rest, whatever the
+    stride, so the result has the bits of reduceat over axis 0 of
+    rows[order]. `rows` may be a strided view.
     """
-    out = np.zeros((n_rows, rows.shape[1]), dtype=np.float64)
+    f = rows.shape[1]
+    out = np.zeros((n_rows, f), dtype=np.float64)
     if flat_idx.size == 0:
         return out
     order = np.argsort(flat_idx, kind="stable")
     si = flat_idx[order]
     starts = np.flatnonzero(np.concatenate(([True], si[1:] != si[:-1])))
-    sums = np.add.reduceat(rows[order], starts, axis=0)
-    out[si[starts]] = sums
+    cols = np.empty((f, order.size))
+    for s in range(0, order.size, SCATTER_BLOCK_ROWS):
+        block = order[s:s + SCATTER_BLOCK_ROWS]
+        cols[:, s:s + block.size] = rows[block].T
+    out[si[starts]] = np.add.reduceat(cols, starts, axis=1).T
     return out
 
 
-def gather_rows(x, indices: np.ndarray) -> Tensor:
+def gather_rows(x, indices: np.ndarray, prefix: Optional[np.ndarray] = None) -> Tensor:
     """Batched row lookup: x (b, n, f) indexed by integer indices (b, ...).
 
     Output shape is indices.shape + (f,). The backward pass scatter-adds into
     the source rows, so repeated indices accumulate.
+
+    A constant `prefix` of shape indices.shape + (c,) goes ahead of the rows
+    in the same buffer: the output (..., c + f) equals
+    concat([constant(prefix), gather_rows(x, indices)]) in values and
+    gradient, without a second edge-sized buffer. The prefix is screened as
+    `constant` screens it, and the backward scatters straight from the
+    gradient's row slice.
     """
     x = as_tensor(x)
     if x.values.ndim != 3:
@@ -557,12 +617,25 @@ def gather_rows(x, indices: np.ndarray) -> Tensor:
         raise IndexError("gather index out of range")
     bidx = np.arange(b).reshape((b,) + (1,) * (idx.ndim - 1))
     bfull = np.broadcast_to(bidx, idx.shape)
-    out_vals = x.values[bfull, idx]
+    if prefix is None:
+        c = 0
+        out_vals = x.values[bfull, idx]
+    else:
+        prefix = np.asarray(prefix, dtype=np.float64)
+        if prefix.shape[:-1] != idx.shape:
+            raise ValueError(
+                f"gather_rows prefix {prefix.shape} does not match indices {idx.shape}"
+            )
+        _screen(prefix, "the gather_rows prefix")
+        c = prefix.shape[-1]
+        out_vals = np.empty(idx.shape + (c + f,))
+        out_vals[..., :c] = prefix
+        out_vals[..., c:] = x.values[bfull, idx]
 
     def bwd(out):
         def run():
             flat = (bfull * n + idx).ravel()
-            rows = out.grad.reshape(-1, f)
+            rows = out.grad[..., c:].reshape(-1, f)
             x._add_grad(_scatter_add_rows(b * n, flat, rows).reshape(b, n, f),
                         owned=True)
         return run

@@ -95,35 +95,36 @@ def _bidx(b: int, idx: np.ndarray) -> np.ndarray:
     )
 
 
-def _align_edge_features(variant: AlignVariant, align_mlp, x_j,
+def _align_edge_features(variant: AlignVariant, align_mlp, src, idx: np.ndarray,
                          bases_i: np.ndarray, bases_j: np.ndarray,
                          t: np.ndarray, penalties: list):
-    """Neighbor features x_j (.., k, f) aligned into the reference frames.
+    """Neighbor features src[idx] (.., k, f) aligned into the reference frames.
 
-    bases_i: (.., 3, 3) reference frames; bases_j: (.., k, 3, 3) neighbor
-    frames; t: (.., k, 3) neighbor offsets expressed in the reference frame.
-    Geometry enters as constants; gradient flows through x_j and the MLP.
-    AEConv1 appends its orthogonality penalty Tensor to `penalties`.
+    src: Tensor (b, n, f) of source rows; idx: (b, .., k) the neighbors' rows
+    in it; bases_i: (.., 3, 3) reference frames; bases_j: (.., k, 3, 3)
+    neighbor frames; t: (.., k, 3) neighbor offsets expressed in the
+    reference frame. Geometry enters as constants; gradient flows through the
+    gathered rows and the MLP. AEConv2 and AEConv3 gather the rows behind
+    their geometry code, straight into the align MLP's input buffer. AEConv1
+    appends its orthogonality penalty Tensor to `penalties`.
     """
-    if variant is AlignVariant.PLAIN_EDGECONV:
-        return x_j
-    f = x_j.values.shape[-1]
-    rel = lrf.relative_rotation_batch(bases_i, bases_j)
-    rel9 = rel.reshape(rel.shape[:-2] + (9,))
-    if variant is AlignVariant.AECONV1:
-        code = ad.constant(np.concatenate([rel9, t], axis=-1))
-        m = ad.reshape(align_mlp(code), code.values.shape[:-1] + (f, f))
-        penalties.append(ad.orthogonality_penalty(m))
-        return ad.edge_matvec(m, x_j)
     if variant is AlignVariant.AECONV2:
         ei = np.broadcast_to(
             bases_i[..., None, :, :], bases_j.shape
         ).reshape(bases_j.shape[:-2] + (9,))
         ej = bases_j.reshape(bases_j.shape[:-2] + (9,))
-        code = ad.constant(np.concatenate([ei, ej, t], axis=-1))
-        return align_mlp(ad.concat([code, x_j]))
-    code = ad.constant(np.concatenate([rel9, t], axis=-1))
-    return align_mlp(ad.concat([code, x_j]))
+        code = np.concatenate([ei, ej, t], axis=-1)
+        return align_mlp(ad.gather_rows(src, idx, prefix=code))
+    if variant is AlignVariant.PLAIN_EDGECONV:
+        return ad.gather_rows(src, idx)
+    rel = lrf.relative_rotation_batch(bases_i, bases_j)
+    code = np.concatenate([rel.reshape(rel.shape[:-2] + (9,)), t], axis=-1)
+    if variant is AlignVariant.AECONV3:
+        return align_mlp(ad.gather_rows(src, idx, prefix=code))
+    f = src.values.shape[-1]
+    m = ad.reshape(align_mlp(ad.constant(code)), code.shape[:-1] + (f, f))
+    penalties.append(ad.orthogonality_penalty(m))
+    return ad.edge_matvec(m, ad.gather_rows(src, idx))
 
 
 class Model:
@@ -267,20 +268,20 @@ class Model:
         # more than the GEMMs; blocks reuse warm memory. Rows never mix (the
         # per-set statistics run over k alone) and a GEMM's rows do not
         # depend on how many rows it is given, so the result is the same.
+        # Each block pools into its rows of one (b, r, f) array with the plain
+        # max that max_reduce takes when nothing needs a gradient.
         # Tracked passes keep one block: splitting the graph would change the
         # summation order of the weight-gradient GEMM.
-        r = h_in.shape[1]
         if any(p.needs_grad for p in self.h_mlp.parameters()):
-            step = r
-        else:
-            step = max(1, SA_FIRST_BLOCK_ELEMS // (b * k * max(self.h_mlp.widths)))
-        pieces = [
-            ad.max_reduce(self.h_mlp(ad.constant(h_in[:, s:s + step]), set_axes=(2,)),
-                          axis=2)
-            for s in range(0, r, step)
-        ]
-        feat = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=1)
-        return _Level(pts=ref_pts, bases=bases, feat=feat)
+            feat = ad.max_reduce(self.h_mlp(ad.constant(h_in), set_axes=(2,)), axis=2)
+            return _Level(pts=ref_pts, bases=bases, feat=feat)
+        r = h_in.shape[1]
+        step = max(1, SA_FIRST_BLOCK_ELEMS // (b * k * max(self.h_mlp.widths)))
+        pooled = np.empty((b, r, self.h_mlp.out_width))
+        for s in range(0, r, step):
+            h = self.h_mlp(ad.constant(h_in[:, s:s + step]), set_axes=(2,))
+            np.max(h.values, axis=2, out=pooled[:, s:s + step])
+        return _Level(pts=ref_pts, bases=bases, feat=ad.constant(pooled))
 
     def _sa_first_batch(self, pts: np.ndarray) -> _Level:
         ref_idx = nb.fps_batch(pts, self.config.sa_first.n_ref)
@@ -322,12 +323,11 @@ class Model:
         new_pts = level.pts[_bidx(b, sub), sub]
         new_bases = level.bases[_bidx(b, sub), sub]
         x_i = ad.gather_rows(level.feat, sub)                     # (b, r, f)
-        x_j = ad.gather_rows(level.feat, graph)                   # (b, r, k, f)
         nb_pos = level.pts[_bidx(b, graph), graph]
         nb_bases = level.bases[_bidx(b, graph), graph]
         t = lrf.rir_batch(nb_pos, new_pts, new_bases)             # (b, r, k, 3)
-        xhat = _align_edge_features(variant, align_mlp, x_j, new_bases, nb_bases,
-                                    t, penalties)
+        xhat = _align_edge_features(variant, align_mlp, level.feat, graph,
+                                    new_bases, nb_bases, t, penalties)
         geometry = None if variant is AlignVariant.PLAIN_EDGECONV else t
         edge = q_mlp(ad.edge_features(x_i, xhat, geometry), set_axes=(2,))
         feat = ad.max_reduce(edge, axis=2)
@@ -403,11 +403,10 @@ class Model:
         d = np.maximum(d, FP_DISTANCE_FLOOR)
         w = 1.0 / d
         w /= w.sum(axis=-1, keepdims=True)
-        cfeat = ad.gather_rows(coarse.feat, nn3)              # (b, nf, 3, fc)
         t = lrf.rir_batch(cpos, fine_pts, fine_bases)
-        xhat = _align_edge_features(variant, align_mlp, cfeat, fine_bases, cbases,
-                                    t, penalties)
-        interp = ad.sum_reduce(ad.mul(xhat, ad.constant(w[..., None])), axis=2)
+        xhat = _align_edge_features(variant, align_mlp, coarse.feat, nn3,
+                                    fine_bases, cbases, t, penalties)  # (b, nf, 3, fc)
+        interp = ad.weighted_sum(xhat, w)
         mixed = interp if skip is None else ad.concat([interp, skip])
         return mlp(mixed, set_axes=(1,))
 
@@ -505,7 +504,8 @@ def align_feature(x_j, rotation, translation, weights, variant,
         bj = rot.T.reshape(1, 1, 1, 3, 3)  # E_i @ E_j^T == rotation with E_i = I
     pens: list = []
     out = _align_edge_features(
-        variant, align_mlp, ad.constant(x.reshape(1, 1, 1, -1)), bi, bj, t, pens
+        variant, align_mlp, ad.constant(x.reshape(1, 1, -1)),
+        np.zeros((1, 1, 1), dtype=np.intp), bi, bj, t, pens
     )
     return out.values.reshape(-1)
 

@@ -255,6 +255,37 @@ class TestConcatGather:
             got = ad._scatter_add_rows(n, idx, rows)
             assert np.allclose(got, want, atol=1e-12)
 
+    @staticmethod
+    def reduceat_rows(n, idx, rows):
+        """The scatter as np.add.reduceat over axis 0 of the sorted rows."""
+        order = np.argsort(idx, kind="stable")
+        si = idx[order]
+        starts = np.flatnonzero(np.concatenate(([True], si[1:] != si[:-1])))
+        out = np.zeros((n, rows.shape[1]))
+        out[si[starts]] = np.add.reduceat(rows[order], starts, axis=0)
+        return out
+
+    def test_scatter_matches_reduceat_bitwise(self):
+        # Segment lengths 1 to 300 cover numpy's 8-way unrolled pairwise sum
+        # and its split into 128-element blocks; the values span many orders
+        # of magnitude so that any other summation order shows. rows is a
+        # strided view, as the prefix gather hands it over, and 40 of the
+        # 340 targets receive nothing.
+        g = rng(74)
+        idx = np.repeat(g.permutation(340)[:300], np.arange(1, 301))
+        g.shuffle(idx)
+        wide = g.normal(size=(idx.size, 9)) * np.exp(4.0 * g.normal(size=(idx.size, 9)))
+        rows = wide[:, 2:7]
+        assert not rows.flags.c_contiguous
+        got = ad._scatter_add_rows(340, idx, rows)
+        want = self.reduceat_rows(340, idx, rows)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_scatter_of_no_rows(self):
+        got = ad._scatter_add_rows(4, np.zeros(0, dtype=np.intp), np.zeros((0, 3)))
+        assert np.array_equal(got, np.zeros((4, 3)))
+
 
 def edge_chain(x_i, xhat, t):
     """The edge feature built from expand_set, sub and concat."""
@@ -312,6 +343,98 @@ class TestEdgeFeatures:
         with pytest.raises(ValueError, match="edge_features"):
             ad.edge_features(ad.constant(np.zeros((2, 3, 4))),
                              ad.constant(np.zeros((2, 3, 5, 6))))
+
+
+def prefix_chain(src, idx, prefix):
+    """The prefix gather built from constant, gather_rows and concat."""
+    return ad.concat([ad.constant(prefix), ad.gather_rows(src, idx)])
+
+
+def weighted_sum_chain(x, w):
+    return ad.sum_reduce(ad.mul(x, ad.constant(w[..., None])), axis=2)
+
+
+class TestPrefixGatherWeightedSum:
+    """The fused ops against the op chains they replace, bit for bit."""
+
+    def test_prefix_gather_equals_concat_chain_bitwise(self):
+        # x_i and the prefixed rows come from one source, the neighbor
+        # indices repeat, and a relu right after the gather masks entries
+        # whose incoming gradient is negative, so -0.0 reaches its backward.
+        g = rng(93)
+        src0 = g.normal(size=(2, 9, 4))
+        w0 = g.normal(size=(7, 4))
+        sub = g.integers(0, 9, size=(2, 3))
+        graph = g.integers(0, 9, size=(2, 3, 5))
+        prefix = g.normal(size=(2, 3, 5, 3))
+        assert len(np.unique(graph[0])) < graph[0].size
+        got = []
+        for build in (lambda s, i, p: ad.gather_rows(s, i, prefix=p), prefix_chain):
+            src, w = ad.parameter(src0), ad.parameter(w0)
+            x_i = ad.gather_rows(src, sub)
+            a = build(src, graph, prefix)
+            out = ad.edge_features(x_i, ad.linear(ad.relu(a), w))
+            ad.backward(project(out))
+            got.append((a.values, out.values, src.grad, w.grad))
+        a0 = got[0][0]
+        wp = np.random.default_rng(99).normal(size=(2, 3, 5, 8))
+        g_in = (wp[..., 4:] @ w0.T) * (a0 > 0.0)
+        assert (np.signbit(g_in) & (g_in == 0.0))[..., 3:].any()
+        assert np.array_equal(a0[..., :3], prefix)
+        for a, b in zip(*got):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    def test_prefix_gather_matches_finite_differences(self):
+        g = rng(94)
+        idx = np.array([[[0, 2], [2, 2]], [[3, 1], [0, 3]]])
+        prefix = g.normal(size=(2, 2, 2, 3))
+        check_grads(lambda x: project(ad.gather_rows(x, idx, prefix=prefix)),
+                    [g.normal(size=(2, 4, 5))])
+
+    def test_weighted_sum_equals_mul_sum_chain_bitwise(self):
+        # Zero and negative weights, and relus on both sides, so signed
+        # zeros reach the backward and come out of it.
+        g = rng(95)
+        src0 = g.normal(size=(2, 6, 4))
+        nn3 = g.integers(0, 6, size=(2, 5, 3))
+        w = g.normal(size=(2, 5, 3))
+        w[0, 0, 1] = 0.0
+        got = []
+        for build in (ad.weighted_sum, weighted_sum_chain):
+            src = ad.parameter(src0)
+            x = ad.relu(ad.gather_rows(src, nn3))
+            out = build(x, w)
+            ad.backward(project(ad.relu(out)))
+            got.append((out.values, src.grad))
+        for a, b in zip(*got):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    def test_weighted_sum_matches_finite_differences(self):
+        g = rng(96)
+        w = g.normal(size=(2, 3, 4))
+        check_grads(lambda x: project(ad.weighted_sum(x, w)),
+                    [g.normal(size=(2, 3, 4, 5))])
+
+    def test_shape_mismatch_rejected(self):
+        x = ad.constant(np.zeros((1, 4, 2)))
+        with pytest.raises(ValueError, match="prefix"):
+            ad.gather_rows(x, np.zeros((1, 3), dtype=int), prefix=np.zeros((1, 2, 1)))
+        with pytest.raises(ValueError, match="weighted_sum"):
+            ad.weighted_sum(x, np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_constants_raise(self, bad):
+        x = ad.parameter(np.zeros((1, 4, 2)))
+        prefix = np.zeros((1, 3, 2))
+        prefix[0, 1, 0] = bad
+        with pytest.raises(FloatingPointError):
+            ad.gather_rows(x, np.zeros((1, 3), dtype=int), prefix=prefix)
+        w = np.ones((1, 4))
+        w[0, 2] = bad
+        with pytest.raises(FloatingPointError):
+            ad.weighted_sum(x, w)
 
 
 class TestStandardize:
