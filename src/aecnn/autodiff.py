@@ -1,15 +1,22 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
 Tensors wrap ndarrays and remember how they were produced; `backward` walks
-the graph once in reverse topological order. The network uses affine maps,
-in-place relu, set max pooling, last-axis concatenation, batched row
-gathers (optionally behind a constant prefix), inverse-distance weighted
-sums, per-set standardization, stable softmax cross entropy, and three
-fused edge kernels (the DGCNN edge feature [x_i, xhat - x_i, t],
-matrix-vector alignment and the orthogonality penalty) whose gradients are
-hand derived. `sub`, `mul`, `square`, `sum_reduce`, `mean_reduce`,
-`expand_set` and `relu` have no caller in the package: the tests use them
-as references for the fused and in-place ops and as gradient-check helpers.
+the graph once in reverse topological order. The module holds only the ops
+the network runs: affine maps, addition and scaling of losses, in-place
+relu, max reduction, last-axis concatenation, reshapes, batched row gathers
+(optionally behind a constant prefix), inverse-distance weighted sums,
+per-set standardization, stable softmax cross entropy, and three fused edge
+kernels (the DGCNN edge feature [x_i, xhat - x_i, t], matrix-vector
+alignment and the orthogonality penalty) whose gradients are hand derived.
+The unfused ops the tests compare them against (`sub`, `mul`, `square`,
+`relu`, `sum_reduce`, `mean_reduce`, `expand_set`) live in
+tests/reference_ops.py, built on `_make` and `Tensor._add_grad`.
+
+Every op hands `_make` its values, its parents and a function `bwd(out)`;
+the sweep calls it once with the output, whose `.grad` then holds the whole
+upstream gradient. `bwd` closes over the op's inputs, never its output, so
+no output refers to itself and a graph dropped without `backward` is freed
+by reference counting at once.
 
 Four ops save a buffer and keep the bits of the op chain they replace.
 `relu_inplace` overwrites its input's values, so it may only take a tensor
@@ -52,16 +59,16 @@ _finite_checks = True
 def set_finite_checks(enabled: bool) -> bool:
     """Toggle NaN/Inf screening on tensor creation; returns the old value.
 
-    With screening off nothing hides a NaN: `relu` passes it through (it is
-    np.maximum, not a mask) and `max_reduce` pools it into the output.
+    With screening off nothing hides a NaN: `relu_inplace` passes it through
+    (it is np.maximum, not a mask) and `max_reduce` pools it into the output.
 
     Leaves, `Tensor(...)` and arithmetic ops, `weighted_sum` among them,
-    screen their output. `relu`, `relu_inplace`, `max_reduce`, `gather_rows`,
-    `concat`, `reshape` and `expand_set` do not: they only select or copy
-    values of their inputs (or zeros), which were screened when they were
-    made, so the scan could not fail. A tensor made while screening was off
-    is therefore not re-screened by those ops after it is turned back on;
-    the next arithmetic op raises. The constant arrays that ops take as
+    screen their output. `relu_inplace`, `max_reduce`, `gather_rows`,
+    `concat` and `reshape` do not: they only select or copy values of their
+    inputs (or zeros), which were screened when they were made, so the scan
+    could not fail. A tensor made while screening was off is therefore not
+    re-screened by those ops after it is turned back on; the next arithmetic
+    op raises. The constant arrays that ops take as
     plain arrays, `gather_rows`'s prefix and `weighted_sum`'s weights, are
     screened as `constant` screens its values.
     """
@@ -151,9 +158,13 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x)
 
 
-def _make(values, parents: Sequence[Tensor], backward_fn,
+def _make(values, parents: Sequence[Tensor], bwd,
           screened: bool = False) -> Tensor:
-    """Wire an op output; skips the closure entirely on constant subgraphs.
+    """Wire an op output to its parents and its backward function.
+
+    `bwd` is stored as given; the sweep calls `bwd(out)` with this output.
+    So `bwd` need not and must not refer to the output, and no output refers
+    to itself. On a constant subgraph nothing is wired and `bwd` is dropped.
 
     `screened=True` skips the finiteness scan, for ops whose values are only
     selected or copied from their (already screened) inputs.
@@ -162,7 +173,7 @@ def _make(values, parents: Sequence[Tensor], backward_fn,
     if not any(p.needs_grad for p in parents):
         return Tensor(values, needs_grad=False, _screened=screened)
     out = Tensor(values, parents=parents, needs_grad=True, _screened=screened)
-    out._backward = backward_fn(out)
+    out._backward = bwd
     return out
 
 
@@ -171,12 +182,13 @@ def backward(loss: Tensor):
 
     The loss must be scalar. Visit order is a deterministic iterative
     post-order, so repeated runs accumulate in the same sequence bit for bit.
-    Each node's `.grad` is its own buffer (see `Tensor._add_grad`), so a
-    node's closure may modify it in place or hand it on to one parent.
-    Interior nodes are consumed as the sweep passes them: their grad buffer
-    and closure are dropped once propagated, so peak memory tracks the
-    gradient frontier rather than the whole graph. A graph can therefore be
-    swept only once.
+    Each interior node's `_backward(node)` runs once its gradient is
+    complete (see `_make`). Each node's `.grad` is its own buffer (see
+    `Tensor._add_grad`), so `_backward` may modify it in place or hand it on
+    to one parent. Interior nodes are consumed as the sweep passes them:
+    their grad buffer and `_backward` are dropped once propagated, so peak
+    memory tracks the gradient frontier rather than the whole graph. A graph
+    can therefore be swept only once.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -200,7 +212,7 @@ def backward(loss: Tensor):
         if node._backward is None:
             continue
         if node.grad is not None:
-            node._backward()
+            node._backward(node)
         node.grad = None
         node._backward = None
         node._parents = ()
@@ -223,46 +235,12 @@ def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def bwd(out):
-        def run():
-            if a.needs_grad:
-                a._add_grad(_unbroadcast(out.grad, a.values.shape))
-            if b.needs_grad:
-                b._add_grad(_unbroadcast(out.grad, b.values.shape))
-        return run
+        if a.needs_grad:
+            a._add_grad(_unbroadcast(out.grad, a.values.shape))
+        if b.needs_grad:
+            b._add_grad(_unbroadcast(out.grad, b.values.shape))
 
     return _make(a.values + b.values, (a, b), bwd)
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def bwd(out):
-        def run():
-            # b gets a fresh negation, so a may own out.grad itself.
-            if a.needs_grad:
-                a._add_grad(_unbroadcast(out.grad, a.values.shape), owned=True)
-            if b.needs_grad:
-                b._add_grad(-_unbroadcast(out.grad, b.values.shape), owned=True)
-        return run
-
-    return _make(a.values - b.values, (a, b), bwd)
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def bwd(out):
-        def run():
-            g = out.grad
-            if b.needs_grad:
-                b._add_grad(_unbroadcast(g * a.values, b.values.shape), owned=True)
-            if a.needs_grad:
-                # out.grad has the broadcast shape, so a's product fits in it.
-                np.multiply(g, b.values, out=g)
-                a._add_grad(_unbroadcast(g, a.values.shape), owned=True)
-        return run
-
-    return _make(a.values * b.values, (a, b), bwd)
 
 
 def scale(a, c: float) -> Tensor:
@@ -270,22 +248,9 @@ def scale(a, c: float) -> Tensor:
     c = float(c)
 
     def bwd(out):
-        def run():
-            a._add_grad(out.grad * c, owned=True)
-        return run
+        a._add_grad(out.grad * c, owned=True)
 
     return _make(a.values * c, (a,), bwd)
-
-
-def square(a) -> Tensor:
-    a = as_tensor(a)
-
-    def bwd(out):
-        def run():
-            a._add_grad(out.grad * (2.0 * a.values), owned=True)
-        return run
-
-    return _make(a.values * a.values, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -315,53 +280,32 @@ def linear(x, w, b=None) -> Tensor:
     parents = (x, w) if b is None else (x, w, b)
 
     def bwd(out):
-        def run():
-            g2 = out.grad.reshape(-1, fout)
-            if x.needs_grad:
-                x._add_grad((g2 @ w.values.T).reshape(*lead, fin), owned=True)
-            if w.needs_grad:
-                w._add_grad(x2.T @ g2, owned=True)
-            if b is not None and b.needs_grad:
-                b._add_grad(g2.sum(axis=0), owned=True)
-        return run
+        g2 = out.grad.reshape(-1, fout)
+        if x.needs_grad:
+            x._add_grad((g2 @ w.values.T).reshape(*lead, fin), owned=True)
+        if w.needs_grad:
+            w._add_grad(x2.T @ g2, owned=True)
+        if b is not None and b.needs_grad:
+            b._add_grad(g2.sum(axis=0), owned=True)
 
     return _make(y2.reshape(*lead, fout), parents, bwd)
 
 
-def relu(x) -> Tensor:
-    """max(x, 0); negative zeros come out as +0.0, as np.where(x > 0, x, 0) gives.
-
-    The mask that routes the gradient is built only when backward runs and
-    is applied in place to the output's own gradient, which is handed down.
-    """
-    x = as_tensor(x)
-
-    def bwd(out):
-        def run():
-            g = out.grad
-            np.multiply(g, x.values > 0.0, out=g)
-            x._add_grad(g, owned=True)
-        return run
-
-    return _make(np.maximum(x.values, 0.0), (x,), bwd, screened=True)
-
-
 def relu_inplace(x: Tensor) -> Tensor:
-    """`relu` written over x's own values, which x gives up.
+    """max(x, 0) written over x's own values, which x gives up.
 
     Only for an x that nothing else reads: the output of an affine map or a
     standardization whose backward does not read its output's values, held
     by the caller alone (`Mlp` hidden layers). The values and gradients are
-    relu's bit for bit, without a second buffer of x's size. The gradient
-    mask is built from the output: out > 0 exactly where x > 0.
+    the reference `relu`'s bit for bit (negative zeros come out as +0.0),
+    without a second buffer of x's size. The gradient mask is built from the
+    output: out > 0 exactly where x > 0.
     """
 
     def bwd(out):
-        def run():
-            g = out.grad
-            np.multiply(g, out.values > 0.0, out=g)
-            x._add_grad(g, owned=True)
-        return run
+        g = out.grad
+        np.multiply(g, out.values > 0.0, out=g)
+        x._add_grad(g, owned=True)
 
     return _make(np.maximum(x.values, 0.0, out=x.values), (x,), bwd,
                  screened=True)
@@ -386,13 +330,11 @@ def max_reduce(x, axis: int) -> Tensor:
     out_vals = np.take_along_axis(x.values, np.expand_dims(am, axis), axis)
 
     def bwd(out):
-        def run():
-            g = np.zeros_like(x.values)
-            np.put_along_axis(
-                g, np.expand_dims(am, axis), np.expand_dims(out.grad, axis), axis
-            )
-            x._add_grad(g, owned=True)
-        return run
+        g = np.zeros_like(x.values)
+        np.put_along_axis(
+            g, np.expand_dims(am, axis), np.expand_dims(out.grad, axis), axis
+        )
+        x._add_grad(g, owned=True)
 
     return _make(np.squeeze(out_vals, axis=axis), (x,), bwd, screened=True)
 
@@ -418,26 +360,6 @@ def _first_argmax(v: np.ndarray, axis: int) -> np.ndarray:
     return idx
 
 
-def max_pool_set(x) -> Tensor:
-    """Permutation-invariant max over the set axis (second to last)."""
-    return max_reduce(x, axis=-2)
-
-
-def sum_reduce(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = as_tensor(x)
-    out_vals = x.values.sum(axis=axis, keepdims=keepdims)
-
-    def bwd(out):
-        def run():
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            x._add_grad(np.broadcast_to(g, x.values.shape).copy(), owned=True)
-        return run
-
-    return _make(out_vals, (x,), bwd)
-
-
 def weighted_sum(x, w: np.ndarray) -> Tensor:
     """(x * w[..., None]).sum(axis=-2) for a constant weight array w.
 
@@ -456,16 +378,9 @@ def weighted_sum(x, w: np.ndarray) -> Tensor:
     wc = w[..., None]
 
     def bwd(out):
-        def run():
-            x._add_grad(out.grad[..., None, :] * wc, owned=True)
-        return run
+        x._add_grad(out.grad[..., None, :] * wc, owned=True)
 
     return _make((x.values * wc).sum(axis=-2), (x,), bwd)
-
-
-def mean_reduce(x) -> Tensor:
-    x = as_tensor(x)
-    return scale(sum_reduce(x), 1.0 / x.values.size)
 
 
 def reshape(x, shape: tuple) -> Tensor:
@@ -473,28 +388,9 @@ def reshape(x, shape: tuple) -> Tensor:
     old = x.values.shape
 
     def bwd(out):
-        def run():
-            x._add_grad(out.grad.reshape(old), owned=True)
-        return run
+        x._add_grad(out.grad.reshape(old), owned=True)
 
     return _make(x.values.reshape(shape), (x,), bwd, screened=True)
-
-
-def expand_set(x, size: int, axis: int = -2) -> Tensor:
-    """Insert an axis of length `size` by repetition (backward sums over it).
-
-    Used to pair each reference feature with every one of its k neighbors.
-    """
-    x = as_tensor(x)
-    ax = axis if axis >= 0 else x.values.ndim + 1 + axis
-    out_vals = np.repeat(np.expand_dims(x.values, ax), size, axis=ax)
-
-    def bwd(out):
-        def run():
-            x._add_grad(out.grad.sum(axis=ax), owned=True)
-        return run
-
-    return _make(out_vals, (x,), bwd, screened=True)
 
 
 def concat(tensors: Sequence, axis: int = -1) -> Tensor:
@@ -509,13 +405,11 @@ def concat(tensors: Sequence, axis: int = -1) -> Tensor:
     offsets = np.cumsum([0] + sizes)
 
     def bwd(out):
-        def run():
-            for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-                if t.needs_grad:
-                    sl = [slice(None)] * out.grad.ndim
-                    sl[ax] = slice(lo, hi)
-                    t._add_grad(out.grad[tuple(sl)])
-        return run
+        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
+            if t.needs_grad:
+                sl = [slice(None)] * out.grad.ndim
+                sl[ax] = slice(lo, hi)
+                t._add_grad(out.grad[tuple(sl)])
 
     return _make(out_vals, ts, bwd, screened=True)
 
@@ -550,14 +444,12 @@ def edge_features(x_i, xhat, t: Optional[np.ndarray] = None) -> Tensor:
         out_vals[..., 2 * f:] = t
 
     def bwd(out):
-        def run():
-            g = out.grad
-            if xhat.needs_grad:
-                xhat._add_grad(g[..., f:2 * f])
-            if x_i.needs_grad:
-                x_i._add_grad(np.subtract(g[..., :f], g[..., f:2 * f]).sum(axis=-2),
-                              owned=True)
-        return run
+        g = out.grad
+        if xhat.needs_grad:
+            xhat._add_grad(g[..., f:2 * f])
+        if x_i.needs_grad:
+            x_i._add_grad(np.subtract(g[..., :f], g[..., f:2 * f]).sum(axis=-2),
+                          owned=True)
 
     return _make(out_vals, (xhat, x_i), bwd)
 
@@ -633,12 +525,10 @@ def gather_rows(x, indices: np.ndarray, prefix: Optional[np.ndarray] = None) -> 
         out_vals[..., c:] = x.values[bfull, idx]
 
     def bwd(out):
-        def run():
-            flat = (bfull * n + idx).ravel()
-            rows = out.grad[..., c:].reshape(-1, f)
-            x._add_grad(_scatter_add_rows(b * n, flat, rows).reshape(b, n, f),
-                        owned=True)
-        return run
+        flat = (bfull * n + idx).ravel()
+        rows = out.grad[..., c:].reshape(-1, f)
+        x._add_grad(_scatter_add_rows(b * n, flat, rows).reshape(b, n, f),
+                    owned=True)
 
     return _make(out_vals, (x,), bwd, screened=True)
 
@@ -673,19 +563,17 @@ def standardize(x, gamma, beta, axes: tuple) -> Tensor:
     out_vals = xhat * gamma.values + beta.values
 
     def bwd(out):
-        def run():
-            g = out.grad
-            sum_axes = tuple(range(g.ndim - 1))
-            if gamma.needs_grad:
-                gamma._add_grad((g * xhat).sum(axis=sum_axes), owned=True)
-            if beta.needs_grad:
-                beta._add_grad(g.sum(axis=sum_axes), owned=True)
-            if x.needs_grad:
-                dxhat = g * gamma.values
-                t1 = dxhat.sum(axis=axes, keepdims=True)
-                t2 = (dxhat * xhat).sum(axis=axes, keepdims=True)
-                x._add_grad((inv / m) * (m * dxhat - t1 - xhat * t2), owned=True)
-        return run
+        g = out.grad
+        sum_axes = tuple(range(g.ndim - 1))
+        if gamma.needs_grad:
+            gamma._add_grad((g * xhat).sum(axis=sum_axes), owned=True)
+        if beta.needs_grad:
+            beta._add_grad(g.sum(axis=sum_axes), owned=True)
+        if x.needs_grad:
+            dxhat = g * gamma.values
+            t1 = dxhat.sum(axis=axes, keepdims=True)
+            t2 = (dxhat * xhat).sum(axis=axes, keepdims=True)
+            x._add_grad((inv / m) * (m * dxhat - t1 - xhat * t2), owned=True)
 
     return _make(out_vals, (x, gamma, beta), bwd)
 
@@ -714,12 +602,10 @@ def cross_entropy(logits, labels) -> Tensor:
     loss = -picked.sum() / n
 
     def bwd(out):
-        def run():
-            p = e / s
-            onehot = np.zeros_like(p)
-            np.put_along_axis(onehot, lab[..., None], 1.0, axis=-1)
-            logits._add_grad((p - onehot) * (out.grad / n), owned=True)
-        return run
+        p = e / s
+        onehot = np.zeros_like(p)
+        np.put_along_axis(onehot, lab[..., None], 1.0, axis=-1)
+        logits._add_grad((p - onehot) * (out.grad / n), owned=True)
 
     return _make(loss, (logits,), bwd)
 
@@ -730,14 +616,12 @@ def edge_matvec(m, x) -> Tensor:
     out_vals = np.einsum("...ij,...j->...i", m.values, x.values)
 
     def bwd(out):
-        def run():
-            if m.needs_grad:
-                m._add_grad(np.einsum("...i,...j->...ij", out.grad, x.values),
-                            owned=True)
-            if x.needs_grad:
-                x._add_grad(np.einsum("...ij,...i->...j", m.values, out.grad),
-                            owned=True)
-        return run
+        if m.needs_grad:
+            m._add_grad(np.einsum("...i,...j->...ij", out.grad, x.values),
+                        owned=True)
+        if x.needs_grad:
+            x._add_grad(np.einsum("...ij,...i->...j", m.values, out.grad),
+                        owned=True)
 
     return _make(out_vals, (m, x), bwd)
 
@@ -758,10 +642,8 @@ def orthogonality_penalty(m) -> Tensor:
     penalty = float((dev * dev).sum()) / count
 
     def bwd(out):
-        def run():
-            m._add_grad(np.einsum(
-                "...ij,...jk->...ik", dev, m.values
-            ) * (4.0 * out.grad / count), owned=True)
-        return run
+        m._add_grad(np.einsum(
+            "...ij,...jk->...ik", dev, m.values
+        ) * (4.0 * out.grad / count), owned=True)
 
     return _make(penalty, (m,), bwd)

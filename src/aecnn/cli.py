@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import json
 import os
 import sys
@@ -328,6 +329,17 @@ def cmd_ablate(args) -> int:
         return _fail_config(e)
     except OSError as e:
         return _fail(e)
+    # Every cell is validated before the first one trains.
+    cells = []
+    for variant, search, anchor, k in itertools.product(
+            args.variants, args.searches, args.anchors, args.ks):
+        cfg = replace(network, variant=variant,
+                      sa_first=replace(network.sa_first, search=search,
+                                       anchor=anchor, k=k))
+        try:
+            cells.append(((variant, search, anchor, k), cfg.validated()))
+        except ConfigError as e:
+            return _fail_config(e)
     # Every cell of a seed trains and scores on the same pair, and every pair
     # carries the same names.
     pairs = {seed: _synth_pair("classification", args.n_per_class,
@@ -344,44 +356,31 @@ def cmd_ablate(args) -> int:
            "grid": {"variant": list(args.variants), "search": list(args.searches),
                     "anchor": list(args.anchors), "k": list(args.ks)},
            "seeds": list(args.seeds), "setting": training.setting,
-           "cells": (len(args.variants) * len(args.searches) * len(args.anchors)
-                     * len(args.ks))})
+           "cells": len(cells)})
 
-    for variant in args.variants:
-        for search in args.searches:
-            for anchor in args.anchors:
-                for k in args.ks:
-                    cfg = replace(
-                        network, variant=variant,
-                        sa_first=replace(network.sa_first, search=search,
-                                         anchor=anchor, k=k),
-                    )
-                    try:
-                        cfg = cfg.validated()
-                    except ConfigError as e:
-                        return _fail_config(e)
-                    accs = []
-                    for seed in args.seeds:
-                        tc = replace(training, seed=seed)
-                        train_set, test_set = pairs[seed]
-                        model = Model(cfg, seed=seed)
-                        train_classifier(model, train_set, tc)
-                        m = _score(model, test_set, tc.setting, seed, tc.votes)
-                        accs.append(m.accuracy)
-                    row = {
-                        "type": "ablation", "variant": variant,
-                        "search": search, "anchor": anchor, "k": k,
-                        "accuracy_mean": float(np.mean(accs)),
-                        "accuracies": accs,
-                        "parameters": count_parameters(cfg),
-                        "macs_per_sample": count_operations(cfg)["total_macs"],
-                    }
-                    rows.append(row)
-                    _emit(row)
-
-    with atomic_write(out_path) as f:
-        for row in rows:
-            f.write(json.dumps(row) + "\n")
+    for (variant, search, anchor, k), cfg in cells:
+        accs = []
+        for seed in args.seeds:
+            tc = replace(training, seed=seed)
+            train_set, test_set = pairs[seed]
+            model = Model(cfg, seed=seed)
+            train_classifier(model, train_set, tc)
+            m = _score(model, test_set, tc.setting, seed, tc.votes)
+            accs.append(m.accuracy)
+        row = {
+            "type": "ablation", "variant": variant,
+            "search": search, "anchor": anchor, "k": k,
+            "accuracy_mean": float(np.mean(accs)),
+            "accuracies": accs,
+            "parameters": count_parameters(cfg),
+            "macs_per_sample": count_operations(cfg)["total_macs"],
+        }
+        rows.append(row)
+        _emit(row)
+        # Rewritten after each cell, so an interrupted grid keeps its rows.
+        with atomic_write(out_path) as f:
+            for r in rows:
+                f.write(json.dumps(r) + "\n")
     return EXIT_OK
 
 

@@ -27,8 +27,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import geometry as geo
+from .config import atomic_write
 
 DATASET_MAGIC = b"AEDS1"
+# Longest class name, part name or split tag, in utf-8 bytes, and the largest
+# part label (stored as u8) that the dataset format holds.
+DATASET_MAX_STRING_BYTES = 65536
+DATASET_MAX_PART_LABEL = 255
 XYZ_FLOAT_FORMAT = "%.17g"
 JITTER_SIGMA = 0.01
 CLASS_NAMES = ("sphere", "cube", "cylinder", "torus")
@@ -129,7 +134,7 @@ class Metrics:
 def save_xyz(path, cloud: geo.PointCloud):
     pts = cloud.points
     labels = cloud.part_labels
-    with open(path, "w") as f:
+    with atomic_write(path) as f:
         for i in range(pts.shape[0]):
             row = " ".join(XYZ_FLOAT_FORMAT % v for v in pts[i])
             if labels is not None:
@@ -190,25 +195,46 @@ def load_xyz(path) -> geo.PointCloud:
 # AEDS1 binary dataset format
 # ---------------------------------------------------------------------------
 
-def _write_str(f, s: str):
+def _encoded(what: str, s: str) -> bytes:
     raw = s.encode("utf-8")
+    if len(raw) > DATASET_MAX_STRING_BYTES:
+        raise ValueError(
+            f"{what} of {len(raw)} bytes is longer than the "
+            f"{DATASET_MAX_STRING_BYTES} the dataset format holds"
+        )
+    return raw
+
+
+def _write_str(f, raw: bytes):
     f.write(np.uint32(len(raw)).tobytes())
     f.write(raw)
 
 
 def save_dataset_bin(path, dataset: Dataset):
+    """Write `dataset` atomically; refuse what `load_dataset_bin` would reject
+    or misread before opening the file."""
     if len(dataset) == 0:
         raise ValueError("refusing to write an empty dataset")
-    with open(path, "wb") as f:
+    class_names = [_encoded("class name", n) for n in dataset.class_names]
+    part_names = [_encoded("part name", n) for n in dataset.part_names]
+    split_tag = _encoded("split tag", dataset.split_tag)
+    for si, s in enumerate(dataset.samples):
+        if s.part_labels is not None and s.part_labels.max() > DATASET_MAX_PART_LABEL:
+            raise ValueError(
+                f"sample {si}: part label {int(s.part_labels.max())} does not "
+                f"fit the dataset format's u8 labels (at most "
+                f"{DATASET_MAX_PART_LABEL})"
+            )
+    with atomic_write(path, "wb") as f:
         f.write(DATASET_MAGIC)
         f.write(np.uint32(len(dataset)).tobytes())
-        f.write(np.uint32(len(dataset.class_names)).tobytes())
-        for name in dataset.class_names:
-            _write_str(f, name)
-        f.write(np.uint32(len(dataset.part_names)).tobytes())
-        for name in dataset.part_names:
-            _write_str(f, name)
-        _write_str(f, dataset.split_tag)
+        f.write(np.uint32(len(class_names)).tobytes())
+        for raw in class_names:
+            _write_str(f, raw)
+        f.write(np.uint32(len(part_names)).tobytes())
+        for raw in part_names:
+            _write_str(f, raw)
+        _write_str(f, split_tag)
         for s in dataset.samples:
             f.write(np.uint32(s.class_label).tobytes())
             f.write(np.uint32(s.points.shape[0]).tobytes())
@@ -246,7 +272,7 @@ class _Reader:
 
     def string(self, what: str) -> str:
         n = self.u32(f"{what} length")
-        if n > 65536:
+        if n > DATASET_MAX_STRING_BYTES:
             raise FileFormatError(
                 f"{self.path}: implausible {what} length {n} at byte {self.pos - 4}"
             )

@@ -463,7 +463,7 @@ def pointnet_kernel(rirs: np.ndarray, weights) -> np.ndarray:
         raise ValueError(
             f"expected (k, {mlp.in_width}) coordinates, got {rirs.shape}"
         )
-    out = ad.max_pool_set(mlp(ad.constant(rirs)))
+    out = ad.max_reduce(mlp(ad.constant(rirs)), axis=-2)
     return out.values
 
 

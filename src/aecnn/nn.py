@@ -133,6 +133,9 @@ def zero_grads(params: dict):
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"AECNN1"
+# Longest array name (utf-8 bytes) and highest rank a checkpoint holds.
+CHECKPOINT_MAX_NAME_BYTES = 4096
+CHECKPOINT_MAX_RANK = 8
 
 
 class CheckpointError(ValueError):
@@ -145,17 +148,32 @@ def save_checkpoint(path, arrays: dict):
     Layout: magic, then per array a uint32 name length, the utf-8 name, a
     uint32 rank, that many uint32 dims, and the little-endian float64 values.
     The file is replaced atomically: a write that fails leaves the old one.
+    Names and ranks that `load_checkpoint` would reject are refused before
+    the file is opened.
     """
+    entries = []
+    for name, arr in arrays.items():
+        # ascontiguousarray would promote 0-d arrays to 1-d; keep rank.
+        a = np.asarray(arr, dtype="<f8")
+        if not a.flags.c_contiguous:
+            a = np.ascontiguousarray(a)
+        nb = str(name).encode("utf-8")
+        if not nb:
+            raise CheckpointError("array names must be non-empty")
+        if len(nb) > CHECKPOINT_MAX_NAME_BYTES:
+            raise CheckpointError(
+                f"array name of {len(nb)} bytes is longer than the "
+                f"{CHECKPOINT_MAX_NAME_BYTES} a checkpoint holds"
+            )
+        if a.ndim > CHECKPOINT_MAX_RANK:
+            raise CheckpointError(
+                f"array {name!r} has rank {a.ndim}; a checkpoint holds at most "
+                f"{CHECKPOINT_MAX_RANK}"
+            )
+        entries.append((nb, a))
     with atomic_write(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
-        for name, arr in arrays.items():
-            # ascontiguousarray would promote 0-d arrays to 1-d; keep rank.
-            a = np.asarray(arr, dtype="<f8")
-            if not a.flags.c_contiguous:
-                a = np.ascontiguousarray(a)
-            nb = str(name).encode("utf-8")
-            if not nb:
-                raise CheckpointError("array names must be non-empty")
+        for nb, a in entries:
             f.write(struct.pack("<I", len(nb)))
             f.write(nb)
             f.write(struct.pack("<I", a.ndim))
@@ -185,11 +203,11 @@ def load_checkpoint(path) -> dict:
 
     while off < len(blob):
         (name_len,) = struct.unpack("<I", take(4, "name length"))
-        if name_len == 0 or name_len > 4096:
+        if name_len == 0 or name_len > CHECKPOINT_MAX_NAME_BYTES:
             raise CheckpointError(f"implausible name length {name_len} at byte {off}")
         name = take(name_len, "name").decode("utf-8")
         (rank,) = struct.unpack("<I", take(4, "rank"))
-        if rank > 8:
+        if rank > CHECKPOINT_MAX_RANK:
             raise CheckpointError(f"implausible rank {rank} at byte {off}")
         shape = struct.unpack(f"<{rank}I", take(4 * rank, "dims")) if rank else ()
         count = 1

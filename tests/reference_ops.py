@@ -1,0 +1,98 @@
+"""Unfused autodiff ops that the network does not run.
+
+The tests use them as references for the package's fused and in-place ops
+(`edge_features` against expand_set, sub and concat; `weighted_sum` against
+mul and sum_reduce; `relu_inplace` against relu) and as gradient probes.
+They are built on the engine's `_make` and `Tensor._add_grad` exactly as the
+package's ops are, so their values and gradients are the bits the fused ops
+must reproduce.
+"""
+import numpy as np
+
+from aecnn.autodiff import Tensor, _make, _unbroadcast, as_tensor, scale
+
+
+def sub(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+
+    def bwd(out):
+        # b gets a fresh negation, so a may own out.grad itself.
+        if a.needs_grad:
+            a._add_grad(_unbroadcast(out.grad, a.values.shape), owned=True)
+        if b.needs_grad:
+            b._add_grad(-_unbroadcast(out.grad, b.values.shape), owned=True)
+
+    return _make(a.values - b.values, (a, b), bwd)
+
+
+def mul(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+
+    def bwd(out):
+        g = out.grad
+        if b.needs_grad:
+            b._add_grad(_unbroadcast(g * a.values, b.values.shape), owned=True)
+        if a.needs_grad:
+            # out.grad has the broadcast shape, so a's product fits in it.
+            np.multiply(g, b.values, out=g)
+            a._add_grad(_unbroadcast(g, a.values.shape), owned=True)
+
+    return _make(a.values * b.values, (a, b), bwd)
+
+
+def square(a) -> Tensor:
+    a = as_tensor(a)
+
+    def bwd(out):
+        a._add_grad(out.grad * (2.0 * a.values), owned=True)
+
+    return _make(a.values * a.values, (a,), bwd)
+
+
+def relu(x) -> Tensor:
+    """max(x, 0); negative zeros come out as +0.0, as np.where(x > 0, x, 0) gives.
+
+    The mask that routes the gradient is built only when backward runs and
+    is applied in place to the output's own gradient, which is handed down.
+    """
+    x = as_tensor(x)
+
+    def bwd(out):
+        g = out.grad
+        np.multiply(g, x.values > 0.0, out=g)
+        x._add_grad(g, owned=True)
+
+    return _make(np.maximum(x.values, 0.0), (x,), bwd, screened=True)
+
+
+def sum_reduce(x, axis=None, keepdims: bool = False) -> Tensor:
+    x = as_tensor(x)
+    out_vals = x.values.sum(axis=axis, keepdims=keepdims)
+
+    def bwd(out):
+        g = out.grad
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        x._add_grad(np.broadcast_to(g, x.values.shape).copy(), owned=True)
+
+    return _make(out_vals, (x,), bwd)
+
+
+def mean_reduce(x) -> Tensor:
+    x = as_tensor(x)
+    return scale(sum_reduce(x), 1.0 / x.values.size)
+
+
+def expand_set(x, size: int, axis: int = -2) -> Tensor:
+    """Insert an axis of length `size` by repetition (backward sums over it).
+
+    Pairs each reference feature with every one of its k neighbors.
+    """
+    x = as_tensor(x)
+    ax = axis if axis >= 0 else x.values.ndim + 1 + axis
+    out_vals = np.repeat(np.expand_dims(x.values, ax), size, axis=ax)
+
+    def bwd(out):
+        x._add_grad(out.grad.sum(axis=ax), owned=True)
+
+    return _make(out_vals, (x,), bwd, screened=True)

@@ -1,9 +1,18 @@
 """Gradient machinery against central finite differences."""
+import ast
+import gc
+import inspect
+import pathlib
+import weakref
+
 import numpy as np
 import pytest
 
 from aecnn import autodiff as ad
+from aecnn.config import desk_segmentation_config
+from aecnn.network import Model
 
+import reference_ops as ref
 from oracles import central_difference, relative_error
 
 TOL = 1e-4
@@ -37,7 +46,7 @@ def project(t, seed=99):
     """Deterministic scalarization: sum(t * w) for a weight array that is a
     pure function of the shape, so rebuilding the graph sees the same w."""
     w = np.random.default_rng(seed).normal(size=t.shape)
-    return ad.sum_reduce(ad.mul(t, ad.constant(w)))
+    return ref.sum_reduce(ref.mul(t, ad.constant(w)))
 
 
 def gapped(g, shape, axis):
@@ -62,25 +71,25 @@ class TestElementwise:
     def test_sub(self):
         g = rng(61)
         check_grads(
-            lambda a, b: project(ad.sub(a, b)),
+            lambda a, b: project(ref.sub(a, b)),
             [g.normal(size=(3, 4)), g.normal(size=(3, 4))],
         )
 
     def test_mul_broadcast(self):
         g = rng(62)
         check_grads(
-            lambda a, b: project(ad.mul(a, b)),
+            lambda a, b: project(ref.mul(a, b)),
             [g.normal(size=(2, 3, 4)), g.normal(size=(3, 4))],
         )
         check_grads(
-            lambda a, b: project(ad.mul(a, b)),
+            lambda a, b: project(ref.mul(a, b)),
             [g.normal(size=(3, 1)), g.normal(size=(2, 3, 4))],
         )
 
     def test_scale_square(self):
         g = rng(63)
         check_grads(
-            lambda a: project(ad.square(ad.scale(a, -1.7))),
+            lambda a: project(ref.square(ad.scale(a, -1.7))),
             [g.normal(size=(6,))],
         )
 
@@ -108,11 +117,11 @@ class TestLinearRelu:
         g = rng(66)
         x = g.normal(size=(4, 6))
         x += np.sign(x) * 0.05  # keep away from the kink
-        check_grads(lambda a: project(ad.relu(a)), [x])
+        check_grads(lambda a: project(ref.relu(a)), [x])
 
     def test_relu_zero_gets_zero_grad(self):
         x = ad.parameter(np.array([0.0, -1.0, 2.0]))
-        ad.backward(ad.sum_reduce(ad.relu(x)))
+        ad.backward(ref.sum_reduce(ref.relu(x)))
         assert np.array_equal(x.grad, [0.0, 0.0, 1.0])
 
     def test_relu_values_bitwise_including_signed_zero(self):
@@ -123,7 +132,7 @@ class TestLinearRelu:
         x[1::3, 1::2] = 0.0
         for view in (x, x.T, x[:, ::2]):
             want = np.where(view > 0, view, 0.0)
-            got = ad.relu(ad.constant(view)).values
+            got = ref.relu(ad.constant(view)).values
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -132,7 +141,7 @@ class TestReductions:
     def test_max_pool_set(self):
         g = rng(67)
         x = gapped(g, (3, 5, 4), axis=1)
-        check_grads(lambda a: project(ad.max_pool_set(a)), [x])
+        check_grads(lambda a: project(ad.max_reduce(a, axis=-2)), [x])
 
     def test_max_reduce_middle_axis(self):
         g = rng(68)
@@ -143,7 +152,7 @@ class TestReductions:
 
     def test_max_tie_goes_to_first(self):
         x = ad.parameter(np.array([[1.0], [3.0], [3.0]]))  # set of 3 scalars
-        ad.backward(ad.sum_reduce(ad.max_pool_set(x)))
+        ad.backward(ref.sum_reduce(ad.max_reduce(x, axis=-2)))
         assert np.array_equal(x.grad, [[0.0], [1.0], [0.0]])
 
     def test_forward_only_max_matches_tracked(self):
@@ -173,7 +182,7 @@ class TestReductions:
                 want = np.squeeze(np.take_along_axis(v, am, axis), axis=axis)
                 assert np.array_equal(out.values, want, equal_nan=True)
                 assert np.array_equal(np.signbit(out.values), np.signbit(want))
-                ad.backward(ad.sum_reduce(out))
+                ad.backward(ref.sum_reduce(out))
                 routed = np.zeros_like(v)
                 np.put_along_axis(routed, am, 1.0, axis)
                 assert np.array_equal(p.grad, routed)
@@ -182,14 +191,14 @@ class TestReductions:
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            ad.max_pool_set(ad.constant(np.zeros((2, 0, 3))))
+            ad.max_reduce(ad.constant(np.zeros((2, 0, 3))), axis=-2)
 
     def test_sum_and_mean(self):
         g = rng(69)
-        check_grads(lambda a: ad.sum_reduce(a), [g.normal(size=(3, 4))])
-        check_grads(lambda a: ad.mean_reduce(a), [g.normal(size=(3, 4))])
+        check_grads(lambda a: ref.sum_reduce(a), [g.normal(size=(3, 4))])
+        check_grads(lambda a: ref.mean_reduce(a), [g.normal(size=(3, 4))])
         check_grads(
-            lambda a: project(ad.sum_reduce(a, axis=1)),
+            lambda a: project(ref.sum_reduce(a, axis=1)),
             [g.normal(size=(3, 2, 5))],
         )
 
@@ -216,10 +225,10 @@ class TestConcatGather:
     def test_expand_set(self):
         g = rng(97)
         check_grads(
-            lambda x: project(ad.expand_set(x, 5)),
+            lambda x: project(ref.expand_set(x, 5)),
             [g.normal(size=(2, 3, 4))],
         )
-        out = ad.expand_set(ad.constant(np.ones((2, 3))), 4, axis=1)
+        out = ref.expand_set(ad.constant(np.ones((2, 3))), 4, axis=1)
         assert out.shape == (2, 4, 3)
 
     def test_gather_rows_with_repeats(self):
@@ -289,8 +298,8 @@ class TestConcatGather:
 
 def edge_chain(x_i, xhat, t):
     """The edge feature built from expand_set, sub and concat."""
-    rep = ad.expand_set(x_i, xhat.values.shape[-2])
-    parts = [rep, ad.sub(xhat, rep)]
+    rep = ref.expand_set(x_i, xhat.values.shape[-2])
+    parts = [rep, ref.sub(xhat, rep)]
     if t is not None:
         parts.append(ad.constant(t))
     return ad.concat(parts)
@@ -319,7 +328,7 @@ class TestEdgeFeatures:
             x_i = ad.gather_rows(src, sub)
             xhat = ad.linear(ad.gather_rows(src, graph), w)
             out = build(x_i, xhat, t)
-            ad.backward(project(ad.relu(out)))
+            ad.backward(project(ref.relu(out)))
             got.append((out.values, src.grad, w.grad))
         for a, b in zip(*got):
             assert np.array_equal(a, b)
@@ -333,7 +342,7 @@ class TestEdgeFeatures:
         grads = []
         for build in (ad.edge_features, edge_chain):
             x = ad.parameter(x0)
-            ad.backward(project(build(x, ad.expand_set(x, 5), None)))
+            ad.backward(project(build(x, ref.expand_set(x, 5), None)))
             grads.append(x.grad)
         assert np.array_equal(grads[0], grads[1])
         w = np.random.default_rng(99).normal(size=(2, 3, 5, 8))
@@ -351,7 +360,7 @@ def prefix_chain(src, idx, prefix):
 
 
 def weighted_sum_chain(x, w):
-    return ad.sum_reduce(ad.mul(x, ad.constant(w[..., None])), axis=2)
+    return ref.sum_reduce(ref.mul(x, ad.constant(w[..., None])), axis=2)
 
 
 class TestPrefixGatherWeightedSum:
@@ -373,7 +382,7 @@ class TestPrefixGatherWeightedSum:
             src, w = ad.parameter(src0), ad.parameter(w0)
             x_i = ad.gather_rows(src, sub)
             a = build(src, graph, prefix)
-            out = ad.edge_features(x_i, ad.linear(ad.relu(a), w))
+            out = ad.edge_features(x_i, ad.linear(ref.relu(a), w))
             ad.backward(project(out))
             got.append((a.values, out.values, src.grad, w.grad))
         a0 = got[0][0]
@@ -403,9 +412,9 @@ class TestPrefixGatherWeightedSum:
         got = []
         for build in (ad.weighted_sum, weighted_sum_chain):
             src = ad.parameter(src0)
-            x = ad.relu(ad.gather_rows(src, nn3))
+            x = ref.relu(ad.gather_rows(src, nn3))
             out = build(x, w)
-            ad.backward(project(ad.relu(out)))
+            ad.backward(project(ref.relu(out)))
             got.append((out.values, src.grad))
         for a, b in zip(*got):
             assert np.array_equal(a, b)
@@ -543,7 +552,7 @@ class TestGraphMechanics:
         w = g.normal(size=(6, 3))
 
         def run():
-            return ad.relu(ad.linear(ad.constant(x), ad.constant(w))).values
+            return ref.relu(ad.linear(ad.constant(x), ad.constant(w))).values
 
         assert np.array_equal(run(), run())
 
@@ -555,12 +564,12 @@ class TestGraphMechanics:
     def test_backward_requires_scalar(self):
         x = ad.parameter(np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            ad.backward(ad.relu(x))
+            ad.backward(ref.relu(x))
 
     def test_grads_accumulate_across_uses(self):
         x = ad.parameter(np.array([2.0]))
-        y = ad.add(ad.square(x), ad.scale(x, 3.0))  # x^2 + 3x
-        ad.backward(ad.sum_reduce(y))
+        y = ad.add(ref.square(x), ad.scale(x, 3.0))  # x^2 + 3x
+        ad.backward(ref.sum_reduce(y))
         assert np.allclose(x.grad, [2.0 * 2.0 + 3.0])
 
     def test_finite_check_raises(self):
@@ -585,14 +594,94 @@ class TestGraphMechanics:
         old = ad.set_finite_checks(False)
         try:
             x = np.array([[np.nan, -1.0, 2.0], [0.5, -3.0, 1.0]])
-            assert np.array_equal(ad.relu(ad.constant(x)).values,
+            assert np.array_equal(ref.relu(ad.constant(x)).values,
                                   [[np.nan, 0.0, 2.0], [0.5, 0.0, 1.0]],
                                   equal_nan=True)
             for leaf in (ad.constant(x), ad.parameter(x)):
-                pooled = ad.max_reduce(ad.relu(leaf), axis=1).values
+                pooled = ad.max_reduce(ref.relu(leaf), axis=1).values
                 assert np.array_equal(pooled, [np.nan, 1.0], equal_nan=True)
         finally:
             ad.set_finite_checks(old)
+
+
+def tracked_ops(g):
+    """One tracked call of every op the package runs: (name, build)."""
+    x = ad.parameter(g.normal(size=(2, 5, 3)))
+    m = ad.parameter(g.normal(size=(2, 5, 3, 3)))
+    w = g.normal(size=(3, 4))
+    idx = g.integers(0, 5, size=(2, 4))
+    return [
+        ("add", lambda: ad.add(x, x)),
+        ("scale", lambda: ad.scale(x, 2.0)),
+        ("linear", lambda: ad.linear(x, ad.parameter(w))),
+        ("relu_inplace", lambda: ad.relu_inplace(ad.linear(x, w))),
+        ("max_reduce", lambda: ad.max_reduce(x, axis=1)),
+        ("weighted_sum", lambda: ad.weighted_sum(x, np.ones((2, 5)))),
+        ("reshape", lambda: ad.reshape(x, (10, 3))),
+        ("concat", lambda: ad.concat([x, x])),
+        ("edge_features", lambda: ad.edge_features(ad.max_reduce(x, axis=1), x)),
+        ("gather_rows", lambda: ad.gather_rows(x, idx, prefix=np.ones((2, 4, 1)))),
+        ("standardize", lambda: ad.standardize(x, np.ones(3), np.zeros(3), axes=(1,))),
+        ("cross_entropy", lambda: ad.cross_entropy(x, np.zeros((2, 5), dtype=int))),
+        ("edge_matvec", lambda: ad.edge_matvec(m, x)),
+        ("orthogonality_penalty", lambda: ad.orthogonality_penalty(m)),
+    ]
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+class TestGraphLifetime:
+    """No op output refers to itself, so reference counting alone frees a
+    graph that is dropped without a backward sweep."""
+
+    @pytest.mark.parametrize("name", [n for n, _ in tracked_ops(rng(85))])
+    def test_dropped_op_output_freed_at_once(self, name, no_cyclic_gc):
+        out = dict(tracked_ops(rng(85)))[name]()
+        assert out.needs_grad
+        probe = weakref.ref(out.values)
+        del out
+        assert probe() is None
+
+    def test_dropped_segmentation_forward_freed_at_once(self, no_cyclic_gc):
+        model = Model(desk_segmentation_config(), seed=0)
+        pts = rng(86).normal(size=(2, model.config.n_points, 3))
+        onehot = np.eye(model.config.n_classes)[[0, 1]]
+        logits, penalties = model.segment_batch(pts, onehot)
+        assert logits.needs_grad
+        probe = weakref.ref(logits.values)
+        del logits, penalties
+        assert probe() is None
+
+
+def test_every_public_op_has_a_package_caller():
+    """An op only the tests call belongs in tests/reference_ops.py."""
+    package = pathlib.Path(ad.__file__).parent
+    used = set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        aliases = {a.asname or a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   and node.module is None
+                   for a in node.names if a.name == "autodiff"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
+                used.update(a.name for a in node.names)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name) and node.value.id in aliases):
+                used.add(node.attr)
+    public = {name for name, obj in vars(ad).items()
+              if not name.startswith("_") and inspect.isfunction(obj)
+              and obj.__module__ == ad.__name__}
+    entry_points = {"parameter", "constant", "as_tensor", "backward",
+                    "set_finite_checks"}
+    assert sorted(public - entry_points - used) == []
 
 
 class TestGradientOwnership:
@@ -609,7 +698,7 @@ class TestGradientOwnership:
         # own; neither may see the other's later contributions.
         x = ad.parameter(np.array([1.0, 2.0]))
         y = ad.parameter(np.array([3.0, 4.0]))
-        s = ad.sum_reduce
+        s = ref.sum_reduce
         ad.backward(ad.add(ad.add(s(ad.add(x, y)), s(ad.scale(x, 3.0))),
                            s(ad.scale(y, 5.0))))
         assert np.array_equal(x.grad, [4.0, 4.0])
@@ -617,7 +706,7 @@ class TestGradientOwnership:
 
     def test_sub_same_tensor_gives_zero(self):
         x = ad.parameter(np.array([1.5, -2.0, 0.25]))
-        ad.backward(project(ad.sub(x, x)))
+        ad.backward(project(ref.sub(x, x)))
         assert np.array_equal(x.grad, np.zeros(3))
         assert not np.signbit(x.grad).any()
 
@@ -632,16 +721,16 @@ class TestGradientOwnership:
         # relu masks its output's grad in place and hands it down; the two
         # consumers must each see the whole upstream gradient.
         x = ad.parameter(np.array([[1.0, -1.0, 2.0]]))
-        h = ad.relu(x)
+        h = ref.relu(x)
         w = ad.parameter(np.array([[2.0], [3.0], [5.0]]))
-        y = ad.add(ad.sum_reduce(ad.linear(h, w)), ad.sum_reduce(ad.scale(h, 7.0)))
+        y = ad.add(ref.sum_reduce(ad.linear(h, w)), ref.sum_reduce(ad.scale(h, 7.0)))
         ad.backward(y)
         assert np.array_equal(x.grad, [[9.0, 0.0, 12.0]])
         assert np.array_equal(w.grad, [[1.0], [0.0], [2.0]])
 
     def test_negative_zero_contribution_stored_as_positive_zero(self):
         x = ad.parameter(np.array([3.0, -4.0]))
-        ad.backward(ad.sum_reduce(ad.scale(x, -0.0)))
+        ad.backward(ref.sum_reduce(ad.scale(x, -0.0)))
         assert np.array_equal(x.grad, [0.0, 0.0])
         assert not np.signbit(x.grad).any()
 
@@ -649,7 +738,7 @@ class TestGradientOwnership:
         x = ad.parameter(np.array([1.0, 2.0]))
         c = ad.constant(np.array([3.0, 4.0]))
         d = ad.constant(np.array([5.0, 6.0]))
-        ad.backward(ad.sum_reduce(ad.add(ad.mul(x, c), ad.sub(x, d))))
+        ad.backward(ref.sum_reduce(ad.add(ref.mul(x, c), ref.sub(x, d))))
         assert np.array_equal(x.grad, [4.0, 5.0])
         assert c.grad is None and d.grad is None
 
@@ -673,7 +762,7 @@ class TestGradientOwnership:
         finally:
             ad.set_finite_checks(True)
         try:
-            assert np.isnan(ad.relu(x).values[0, 0])
+            assert np.isnan(ref.relu(x).values[0, 0])
             with pytest.raises(FloatingPointError):
                 ad.linear(x, ad.constant(np.ones((2, 1))))
         finally:
@@ -694,10 +783,10 @@ class TestCompositeProbe:
         ]
 
         def build(w1, b1, w2, b2, w3, b3):
-            h = ad.relu(ad.linear(ad.constant(x), w1, b1))
-            h = ad.max_pool_set(h)            # pool neighbors
-            h = ad.relu(ad.linear(h, w2, b2))
-            h = ad.max_pool_set(h)            # pool refs
+            h = ref.relu(ad.linear(ad.constant(x), w1, b1))
+            h = ad.max_reduce(h, axis=-2)  # pool neighbors
+            h = ref.relu(ad.linear(h, w2, b2))
+            h = ad.max_reduce(h, axis=-2)  # pool refs
             return ad.cross_entropy(ad.linear(h, w3, b3), labels)
 
         check_grads(build, arrays, tol=1e-3, h=1e-5)

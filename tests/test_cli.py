@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import aecnn.cli as cli
 import aecnn.geometry as geo
 from aecnn.cli import main
 from aecnn.config import (
@@ -23,6 +24,7 @@ from aecnn.data import (
 from aecnn.lrf import compute_lrf, rir
 from aecnn.network import Model
 from aecnn.nn import Mlp, load_checkpoint, save_checkpoint
+from aecnn.training import train_classifier
 
 
 def tiny_cfg(**kw):
@@ -401,6 +403,43 @@ class TestAblate:
         assert "segmentation model but the synthetic" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    def test_invalid_cell_refused_before_any_training(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.ini", tiny_cfg())
+        out = tmp_path / "abl"
+        code = main(["ablate", cfg, str(out), "--variants", "edgeconv",
+                     "--searches", "knn", "--anchors", "mean", "--ks", "6,0",
+                     "--seeds", "0,1", "--epochs", "1", "--n-per-class", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "config error" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_interrupted_grid_keeps_finished_rows(self, tmp_path, capsys,
+                                                  monkeypatch):
+        calls = []
+
+        def train_then_fail(model, train_set, tc):
+            calls.append(model.config.variant)
+            if len(calls) == 2:
+                raise RuntimeError("interrupted")
+            return train_classifier(model, train_set, tc)
+
+        monkeypatch.setattr(cli, "train_classifier", train_then_fail)
+        cfg = write_cfg(tmp_path / "c.ini", tiny_cfg())
+        out = tmp_path / "abl"
+        with pytest.raises(RuntimeError, match="interrupted"):
+            main(["ablate", cfg, str(out), "--variants", "edgeconv,aeconv3",
+                  "--searches", "knn", "--anchors", "mean", "--ks", "6",
+                  "--seeds", "0", "--epochs", "1", "--n-per-class", "2"])
+        assert calls == ["edgeconv", "aeconv3"]
+        printed = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+        saved = [json.loads(l) for l in
+                 (out / "ablation.jsonl").read_text().splitlines()]
+        assert saved == [l for l in printed if l["type"] == "ablation"]
+        assert [r["variant"] for r in saved] == ["edgeconv"]
+        assert [p.name for p in out.iterdir()] == ["ablation.jsonl"]
 
     def test_default_grid_is_full_cross_product(self, tmp_path, capsys):
         # Only the header math; running 48 trainings is a flag away.

@@ -1,4 +1,6 @@
 """File formats, synthetic generators, and metrics."""
+import os
+
 import numpy as np
 import pytest
 
@@ -181,6 +183,59 @@ class TestDatasetBin:
         path.write_bytes(bytes(blob))
         with pytest.raises(FileFormatError, match="class id"):
             load_dataset_bin(path)
+
+    def test_part_label_above_u8_refused_before_writing(self, tmp_path):
+        # Stored as u8, 257 and 299 would reload as 1 and 43.
+        pts = np.random.default_rng(6).normal(size=(3, 3))
+        parts = tuple(f"p{i}" for i in range(300))
+        top = geo.PointCloud(pts, class_label=0, part_labels=[0, 1, 255])
+        _, back = self.round_trip(tmp_path, Dataset([top], ("a",), parts))
+        assert np.array_equal(back.samples[0].part_labels, [0, 1, 255])
+        path = tmp_path / "wide.bin"
+        over = geo.PointCloud(pts, class_label=0, part_labels=[257, 299, 3])
+        with pytest.raises(ValueError, match="sample 1: part label 299"):
+            save_dataset_bin(path, Dataset([top, over], ("a",), parts))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("field", ["class_names", "part_names", "split_tag"])
+    def test_name_longer_than_the_reader_accepts_refused(self, tmp_path, field):
+        def dataset(name):
+            names = {"class_names": ("a",), "part_names": ("p",), "split_tag": "s"}
+            names[field] = name if field == "split_tag" else (name,)
+            cloud = geo.PointCloud(np.ones((2, 3)), class_label=0)
+            return Dataset([cloud], **names)
+
+        longest = "\u00e9" * 32768  # 65,536 utf-8 bytes
+        _, back = self.round_trip(tmp_path, dataset(longest))
+        assert getattr(back, field) in (longest, (longest,))
+        path = tmp_path / "long.bin"
+        with pytest.raises(ValueError, match="65538 bytes"):
+            save_dataset_bin(path, dataset(longest + "\u00e9"))
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("writer", ["dataset", "xyz"])
+def test_failed_write_keeps_the_old_file(tmp_path, monkeypatch, writer):
+    ds = synth_segmentation(1, 8, np.random.default_rng(7))
+    path = tmp_path / f"out.{writer}"
+
+    def save(sample):
+        if writer == "dataset":
+            save_dataset_bin(path, Dataset([sample], ds.class_names, ds.part_names))
+        else:
+            save_xyz(path, sample)
+
+    save(ds.samples[0])
+    before = path.read_bytes()
+
+    def fsync_fails(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "fsync", fsync_fails)
+    with pytest.raises(OSError, match="disk full"):
+        save(ds.samples[1])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 class TestGenerators:

@@ -1,9 +1,13 @@
 """MLP container, Adam, schedule, and checkpoint round trips."""
+import os
+
 import numpy as np
 import pytest
 
 from aecnn import autodiff as ad
 from aecnn import nn
+
+import reference_ops as ref
 
 
 def rng(seed=0):
@@ -64,12 +68,12 @@ class TestMlp:
                     if not last:
                         if set_axes:
                             h = ad.standardize(h, gamma, beta, set_axes)
-                        h = ad.relu(h)
+                        h = ref.relu(h)
                 out = h
             else:
                 out = mlp(x, set_axes=set_axes)
             assert np.array_equal(x.values, x0)
-            ad.backward(ad.sum_reduce(ad.mul(out, ad.constant(np.cos(out.values)))))
+            ad.backward(ref.sum_reduce(ref.mul(out, ad.constant(np.cos(out.values)))))
             runs.append([out.values, x.grad] + [p.grad for p in store.values()])
         for a, b in zip(*runs):
             assert np.array_equal(a, b)
@@ -203,7 +207,7 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_failed_write_keeps_the_old_file(self, tmp_path):
-        # An empty name raises after the first array is written.
+        # An empty name is refused before the file is opened.
         g = rng(11)
         path = tmp_path / "model.ckpt"
         nn.save_checkpoint(path, {"a": g.normal(size=3)})
@@ -212,3 +216,34 @@ class TestCheckpoint:
             nn.save_checkpoint(path, {"a": g.normal(size=4), "": np.zeros(2)})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_failed_flush_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint(path, {"a": np.ones(3)})
+        before = path.read_bytes()
+
+        def fsync_fails(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", fsync_fails)
+        with pytest.raises(OSError, match="disk full"):
+            nn.save_checkpoint(path, {"a": np.zeros(4)})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+    def test_longest_name_and_highest_rank_round_trip(self, tmp_path):
+        name = "\u00e9" * 2048  # 4,096 utf-8 bytes
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint(path, {name: np.ones((1,) * 8)})
+        assert nn.load_checkpoint(path)[name].shape == (1,) * 8
+
+    @pytest.mark.parametrize("arrays,message", [
+        ({"\u00e9" * 2049: np.zeros(2)}, "4098 bytes"),
+        ({"deep": np.zeros((1,) * 9)}, "rank 9"),
+    ], ids=["long-name", "rank-9"])
+    def test_what_the_reader_rejects_is_refused_before_writing(
+            self, tmp_path, arrays, message):
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(nn.CheckpointError, match=message):
+            nn.save_checkpoint(path, {"a": np.ones(3), **arrays})
+        assert list(tmp_path.iterdir()) == []
