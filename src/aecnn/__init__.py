@@ -46,7 +46,6 @@ from aecnn.geometry import PointCloud, normalize, rodrigues, sample_arbitrary_ro
 from aecnn.lrf import (
     AnchorStrategy,
     Lrf,
-    RirPoint,
     compute_lrf,
     compute_lrf_batch,
     relative_rotation,
@@ -63,15 +62,8 @@ from aecnn.neighbors import (
 from aecnn.network import (
     AlignVariant,
     Model,
-    align_feature,
-    aligned_edge_conv,
-    classify,
     count_operations,
     count_parameters,
-    feature_propagation,
-    sa_first,
-    sa_next,
-    segment,
 )
 from aecnn.nn import Mlp, load_checkpoint, save_checkpoint
 from aecnn.training import (
@@ -97,16 +89,12 @@ __all__ = [
     "Model",
     "NetworkConfig",
     "PointCloud",
-    "RirPoint",
     "RunRecord",
     "SaFirstConfig",
     "SaNextConfig",
     "TrainConfig",
-    "align_feature",
-    "aligned_edge_conv",
     "ball_query",
     "build_index",
-    "classify",
     "compute_lrf",
     "compute_lrf_batch",
     "count_operations",
@@ -116,7 +104,6 @@ __all__ = [
     "evaluate_classification",
     "evaluate_miou",
     "farthest_point_sampling",
-    "feature_propagation",
     "knn",
     "knn_feature_graph",
     "load_checkpoint",
@@ -131,14 +118,11 @@ __all__ = [
     "rir",
     "rir_batch",
     "rodrigues",
-    "sa_first",
-    "sa_next",
     "sample_arbitrary_rotation",
     "save_checkpoint",
     "save_config",
     "save_dataset_bin",
     "save_xyz",
-    "segment",
     "synth_classification",
     "synth_segmentation",
     "train_classifier",

@@ -314,7 +314,7 @@ def cmd_invariance_audit(args) -> int:
     _emit({"type": "audit", "schema": SCHEMA_VERSION, "clouds": args.clouds,
            "rotations": args.rotations, "max_abs_deviation": worst,
            "argmax_agreement": agreement, "tolerance": args.tolerance,
-           "passed": passed})
+           "lrf_fallbacks": dict(model.lrf_fallbacks), "passed": passed})
     return EXIT_OK if passed else EXIT_AUDIT_FAILED
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -142,34 +142,6 @@ def rir(point, frame: Lrf) -> np.ndarray:
 def relative_rotation(frame_i: Lrf, frame_j: Lrf) -> np.ndarray:
     """Rotation carrying frame_j axes onto frame_i coordinates: E_i @ E_j^T."""
     return frame_i.basis @ frame_j.basis.T
-
-
-@dataclass
-class RirPoint:
-    """A neighbor j seen from reference i, in rotation-invariant terms."""
-
-    coords: np.ndarray     # (3,) t^i_j, the neighbor in frame i
-    rotation: np.ndarray   # (3, 3) E_i @ E_j^T
-    reference_index: int
-    neighbor_index: int
-
-
-def rir_neighborhood(frames: Sequence[Lrf], reference_index: int,
-                     neighbor_indices: Sequence[int]) -> list:
-    """RirPoint list for one reference and its neighbor frame indices."""
-    fi = frames[reference_index]
-    out = []
-    for j in neighbor_indices:
-        fj = frames[int(j)]
-        out.append(
-            RirPoint(
-                coords=rir(fj.origin, fi),
-                rotation=relative_rotation(fi, fj),
-                reference_index=int(reference_index),
-                neighbor_index=int(j),
-            )
-        )
-    return out
 
 
 # ---------------------------------------------------------------------------

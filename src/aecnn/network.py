@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional, Union
 
 import numpy as np
 
@@ -56,28 +55,6 @@ class AlignVariant(enum.Enum):
                 f"unknown align variant {name!r}; expected one of "
                 f"{[v.value for v in cls]}"
             ) from None
-
-
-@dataclass
-class SaOutput:
-    """Per-reference outputs of one set-abstraction block (single cloud)."""
-
-    ref_points: np.ndarray    # (r, 3)
-    frame_bases: np.ndarray   # (r, 3, 3)
-    features: np.ndarray      # (r, f)
-
-    def __post_init__(self):
-        r = self.ref_points.shape[0]
-        if self.frame_bases.shape[0] != r or self.features.shape[0] != r:
-            raise ValueError("ref_points, frames, features must align")
-
-    @property
-    def frames(self) -> list:
-        return [lrf.Lrf(origin=p, basis=b)
-                for p, b in zip(self.ref_points, self.frame_bases)]
-
-    def __len__(self) -> int:
-        return self.ref_points.shape[0]
 
 
 @dataclass
@@ -422,12 +399,20 @@ class Model:
 
     def predict_part_logits(self, points: np.ndarray, class_label: int) -> np.ndarray:
         return self.predict_part_logits_batch(np.asarray(points)[None],
-                                              [int(class_label)])[0]
+                                              [class_label])[0]
 
     def predict_part_logits_batch(self, points: np.ndarray,
                                   class_labels: np.ndarray) -> np.ndarray:
-        onehot = np.zeros((points.shape[0], self.config.n_classes))
-        onehot[np.arange(points.shape[0]), np.asarray(class_labels, dtype=int)] = 1.0
+        labels = np.asarray(class_labels)
+        b, n = points.shape[0], self.config.n_classes
+        if labels.shape != (b,):
+            raise ValueError(f"expected {b} class labels, got shape {labels.shape}")
+        if labels.dtype.kind not in "iu":
+            raise ValueError(f"class labels must be integers, got {labels.dtype}")
+        if ((labels < 0) | (labels >= n)).any():
+            raise ValueError(f"class labels must lie in [0, {n}), got {labels.tolist()}")
+        onehot = np.zeros((b, n))
+        onehot[np.arange(b), labels] = 1.0
         with self._inference():
             logits, _ = self.segment_batch(points, onehot)
         return logits.values
@@ -438,153 +423,6 @@ class Model:
         for pen in penalties:
             loss = ad.add(loss, ad.scale(pen, AECONV1_PENALTY_WEIGHT))
         return loss
-
-
-# ---------------------------------------------------------------------------
-# spec-facing functional interface (single cloud, numpy in / numpy out)
-# ---------------------------------------------------------------------------
-
-def as_model(config: NetworkConfig, weights: Union[Model, dict, None],
-             seed: int = 0) -> Model:
-    """Accept a Model, a {name: array} dict, or None (fresh weights)."""
-    if isinstance(weights, Model):
-        return weights
-    model = Model(config, seed=seed)
-    if weights is not None:
-        model.load_values(weights)
-    return model
-
-
-def pointnet_kernel(rirs: np.ndarray, weights) -> np.ndarray:
-    """Shared MLP over rows of (k, d) coordinates, max pooled to one vector."""
-    mlp = weights.h_mlp if isinstance(weights, Model) else weights
-    rirs = np.asarray(rirs, dtype=np.float64)
-    if rirs.ndim != 2 or rirs.shape[1] != mlp.in_width:
-        raise ValueError(
-            f"expected (k, {mlp.in_width}) coordinates, got {rirs.shape}"
-        )
-    out = ad.max_reduce(mlp(ad.constant(rirs)), axis=-2)
-    return out.values
-
-
-def sa_first(cloud, config: NetworkConfig, weights) -> SaOutput:
-    """First abstraction level of a single cloud."""
-    model = as_model(config, weights)
-    pts = geo.as_points(cloud)
-    with model._inference():
-        spts, _ = model._canonicalize(pts[None])
-        level = model._sa_first_batch(spts)
-        return SaOutput(level.pts[0], level.bases[0], level.feat.values[0])
-
-
-def align_feature(x_j, rotation, translation, weights, variant,
-                  frames: Optional[tuple] = None) -> np.ndarray:
-    """Align one neighbor feature vector into a reference frame.
-
-    `translation` may be a (3,) offset or a RirPoint; AEConv2 needs the raw
-    frame pair passed via `frames=(frame_i, frame_j)` because it consumes the
-    bases themselves rather than their relative rotation.
-    """
-    variant = AlignVariant.from_name(variant)
-    x = np.asarray(x_j, dtype=np.float64)
-    if isinstance(translation, lrf.RirPoint):
-        translation = translation.coords
-    t = np.asarray(translation, dtype=np.float64).reshape(1, 1, 1, 3)
-    if variant is AlignVariant.PLAIN_EDGECONV:
-        return x.copy()
-    align_mlp = weights.block_mlps[0][1] if isinstance(weights, Model) else weights
-    if variant is AlignVariant.AECONV2:
-        if frames is None:
-            raise ValueError("aeconv2 alignment needs frames=(frame_i, frame_j)")
-        bi = frames[0].basis.reshape(1, 1, 3, 3)
-        bj = frames[1].basis.reshape(1, 1, 1, 3, 3)
-    else:
-        rot = np.asarray(rotation, dtype=np.float64)
-        bi = np.eye(3).reshape(1, 1, 3, 3)
-        bj = rot.T.reshape(1, 1, 1, 3, 3)  # E_i @ E_j^T == rotation with E_i = I
-    pens: list = []
-    out = _align_edge_features(
-        variant, align_mlp, ad.constant(x.reshape(1, 1, -1)),
-        np.zeros((1, 1, 1), dtype=np.intp), bi, bj, t, pens
-    )
-    return out.values.reshape(-1)
-
-
-def aligned_edge_conv(prev: SaOutput, graph: nb.NeighborGraph, weights,
-                      variant) -> np.ndarray:
-    """Edge convolution over a prepared feature graph; returns (r', f')."""
-    model = weights if isinstance(weights, Model) else None
-    if model is None:
-        raise ValueError("aligned_edge_conv needs the Model as weights")
-    variant = AlignVariant.from_name(variant)
-    block_variant = model.block_mlps[0][0]
-    if variant is not block_variant:
-        raise ValueError(
-            f"model block 0 was built for {block_variant.value!r}, not {variant.value!r}"
-        )
-    level = _Level(pts=prev.ref_points[None], bases=prev.frame_bases[None],
-                   feat=ad.constant(prev.features[None]))
-    with model._inference():
-        out = model._edge_conv(level, graph.reference_indices[None],
-                               graph.neighbor_lists[None], 0, [])
-        return out.feat.values[0]
-
-
-def sa_next(prev: SaOutput, config: NetworkConfig, weights,
-            block_index: int = 0) -> SaOutput:
-    """Quarter the references, regroup in feature space, run the edge conv."""
-    model = as_model(config, weights)
-    if len(prev) < 4:
-        raise ValueError(f"sa_next needs at least 4 references, got {len(prev)}")
-    level = _Level(pts=prev.ref_points[None], bases=prev.frame_bases[None],
-                   feat=ad.constant(prev.features[None]))
-    with model._inference():
-        pens: list = []
-        out = model._sa_next_batch(level, block_index, pens)
-        return SaOutput(out.pts[0], out.bases[0], out.feat.values[0])
-
-
-def classify(cloud, config: NetworkConfig, weights) -> np.ndarray:
-    """Class logits (c,) for one cloud."""
-    model = as_model(config, weights)
-    return model.predict_logits(geo.as_points(cloud))
-
-
-def feature_propagation(coarse: SaOutput, fine_points: np.ndarray,
-                        fine_frames: np.ndarray, skip_features, weights,
-                        stage: int = 0) -> np.ndarray:
-    """Aligned 3-NN inverse-distance interpolation onto finer points."""
-    model = weights if isinstance(weights, Model) else None
-    if model is None or not model.fp_stages:
-        raise ValueError("feature_propagation needs a segmentation Model")
-    variant, align_mlp, mlp = model.fp_stages[stage]
-    fine_pts = np.asarray(fine_points, dtype=np.float64)[None]
-    if isinstance(fine_frames, (list, tuple)):
-        fine_bases = np.stack([f.basis for f in fine_frames])[None]
-    else:
-        fine_bases = np.asarray(fine_frames, dtype=np.float64)[None]
-    clevel = _Level(pts=coarse.ref_points[None], bases=coarse.frame_bases[None],
-                    feat=ad.constant(coarse.features[None]))
-    skip = None if skip_features is None else ad.constant(
-        np.asarray(skip_features, dtype=np.float64)[None]
-    )
-    with model._inference():
-        pens: list = []
-        out = model._propagate(clevel, fine_pts, fine_bases, skip, variant,
-                               align_mlp, mlp, pens)
-        return out.values[0]
-
-
-def segment(cloud, object_onehot, config: NetworkConfig, weights) -> np.ndarray:
-    """Per-point part logits (n, n_parts) for one cloud."""
-    model = as_model(config, weights)
-    pts = geo.as_points(cloud)
-    onehot = np.asarray(object_onehot, dtype=np.float64)
-    if onehot.ndim == 0 or onehot.size == 1:
-        return model.predict_part_logits(pts, int(onehot))
-    with model._inference():
-        logits, _ = model.segment_batch(pts[None], onehot[None])
-    return logits.values[0]
 
 
 # ---------------------------------------------------------------------------

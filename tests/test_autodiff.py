@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from aecnn import autodiff as ad
+from aecnn import network as net
 from aecnn.config import desk_segmentation_config
 from aecnn.network import Model
 
@@ -660,28 +661,58 @@ class TestGraphLifetime:
         assert probe() is None
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = pathlib.Path(ad.__file__).parent
+
+
+def uncalled_public_functions(module, roots, entry_points=()) -> list:
+    """Public functions of `module` that no file under `roots` uses.
+
+    A use is an import of the name, or an attribute read through an alias of
+    the module or of the package. The module's own definitions and the
+    package's re-exports in its __init__.py do not count.
+    """
+    package, short = module.__name__.rsplit(".", 1)
+    used = set()
+    for root in roots:
+        for path in root.rglob("*.py"):
+            if path == PACKAGE / "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            aliases = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    source = "." * node.level + (node.module or "")
+                    if source in (f".{short}", module.__name__, ".", package):
+                        used.update(a.name for a in node.names)
+                    if source in (".", package):
+                        aliases.update(a.asname or a.name for a in node.names
+                                       if a.name == short)
+                elif isinstance(node, ast.Import):
+                    aliases.update(a.asname or a.name for a in node.names
+                                   if a.name in (module.__name__, package))
+            used.update(node.attr for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id in aliases)
+    public = {name for name, obj in vars(module).items()
+              if not name.startswith("_") and inspect.isfunction(obj)
+              and obj.__module__ == module.__name__}
+    return sorted(public - set(entry_points) - used)
+
+
 def test_every_public_op_has_a_package_caller():
     """An op only the tests call belongs in tests/reference_ops.py."""
-    package = pathlib.Path(ad.__file__).parent
-    used = set()
-    for path in package.glob("*.py"):
-        tree = ast.parse(path.read_text())
-        aliases = {a.asname or a.name for node in ast.walk(tree)
-                   if isinstance(node, ast.ImportFrom) and node.level == 1
-                   and node.module is None
-                   for a in node.names if a.name == "autodiff"}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
-                used.update(a.name for a in node.names)
-            elif (isinstance(node, ast.Attribute)
-                  and isinstance(node.value, ast.Name) and node.value.id in aliases):
-                used.add(node.attr)
-    public = {name for name, obj in vars(ad).items()
-              if not name.startswith("_") and inspect.isfunction(obj)
-              and obj.__module__ == ad.__name__}
     entry_points = {"parameter", "constant", "as_tensor", "backward",
                     "set_finite_checks"}
-    assert sorted(public - entry_points - used) == []
+    assert uncalled_public_functions(ad, [PACKAGE], entry_points) == []
+
+
+def test_network_has_no_test_only_code():
+    """Model is the one way to run the network: every public function of
+    aecnn.network has a caller in the package, bench/ or demos/."""
+    roots = [PACKAGE, ROOT / "bench", ROOT / "demos"]
+    assert uncalled_public_functions(net, roots) == []
 
 
 class TestGradientOwnership:

@@ -326,6 +326,9 @@ class TestInvarianceAudit:
         assert report["passed"] is True
         assert report["max_abs_deviation"] < 1e-5
         assert report["argmax_agreement"] == 1.0
+        fallbacks = report["lrf_fallbacks"]
+        assert sorted(fallbacks) == ["degenerate_anchor", "degenerate_reference"]
+        assert all(type(n) is int and n >= 0 for n in fallbacks.values())
 
     def test_absolute_baseline_fails_with_exit_3(self, tmp_path, capsys):
         net = tiny_cfg(features="absolute", variant="edgeconv")

@@ -139,16 +139,6 @@ class TestRirOps:
         fb = lrf.compute_lrf(rb, nbodies)
         assert geo.is_rotation_matrix(lrf.relative_rotation(fa, fb), tol=1e-10)
 
-    def test_rir_neighborhood_packs_pairs(self):
-        g = rng(49)
-        refs = [make_neighborhood(g) for _ in range(3)]
-        frames = [lrf.compute_lrf(r, n) for r, n in refs]
-        pts = lrf.rir_neighborhood(frames, 0, [1, 2])
-        assert len(pts) == 2
-        assert pts[0].reference_index == 0 and pts[0].neighbor_index == 1
-        assert np.allclose(pts[0].coords, lrf.rir(frames[1].origin, frames[0]),
-                           atol=1e-15)
-
 
 class TestEquivariance:
     """The property the whole method rests on: rotate the cloud, frames

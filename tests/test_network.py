@@ -6,7 +6,6 @@ import pytest
 
 import aecnn.autodiff as ad
 import aecnn.geometry as geo
-import aecnn.lrf as lrfmod
 import aecnn.neighbors as nb
 from aecnn.config import (
     ConfigError,
@@ -21,18 +20,10 @@ from aecnn.network import (
     SA_FIRST_BLOCK_ELEMS,
     AlignVariant,
     Model,
-    SaOutput,
-    align_feature,
-    aligned_edge_conv,
-    as_model,
-    classify,
+    _align_edge_features,
+    _Level,
     count_operations,
     count_parameters,
-    feature_propagation,
-    pointnet_kernel,
-    sa_first,
-    sa_next,
-    segment,
 )
 
 from oracles import rotation_from_axis_angle
@@ -64,6 +55,17 @@ def random_cloud(rng, n=32):
 def rotations(rng, count):
     for _ in range(count):
         yield geo.sample_arbitrary_rotation(rng)
+
+
+def first_level(model, cloud):
+    """SA-first's level for one cloud, as the forward passes build it."""
+    with model._inference():
+        pts, _ = model._canonicalize(cloud[None])
+        return model._sa_first_batch(pts)
+
+
+def identity_frames(*shape):
+    return np.broadcast_to(np.eye(3), shape + (3, 3))
 
 
 class TestShapes:
@@ -120,10 +122,26 @@ class TestShapes:
         model = Model(cfg, seed=0)
         pts = random_cloud(np.random.default_rng(4))
         for run in [lambda: model.classify_batch(pts[None]),
-                    lambda: model.predict_logits(pts),
-                    lambda: classify(pts, cfg, model)]:
+                    lambda: model.predict_logits(pts)]:
             with pytest.raises(ConfigError, match="classification head"):
                 run()
+
+    def test_part_logits_reject_bad_class_labels(self, monkeypatch):
+        model = Model(tiny_seg_config(), seed=9)             # 3 object classes
+        pts = random_cloud(np.random.default_rng(56))
+        with monkeypatch.context() as m:
+            # Labels are checked before the forward pass starts.
+            m.setattr(model, "segment_batch", None)
+            for label in [-1, 3, 1.7, True, "1"]:
+                with pytest.raises(ValueError, match="class labels"):
+                    model.predict_part_logits(pts, label)
+            with pytest.raises(ValueError, match="expected 2 class labels"):
+                model.predict_part_logits_batch(np.stack([pts, pts]), [0])
+        with model._inference():
+            via_onehot, _ = model.segment_batch(pts[None], np.eye(3)[[1]])
+        for label in [1, np.int64(1)]:
+            assert np.array_equal(model.predict_part_logits(pts, label),
+                                  via_onehot.values[0])
 
     def test_segment_onehot_shape_checked(self):
         model = Model(tiny_seg_config(), seed=0)
@@ -322,98 +340,68 @@ class TestWeightManagement:
 
 
 class TestFunctionalOps:
-    def test_pointnet_kernel_single_neighbor(self):
-        # A one-point neighborhood pools to the MLP of that single row.
-        model = Model(tiny_config(), seed=8)
-        row = np.array([[0.1, -0.2, 0.3]])
-        got = pointnet_kernel(row, model)
-        via = model.h_mlp(ad.constant(row)).values[0]
-        assert np.array_equal(got, via)
-        assert got.shape == (16,)
+    """The network's stages, run on one cloud through Model's own methods."""
 
-    def test_pointnet_kernel_rejects_bad_width(self):
+    def test_pointnet_kernel_single_neighbor(self):
+        # A one-point neighborhood pools to the MLP of that single row; in
+        # identity frames the row is the neighbor's offset from its reference.
         model = Model(tiny_config(), seed=8)
-        with pytest.raises(ValueError, match="k, 3"):
-            pointnet_kernel(np.zeros((4, 5)), model)
+        with model._inference():
+            pts, _ = model._canonicalize(random_cloud(np.random.default_rng(50))[None])
+            ref_idx = nb.fps_batch(pts, 16)
+            nb_idx = np.roll(ref_idx, 1, axis=1)[..., None]
+            level = model._first_level(pts, nb_idx, identity_frames(1, 16), ref_idx)
+            offsets = pts[0, nb_idx[0, :, 0]] - pts[0, ref_idx[0]]
+            via = model.h_mlp(ad.constant(offsets)).values
+        assert level.feat.values.shape == (1, 16, 16)
+        assert np.array_equal(level.feat.values[0], via)
 
     def test_sa_first_output(self):
         rng = np.random.default_rng(50)
-        cfg = tiny_config()
-        model = Model(cfg, seed=9)
-        out = sa_first(random_cloud(rng), cfg, model)
-        assert isinstance(out, SaOutput)
-        assert len(out) == 16
-        assert out.features.shape == (16, 16)
-        for f in out.frames:
-            assert np.allclose(f.basis @ f.basis.T, np.eye(3), atol=1e-9)
+        model = Model(tiny_config(), seed=9)
+        level = first_level(model, random_cloud(rng))
+        assert level.pts.shape == (1, 16, 3)
+        assert level.feat.values.shape == (1, 16, 16)
+        gram = level.bases @ level.bases.swapaxes(-1, -2)
+        assert np.allclose(gram, identity_frames(1, 16), atol=1e-9)
 
     def test_sa_next_quarters_and_widens(self):
         rng = np.random.default_rng(51)
-        cfg = tiny_config()
-        model = Model(cfg, seed=9)
-        first = sa_first(random_cloud(rng), cfg, model)
-        out = sa_next(first, cfg, model)
-        assert len(out) == 4
-        assert out.features.shape == (4, 24)
-
-    def test_sa_next_needs_four_points(self):
-        cfg = tiny_config()
-        model = Model(cfg, seed=9)
-        prev = SaOutput(np.zeros((3, 3)), np.stack([np.eye(3)] * 3),
-                        np.zeros((3, 16)))
-        with pytest.raises(ValueError, match="at least 4"):
-            sa_next(prev, cfg, model)
+        model = Model(tiny_config(), seed=9)
+        first = first_level(model, random_cloud(rng))
+        with model._inference():
+            out = model._sa_next_batch(first, 0, [])
+        assert out.pts.shape == (1, 4, 3)
+        assert out.feat.values.shape == (1, 4, 24)
 
     def test_aligned_edge_conv_on_self_graph(self):
         rng = np.random.default_rng(52)
-        cfg = tiny_config()
-        model = Model(cfg, seed=9)
-        first = sa_first(random_cloud(rng), cfg, model)
-        graph = nb.knn_feature_graph(first.features, k=4)
-        out = aligned_edge_conv(first, graph, model, "aeconv3")
-        assert out.shape == (16, 24)
+        model = Model(tiny_config(variant="aeconv3"), seed=9)
+        first = first_level(model, random_cloud(rng))
+        graph = nb.knn_feature_graph(first.feat.values[0], k=4)
+        with model._inference():
+            out = model._edge_conv(first, graph.reference_indices[None],
+                                   graph.neighbor_lists[None], 0, []).feat.values
+        assert out.shape == (1, 16, 24)
         assert np.isfinite(out).all()
 
-    def test_aligned_edge_conv_checks_variant(self):
-        rng = np.random.default_rng(53)
-        cfg = tiny_config()
-        model = Model(cfg, seed=9)
-        first = sa_first(random_cloud(rng), cfg, model)
-        graph = nb.knn_feature_graph(first.features, k=4)
-        with pytest.raises(ValueError, match="aeconv1"):
-            aligned_edge_conv(first, graph, model, "aeconv1")
 
-    def test_classify_wrapper_matches_model(self):
-        rng = np.random.default_rng(54)
-        cfg = tiny_config()
-        model = Model(cfg, seed=9)
-        pts = random_cloud(rng)
-        assert np.array_equal(classify(pts, cfg, model), model.predict_logits(pts))
-
-    def test_classify_accepts_weight_dict(self):
-        rng = np.random.default_rng(55)
-        cfg = tiny_config()
-        model = Model(cfg, seed=9)
-        pts = random_cloud(rng)
-        got = classify(pts, cfg, model.values())
-        assert np.array_equal(got, model.predict_logits(pts))
-
-    def test_segment_wrapper_accepts_label_index(self):
-        rng = np.random.default_rng(56)
-        cfg = tiny_seg_config()
-        model = Model(cfg, seed=9)
-        pts = random_cloud(rng)
-        via_onehot = segment(pts, np.array([0.0, 1.0, 0.0]), cfg, model)
-        via_index = segment(pts, 1, cfg, model)
-        assert np.array_equal(via_onehot, via_index)
-        assert via_index.shape == (32, 2)
+def align_one(model, x, basis_i, basis_j, t):
+    """Block 0's alignment of one neighbor feature x into frame basis_i."""
+    variant, align_mlp = model.block_mlps[0][:2]
+    out = _align_edge_features(
+        variant, align_mlp, ad.constant(np.reshape(x, (1, 1, -1))),
+        np.zeros((1, 1, 1), dtype=np.intp), basis_i.reshape(1, 1, 3, 3),
+        basis_j.reshape(1, 1, 1, 3, 3), np.reshape(t, (1, 1, 1, 3)), [],
+    )
+    return out.values.reshape(-1)
 
 
 class TestAlignFeature:
     def test_plain_edgeconv_is_identity(self):
-        x = np.arange(5.0)
-        rot = np.eye(3)
-        got = align_feature(x, rot, np.zeros(3), None, "edgeconv")
+        model = Model(tiny_config(variant="edgeconv"), seed=10)
+        x = np.arange(16.0)
+        got = align_one(model, x, np.eye(3), np.eye(3), np.zeros(3))
         assert np.array_equal(got, x)
 
     def test_aeconv3_shape_and_determinism(self):
@@ -422,8 +410,8 @@ class TestAlignFeature:
         x = rng.normal(size=16)
         rot = rotation_from_axis_angle(np.array([0.0, 0.0, 1.0]), 0.4)
         t = rng.normal(size=3)
-        a = align_feature(x, rot, t, model, "aeconv3")
-        b = align_feature(x, rot, t, model, "aeconv3")
+        a = align_one(model, x, np.eye(3), rot.T, t)
+        b = align_one(model, x, np.eye(3), rot.T, t)
         assert a.shape == (16,)
         assert np.array_equal(a, b)
 
@@ -431,51 +419,38 @@ class TestAlignFeature:
         model = Model(tiny_config(variant="aeconv1"), seed=10)
         rng = np.random.default_rng(61)
         x = rng.normal(size=16)
-        rot = np.eye(3)
-        t = np.zeros(3)
-        got = align_feature(x, rot, t, model, "aeconv1")
+        got = align_one(model, x, np.eye(3), np.eye(3), np.zeros(3))
         # Doubling x must double the output: the alignment is linear in x.
-        got2 = align_feature(2 * x, rot, t, model, "aeconv1")
+        got2 = align_one(model, 2 * x, np.eye(3), np.eye(3), np.zeros(3))
         assert np.allclose(got2, 2 * got, atol=1e-12)
-
-    def test_aeconv2_needs_frames(self):
-        model = Model(tiny_config(variant="aeconv2"), seed=10)
-        with pytest.raises(ValueError, match="frames"):
-            align_feature(np.zeros(16), np.eye(3), np.zeros(3), model, "aeconv2")
 
     def test_aeconv2_with_frames(self):
         model = Model(tiny_config(variant="aeconv2"), seed=10)
-        fi = lrfmod.Lrf(origin=np.zeros(3), basis=np.eye(3))
-        fj = lrfmod.Lrf(origin=np.ones(3), basis=np.eye(3)[[1, 2, 0]])
-        got = align_feature(np.ones(16), np.eye(3), np.zeros(3), model,
-                            "aeconv2", frames=(fi, fj))
+        got = align_one(model, np.ones(16), np.eye(3), np.eye(3)[[1, 2, 0]],
+                        np.zeros(3))
         assert got.shape == (16,)
 
-    def test_translation_accepts_rir_point(self):
-        model = Model(tiny_config(variant="aeconv3"), seed=10)
-        rp = lrfmod.RirPoint(coords=np.array([0.1, 0.2, 0.3]),
-                             rotation=np.eye(3), reference_index=0,
-                             neighbor_index=1)
-        a = align_feature(np.ones(16), np.eye(3), rp, model, "aeconv3")
-        b = align_feature(np.ones(16), np.eye(3), rp.coords, model, "aeconv3")
-        assert np.array_equal(a, b)
+
+def propagate(model, coarse_pts, coarse_feat, fine_pts, skip):
+    """FP stage 1 of coarse rows onto fine points, all frames the identity."""
+    variant, align_mlp, mlp = model.fp_stages[0]
+    coarse = _Level(pts=coarse_pts[None], bases=identity_frames(1, len(coarse_pts)),
+                    feat=ad.constant(coarse_feat[None]))
+    with model._inference():
+        out = model._propagate(coarse, fine_pts[None], identity_frames(1, len(fine_pts)),
+                               ad.constant(skip[None]), variant, align_mlp, mlp, [])
+    return out.values[0]
 
 
 class TestFeaturePropagation:
     def test_interpolates_onto_fine_points(self):
         rng = np.random.default_rng(70)
-        cfg = tiny_seg_config()
-        model = Model(cfg, seed=11)
-        coarse = SaOutput(
-            ref_points=rng.normal(size=(4, 3)),
-            frame_bases=np.stack([np.eye(3)] * 4),
-            features=rng.normal(size=(4, 24)),
-        )
+        model = Model(tiny_seg_config(), seed=11)
+        coarse_pts = rng.normal(size=(4, 3))
+        coarse_feat = rng.normal(size=(4, 24))
         fine_pts = rng.normal(size=(10, 3))
-        fine_bases = np.stack([np.eye(3)] * 10)
         skip = rng.normal(size=(10, 16))
-        out = feature_propagation(coarse, fine_pts, fine_bases, skip, model,
-                                  stage=0)
+        out = propagate(model, coarse_pts, coarse_feat, fine_pts, skip)
         assert out.shape == (10, 16)
         assert np.isfinite(out).all()
 
@@ -483,32 +458,11 @@ class TestFeaturePropagation:
         # A fine point sitting exactly on a coarse point gets weights that
         # collapse onto that neighbor (inverse distance with a tiny floor).
         rng = np.random.default_rng(71)
-        cfg = tiny_seg_config()
-        model = Model(cfg, seed=11)
+        model = Model(tiny_seg_config(), seed=11)
         coarse_pts = np.array([[0.0, 0, 0], [5.0, 0, 0], [0, 5.0, 0], [0, 0, 5.0]])
-        coarse = SaOutput(
-            ref_points=coarse_pts,
-            frame_bases=np.stack([np.eye(3)] * 4),
-            features=rng.normal(size=(4, 24)),
-        )
-        fine = np.array([[0.0, 0, 0]])
-        bases = np.eye(3)[None]
-        skip = np.zeros((1, 16))
-        out = feature_propagation(coarse, fine, bases, skip, model, stage=0)
+        out = propagate(model, coarse_pts, rng.normal(size=(4, 24)),
+                        np.zeros((1, 3)), np.zeros((1, 16)))
         assert np.isfinite(out).all()
-
-    def test_frames_accept_lrf_list(self):
-        rng = np.random.default_rng(72)
-        cfg = tiny_seg_config()
-        model = Model(cfg, seed=11)
-        # Stage 1 consumes the width produced by stage 0 (fp_widths[0]).
-        coarse = SaOutput(rng.normal(size=(4, 3)), np.stack([np.eye(3)] * 4),
-                          rng.normal(size=(4, 16)))
-        frames = [lrfmod.Lrf(origin=np.zeros(3), basis=np.eye(3))
-                  for _ in range(6)]
-        fine = rng.normal(size=(6, 3))
-        out = feature_propagation(coarse, fine, frames, None, model, stage=1)
-        assert out.shape == (6, 12)
 
 
 class TestAccounting:
@@ -694,16 +648,6 @@ class TestLrfFallbackSurfacing:
         logits = model.predict_logits(pts)
         assert np.isfinite(logits).all()
         assert sum(model.lrf_fallbacks.values()) > 0
-
-
-def test_as_model_passthrough():
-    cfg = tiny_config()
-    model = Model(cfg, seed=0)
-    assert as_model(cfg, model) is model
-    fresh = as_model(cfg, None, seed=0)
-    assert np.array_equal(
-        fresh.params["head.w0"].values, model.params["head.w0"].values
-    )
 
 
 def test_variant_parse():
