@@ -8,38 +8,38 @@ move at all.
 import numpy as np
 
 import aecnn.geometry as geo
-from aecnn import build_index, compute_lrf, knn, rir
+from aecnn import compute_lrf_batch, rir_batch
+from aecnn.neighbors import knn_points_batch
 
 rng = np.random.default_rng(7)
 
-cloud = rng.normal(size=(40, 3))
-index = build_index(cloud)
-reference = cloud[12]
-neighbors = cloud[knn(index, reference, 8)]
 
-frame = compute_lrf(reference, neighbors)
-coords = np.stack([rir(p, frame) for p in neighbors])
+def frame_and_coords(cloud, index, k=8):
+    """The frame at cloud[index] and its k nearest neighbors in it."""
+    reference = cloud[index]
+    neighbors = cloud[knn_points_batch(cloud[None], reference[None, None], k)[0, 0]]
+    basis = compute_lrf_batch(reference, neighbors)
+    return basis, rir_batch(neighbors, reference, basis)
+
+
+cloud = rng.normal(size=(40, 3))
+basis, coords = frame_and_coords(cloud, 12)
 
 print("frame basis (rows are x, y, z):")
-print(np.round(frame.basis, 4))
+print(np.round(basis, 4))
 print("\nfirst three neighbors in frame coordinates:")
 print(np.round(coords[:3], 4))
 
 # Now rotate everything and repeat the construction from scratch.
 rotation = geo.sample_arbitrary_rotation(rng)
-cloud_r = cloud @ rotation.T
-reference_r = cloud_r[12]
-neighbors_r = cloud_r[knn(build_index(cloud_r), reference_r, 8)]
-
-frame_r = compute_lrf(reference_r, neighbors_r)
-coords_r = np.stack([rir(p, frame_r) for p in neighbors_r])
+basis_r, coords_r = frame_and_coords(cloud @ rotation.T, 12)
 
 print("\nafter a random rotation of the whole cloud:")
 print("basis drift (should be large):",
-      f"{np.abs(frame.basis - frame_r.basis).max():.3f}")
+      f"{np.abs(basis - basis_r).max():.3f}")
 print("coordinate drift (should be ~1e-16):",
       f"{np.abs(coords - coords_r).max():.2e}")
 
 # The two bases differ by exactly the applied rotation.
 print("basis_rotated vs basis @ R^T:",
-      f"{np.abs(frame_r.basis - frame.basis @ rotation.T).max():.2e}")
+      f"{np.abs(basis_r - basis @ rotation.T).max():.2e}")

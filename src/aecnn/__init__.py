@@ -43,22 +43,7 @@ from aecnn.data import (
     synth_segmentation,
 )
 from aecnn.geometry import PointCloud, normalize, rodrigues, sample_arbitrary_rotation
-from aecnn.lrf import (
-    AnchorStrategy,
-    Lrf,
-    compute_lrf,
-    compute_lrf_batch,
-    relative_rotation,
-    rir,
-    rir_batch,
-)
-from aecnn.neighbors import (
-    ball_query,
-    build_index,
-    farthest_point_sampling,
-    knn,
-    knn_feature_graph,
-)
+from aecnn.lrf import AnchorStrategy, compute_lrf_batch, rir_batch
 from aecnn.network import (
     AlignVariant,
     Model,
@@ -83,7 +68,6 @@ __all__ = [
     "Dataset",
     "EpochStats",
     "FileFormatError",
-    "Lrf",
     "Metrics",
     "Mlp",
     "Model",
@@ -93,9 +77,6 @@ __all__ = [
     "SaFirstConfig",
     "SaNextConfig",
     "TrainConfig",
-    "ball_query",
-    "build_index",
-    "compute_lrf",
     "compute_lrf_batch",
     "count_operations",
     "count_parameters",
@@ -103,9 +84,6 @@ __all__ = [
     "desk_segmentation_config",
     "evaluate_classification",
     "evaluate_miou",
-    "farthest_point_sampling",
-    "knn",
-    "knn_feature_graph",
     "load_checkpoint",
     "load_config",
     "load_dataset_bin",
@@ -114,8 +92,6 @@ __all__ = [
     "paper_scale_config",
     "predict_parts",
     "protocol_rotation",
-    "relative_rotation",
-    "rir",
     "rir_batch",
     "rodrigues",
     "sample_arbitrary_rotation",

@@ -395,21 +395,21 @@ def cmd_lrf_dump(args) -> int:
         return _fail(e)
     pts = cloud.points
     k = min(args.k, pts.shape[0])
-    neighbors = nb.knn_points(pts, pts, k)
+    neighbors = nb.knn_points_batch(pts[None], pts[None], k)[0]
+    hoods = pts[neighbors]
     counts: dict = {}
-    bases = lrfmod.compute_lrf_batch(pts, pts[neighbors], strategy=args.anchor,
+    bases = lrfmod.compute_lrf_batch(pts, hoods, strategy=args.anchor,
                                      counts=counts)
+    rirs = lrfmod.rir_batch(hoods, pts, bases)
     _emit({"type": "lrf_dump_header", "schema": SCHEMA_VERSION,
            "points": int(pts.shape[0]), "k": int(k), "anchor": args.anchor,
            "degenerate_fallbacks": {key: int(v) for key, v in counts.items()}})
     for i in range(pts.shape[0]):
-        rirs = lrfmod.rir_batch(pts[neighbors[i]][None], pts[i][None],
-                                bases[i][None])[0]
         _emit({
             "type": "lrf", "index": i, "origin": pts[i].tolist(),
             "basis": bases[i].tolist(),
             "neighbors": neighbors[i].tolist(),
-            "rirs": rirs.tolist(),
+            "rirs": rirs[i].tolist(),
         })
     return EXIT_OK
 

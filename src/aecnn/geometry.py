@@ -68,11 +68,6 @@ def as_points(cloud) -> np.ndarray:
     return pts
 
 
-def centroid(cloud) -> np.ndarray:
-    """Arithmetic mean of the points, shape (3,)."""
-    return as_points(cloud).mean(axis=0)
-
-
 def max_radius(points: np.ndarray) -> float:
     return float(np.sqrt((points * points).sum(axis=1).max()))
 
@@ -115,16 +110,6 @@ def rodrigues(axis, angle: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
-def is_rotation_matrix(r: np.ndarray, tol: float = 1e-9) -> bool:
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape != (3, 3):
-        return False
-    return bool(
-        np.allclose(r @ r.T, np.eye(3), atol=tol)
-        and abs(np.linalg.det(r) - 1.0) <= tol
-    )
-
-
 def sample_arbitrary_rotation(rng: np.random.Generator) -> np.ndarray:
     """Rotation about a uniformly distributed axis by a uniform [0, 2pi) angle.
 
@@ -147,17 +132,6 @@ def rotation_about_y(angle: float) -> np.ndarray:
 def sample_y_rotation(rng: np.random.Generator) -> np.ndarray:
     """Rotation about the vertical (+y) axis by a uniform [0, 2pi) angle."""
     return rotation_about_y(rng.uniform(0.0, 2.0 * np.pi))
-
-
-def apply_rotation(cloud, rotation: np.ndarray) -> PointCloud:
-    """Rotate every point: row i becomes R @ p_i. Labels ride along unchanged."""
-    rotation = np.asarray(rotation, dtype=np.float64)
-    if rotation.shape != (3, 3):
-        raise ValueError(f"rotation must have shape (3, 3), got {rotation.shape}")
-    pts = as_points(cloud) @ rotation.T
-    if isinstance(cloud, PointCloud):
-        return PointCloud(pts, cloud.class_label, cloud.part_labels)
-    return PointCloud(pts)
 
 
 def apply_scale_translation(cloud, scale: float, translation) -> PointCloud:

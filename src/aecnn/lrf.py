@@ -15,26 +15,14 @@ of the package is built on and is tested to 1e-7.
 from __future__ import annotations
 
 import enum
-import logging
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 # Degeneracy threshold on intermediate vector norms, in model units.
 EPS = 1e-8
 
 ORIGIN = np.zeros(3)
-
-
-class DegenerateReferenceError(ValueError):
-    """Reference point coincides with the origin: no z axis exists."""
-
-
-class DegenerateAnchorError(ValueError):
-    """Anchor projects onto the z axis: no x axis exists."""
 
 
 class AnchorStrategy(enum.Enum):
@@ -56,96 +44,8 @@ class AnchorStrategy(enum.Enum):
             ) from None
 
 
-@dataclass
-class Lrf:
-    """Orthonormal right-handed frame rooted at a reference point.
-
-    basis rows are (x, y, z); world -> frame is basis @ (q - origin_point),
-    where origin_point is the reference the frame sits at.
-    """
-
-    origin: np.ndarray   # (3,) the reference point the frame is rooted at
-    basis: np.ndarray    # (3, 3) rows x, y, z
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.basis[0]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.basis[1]
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.basis[2]
-
-
-def _neighbor_array(neighbors) -> np.ndarray:
-    neighbors = np.asarray(neighbors, dtype=np.float64)
-    if neighbors.ndim != 2 or neighbors.shape[1] != 3 or neighbors.shape[0] < 1:
-        raise ValueError(f"neighbors must have shape (k, 3), got {neighbors.shape}")
-    return neighbors
-
-
-def anchor_mean(neighbors: np.ndarray) -> np.ndarray:
-    """Anchor = barycenter of the neighborhood."""
-    return _neighbor_array(neighbors).mean(axis=0)
-
-
-def anchor_max_projection(neighbors: np.ndarray, reference, origin=ORIGIN) -> np.ndarray:
-    """Anchor = neighbor with the largest distance from the z axis.
-
-    The projected distance is measured perpendicular to z = (reference -
-    origin); ties resolve to the smallest neighbor index.
-    """
-    neighbors = _neighbor_array(neighbors)
-    origin = np.asarray(origin, dtype=np.float64)
-    z, bad_ref = _z_axes(np.asarray(reference, dtype=np.float64), origin)
-    _raise_if_degenerate(bad_ref)
-    return _farthest_from_axis(neighbors, z, origin)
-
-
-def compute_lrf(reference, neighbors, origin=ORIGIN,
-                strategy: Union[str, AnchorStrategy] = AnchorStrategy.MEAN) -> Lrf:
-    """Frame at `reference` for a cloud centered at `origin`.
-
-    Raises DegenerateReferenceError when the reference sits on the origin and
-    DegenerateAnchorError when the anchor direction is parallel to z. Callers
-    that cannot afford exceptions use compute_lrf_batch, which applies
-    deterministic fallback axes instead.
-    """
-    reference = np.asarray(reference, dtype=np.float64)
-    basis, bad_ref, bad_anchor = _frames(reference, _neighbor_array(neighbors),
-                                         origin, strategy)
-    _raise_if_degenerate(bad_ref, bad_anchor)
-    return Lrf(origin=reference.copy(), basis=basis)
-
-
-def _raise_if_degenerate(bad_ref, bad_anchor=False):
-    """Raise for a single frame where compute_lrf_batch would fall back."""
-    if bad_ref:
-        raise DegenerateReferenceError(
-            f"reference within {EPS} of the origin, z axis undefined"
-        )
-    if bad_anchor:
-        raise DegenerateAnchorError(
-            f"anchor within {EPS} of the z axis, x axis undefined"
-        )
-
-
-def rir(point, frame: Lrf) -> np.ndarray:
-    """Coordinates of `point` in `frame`: basis @ (point - frame.origin)."""
-    point = np.asarray(point, dtype=np.float64)
-    return frame.basis @ (point - frame.origin)
-
-
-def relative_rotation(frame_i: Lrf, frame_j: Lrf) -> np.ndarray:
-    """Rotation carrying frame_j axes onto frame_i coordinates: E_i @ E_j^T."""
-    return frame_i.basis @ frame_j.basis.T
-
-
 # ---------------------------------------------------------------------------
-# batched kernels (network hot path), with deterministic degeneracy fallbacks
+# frame kernels (network hot path), with deterministic degeneracy fallbacks
 # ---------------------------------------------------------------------------
 
 _FALLBACK_Z = np.array([0.0, 0.0, 1.0])
@@ -161,31 +61,9 @@ def compute_lrf_batch(references: np.ndarray, neighborhoods: np.ndarray,
 
     Returns bases of shape (..., 3, 3), rows (x, y, z). Degenerate rows do
     not raise; they take fixed fallback axes (z -> +z; x -> projected +x,
-    then projected +y) and are counted in `counts` and logged, because a
-    training batch cannot abort on one bad neighborhood mid-epoch.
+    then projected +y) and are counted in `counts`, because a training
+    batch cannot abort on one bad neighborhood mid-epoch.
     """
-    bases, bad_ref, bad_anchor = _frames(references, neighborhoods, origin, strategy)
-    n_bad_ref = int(bad_ref.sum())
-    n_bad_anchor = int(bad_anchor.sum())
-    if counts is not None:
-        counts["degenerate_reference"] = counts.get("degenerate_reference", 0) + n_bad_ref
-        counts["degenerate_anchor"] = counts.get("degenerate_anchor", 0) + n_bad_anchor
-    if n_bad_ref or n_bad_anchor:
-        # Anchor fallbacks are routine (self-padded or symmetric neighborhoods);
-        # a reference coinciding with the frame origin is worth a warning.
-        level = logging.WARNING if n_bad_ref else logging.DEBUG
-        log.log(
-            level,
-            "lrf fallback: %d degenerate references, %d degenerate anchors (of %d)",
-            n_bad_ref, n_bad_anchor, bad_ref.size,
-        )
-    return bases
-
-
-def _frames(references, neighborhoods, origin, strategy):
-    """Bases (..., 3, 3) for references (..., 3) with neighborhoods
-    (..., k, 3), plus the degenerate-reference and degenerate-anchor masks
-    (...); flagged rows take the fallback axes."""
     references = np.asarray(references, dtype=np.float64)
     neighborhoods = np.asarray(neighborhoods, dtype=np.float64)
     origin = np.asarray(origin, dtype=np.float64)
@@ -201,8 +79,11 @@ def _frames(references, neighborhoods, origin, strategy):
     x = x_dir / np.where(xn <= EPS, 1.0, xn)
     if bad_x.any():
         x = _fallback_x(x, z, bad_x)
-    y = np.cross(z, x)
-    return np.stack([x, y, z], axis=-2), bad_ref, bad_x & ~bad_ref
+    if counts is not None:
+        for key, bad in (("degenerate_reference", bad_ref),
+                         ("degenerate_anchor", bad_x & ~bad_ref)):
+            counts[key] = counts.get(key, 0) + int(bad.sum())
+    return np.stack([x, np.cross(z, x), z], axis=-2)
 
 
 def _z_axes(references: np.ndarray, origin: np.ndarray):

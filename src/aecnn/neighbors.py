@@ -1,4 +1,4 @@
-"""Neighborhood machinery: kNN / ball queries, FPS, feature graphs.
+"""Neighborhood machinery: kNN / ball queries, FPS, feature-space kNN.
 
 All selection rules are exact and deterministic. Candidates are ordered by
 (distance, index) lexicographically, so equal distances always resolve to the
@@ -6,13 +6,12 @@ smaller point index; farthest point sampling breaks max-distance ties by
 lexicographically smallest coordinate triple, then smallest index. These
 tie-breaks are part of the contract (tests compare against brute-force
 oracles for equality, not closeness). No rule can order a NaN or an
-infinity, so every FPS, kNN and ball entry point rejects non-finite points
-with a ValueError, as `knn_feature_graph` rejects non-finite features.
+infinity, so every FPS, kNN and ball search rejects non-finite points
+with a ValueError.
 
-Every search is a flat vectorized scan over a batch of clouds. The
-single-cloud and single-query entry points (`knn_points`, `ball_points`,
-`build_index` plus `knn` / `ball_query`, `farthest_point_sampling`) are calls
-into the batched ones, so each rule has one implementation.
+Every search is a flat vectorized scan over a batch of clouds, and each
+search checks its corpus and queries the same way: both of rank 3, the
+same batch size and width, and at least one corpus point.
 
 Distances come from one of two scans. Points in 3-D go through
 `_point_sq_distances`, which works on coordinate-major (3, B, n) copies with
@@ -23,11 +22,11 @@ speed. `feature_sq_distances` is the exact formula for features of any
 width: squared distances from explicit differences, one cloud at a time, in
 query blocks whose difference tensor fits in about 4 MB.
 
-Feature kNN (`knn_features_batch`, and `knn_feature_graph` through it)
-does not scan every difference. It screens with |q|^2 + |c|^2 - 2 q.c from
-one batched matmul over all clouds, keeps every candidate whose screen value
-is within a proven rounding bound of the row's k-th smallest, and re-scores
-only those survivors from explicit differences with the same einsum, so the
+Feature kNN (`knn_features_batch`) does not scan every difference. It
+screens with |q|^2 + |c|^2 - 2 q.c from one batched matmul over all
+clouds, keeps every candidate whose screen value is within a proven
+rounding bound of the row's k-th smallest, and re-scores only those
+survivors from explicit differences with the same einsum, so the
 neighbours are exactly the full scan's (the proof is in
 `_screened_nearest_k`). When k >= n, or a norm is NaN, infinite or too large
 for the bound, it scans in full.
@@ -42,12 +41,9 @@ first k columns of a stable argsort, bit for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-from .geometry import as_points
 
 
 # ---------------------------------------------------------------------------
@@ -112,68 +108,6 @@ def _lexsort_kept(flat: np.ndarray, keep: np.ndarray, k: int) -> np.ndarray:
     return cols[order[starts[:, None] + np.arange(k)]]
 
 
-def knn_points(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k nearest points per query row, shape (q, k).
-
-    Ordered by (distance, index). When fewer than k points exist, the tail is
-    padded by repeating the nearest point.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    queries = np.asarray(queries, dtype=np.float64)
-    return knn_points_batch(points[None], queries[None], k)[0]
-
-
-def ball_points(points: np.ndarray, query: np.ndarray, radius: float,
-                max_k: int) -> np.ndarray:
-    """Indices within `radius` of one query point, shape (max_k,).
-
-    Membership is distance <= radius (tested on squared values). Results are
-    ordered by (distance, index) and truncated to max_k; short results are
-    padded by repeating the first entry. An empty ball degrades to the single
-    nearest point.
-    """
-    points = np.asarray(points, dtype=np.float64)
-    query = np.asarray(query, dtype=np.float64)
-    return ball_points_batch(points[None], query[None, None], radius, max_k)[0, 0]
-
-
-# ---------------------------------------------------------------------------
-# single-query interface
-# ---------------------------------------------------------------------------
-
-def build_index(cloud) -> np.ndarray:
-    """The (n, 3) points of a cloud, checked for `knn` and `ball_query`."""
-    points = as_points(cloud)
-    if points.shape[0] < 1:
-        raise ValueError("cannot index an empty point set")
-    _require_finite(points)
-    return points
-
-
-def _single_query(query) -> np.ndarray:
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (3,):
-        raise ValueError(f"query must have shape (3,), got {query.shape}")
-    return query
-
-
-def knn(index: np.ndarray, query, k: int) -> np.ndarray:
-    """k nearest indexed points for one query, ordered by (distance, index).
-
-    Pads by repeating the nearest point when the index holds fewer than k.
-    """
-    return knn_points(index, _single_query(query)[None], k)[0]
-
-
-def ball_query(index: np.ndarray, query, radius: float, max_k: int) -> np.ndarray:
-    """Indexed points with distance <= radius, ordered by (distance, index).
-
-    Truncated to max_k; padded by repeating the first hit; an empty ball
-    degrades to the single nearest point.
-    """
-    return ball_points(index, _single_query(query), radius, max_k)
-
-
 # ---------------------------------------------------------------------------
 # farthest point sampling
 # ---------------------------------------------------------------------------
@@ -196,26 +130,21 @@ def _argmax_tied(values: np.ndarray, points: np.ndarray) -> int:
     return int(cand[order[0]])
 
 
-def farthest_point_sampling(cloud, n_samples: int) -> np.ndarray:
-    """Greedy max-min subset of point indices, shape (n_samples,).
-
-    Seeded at the point farthest from the centroid; each step adds the point
-    maximizing distance to the already selected set. Ties resolve to the
-    lexicographically smallest coordinate triple, then the smallest index,
-    so symmetric inputs select deterministically.
-    """
-    return fps_batch(as_points(cloud)[None], n_samples)[0]
-
-
 def fps_batch(points: np.ndarray, n_samples: int) -> np.ndarray:
-    """farthest_point_sampling over a (B, n, 3) stack, shape (B, n_samples).
+    """Greedy max-min point indices of each (B, n, 3) cloud, shape (B, n_samples).
 
-    Same selection rule for every cloud; the generic step uses a
-    first-occurrence argmax and falls back to the full tie-break only for
-    rows that actually contain a tie. Distances are taken from a
-    coordinate-major (3, B, n) copy of the points into reused buffers.
+    Each cloud is seeded at its point farthest from the centroid; each step
+    adds the point maximizing distance to the already selected set. Ties
+    resolve to the lexicographically smallest coordinate triple, then the
+    smallest index, so symmetric inputs select deterministically. The
+    generic step uses a first-occurrence argmax and falls back to the full
+    tie-break only for rows that actually contain a tie. Distances are
+    taken from a coordinate-major (3, B, n) copy of the points into reused
+    buffers.
     """
     points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 3 or points.shape[2] != 3:
+        raise ValueError(f"expected (B, n, 3) points, got {points.shape}")
     _require_finite(points)
     b, n, _ = points.shape
     if not 1 <= n_samples <= n:
@@ -266,36 +195,8 @@ def _argmax_tied_batch(values: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# feature-space graphs
+# distance scans and searches
 # ---------------------------------------------------------------------------
-
-@dataclass
-class NeighborGraph:
-    """k nearest neighbors for a set of reference rows.
-
-    reference_indices: (r,) indices of the rows the graph was queried at.
-    neighbor_lists:    (r, k) neighbor indices, each row ordered by
-                       (distance, index) within the corpus the graph was
-                       built over.
-    space_tag:         "euclidean" or "feature".
-    """
-
-    reference_indices: np.ndarray
-    neighbor_lists: np.ndarray
-    space_tag: str
-
-    def __post_init__(self):
-        self.reference_indices = np.asarray(self.reference_indices, dtype=np.int64)
-        self.neighbor_lists = np.asarray(self.neighbor_lists, dtype=np.int64)
-        if self.neighbor_lists.shape[0] != self.reference_indices.shape[0]:
-            raise ValueError("one neighbor list per reference is required")
-        if self.space_tag not in ("euclidean", "feature"):
-            raise ValueError(f"unknown space_tag {self.space_tag!r}")
-
-    @property
-    def k(self) -> int:
-        return self.neighbor_lists.shape[1]
-
 
 def feature_sq_distances(corpus: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Squared distances from each query row to each corpus row, shape (q, n).
@@ -320,32 +221,6 @@ def feature_sq_distances(corpus: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return out
 
 
-def knn_feature_graph(features: np.ndarray, k: int,
-                      reference_indices: Optional[np.ndarray] = None) -> NeighborGraph:
-    """Dynamic kNN graph in feature space; each row's k nearest include itself.
-
-    Self-inclusion falls out of the ordering rule: a row is at distance zero
-    from itself, and zero distances resolve by index, so a reference with
-    duplicates keeps the smallest-index copies first.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise ValueError(f"features must have shape (n, f), got {features.shape}")
-    if not np.isfinite(features).all():
-        raise ValueError("features must be finite")
-    n = features.shape[0]
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if reference_indices is None:
-        refs = np.arange(n, dtype=np.int64)
-    else:
-        refs = np.asarray(reference_indices, dtype=np.int64)
-        if refs.ndim != 1 or (refs.size and (refs.min() < 0 or refs.max() >= n)):
-            raise ValueError("reference_indices out of range")
-    lists = knn_features_batch(features[None], features[refs][None], k)[0]
-    return NeighborGraph(refs, lists, "feature")
-
-
 def knn_features_batch(corpus: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     """Batched feature kNN: corpus (B, n, f), queries (B, q, f) -> (B, q, k).
 
@@ -359,6 +234,7 @@ def knn_features_batch(corpus: np.ndarray, queries: np.ndarray, k: int) -> np.nd
         raise ValueError(f"k must be >= 1, got {k}")
     corpus = np.asarray(corpus, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
+    _check_search_shapes(corpus, queries)
     if k < corpus.shape[1]:
         found = _screened_nearest_k(corpus, queries, k)
         if found is not None:
@@ -447,6 +323,22 @@ def _screened_nearest_k(corpus: np.ndarray, queries: np.ndarray,
     return _first_k_kept(flat, keep, k).reshape(b, q, k)
 
 
+def _check_search_shapes(corpus: np.ndarray, queries: np.ndarray,
+                         width: Optional[int] = None):
+    """Reject a corpus (B, n, f) and queries (B, q, f) no search can answer:
+    another rank, batch size or width, a width other than `width` when one
+    is given, or an empty corpus."""
+    if not (corpus.ndim == 3 and queries.ndim == 3 and corpus.shape[1] >= 1
+            and corpus.shape[0] == queries.shape[0]
+            and corpus.shape[2] == queries.shape[2]
+            and width in (None, corpus.shape[2])):
+        raise ValueError(
+            f"expected a (B, n, {width or 'f'}) corpus with n >= 1 and "
+            f"(B, q, {width or 'f'}) queries, got {corpus.shape} and "
+            f"{queries.shape}"
+        )
+
+
 def _point_sq_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Squared distances (B, q, n) from queries (B, q, 3) to points (B, n, 3).
 
@@ -456,11 +348,7 @@ def _point_sq_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     contiguous reduction of length three, so the result equals
     `feature_sq_distances` bit for bit.
     """
-    if points.shape[-1] != 3 or queries.shape[-1] != 3:
-        raise ValueError(
-            f"expected (B, n, 3) points and queries, got {points.shape} and "
-            f"{queries.shape}"
-        )
+    _check_search_shapes(points, queries, width=3)
     _require_finite(points, queries)
     b, n, _ = points.shape
     q = queries.shape[1]
@@ -482,27 +370,31 @@ def _point_sq_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
 def knn_points_batch(points: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
     """Batched euclidean kNN: points (B, n, 3), queries (B, q, 3) -> (B, q, k).
 
-    Distances come from the coordinate-major `_point_sq_distances` scan, the
-    selection from `_nearest_k`; equal to `knn_features_batch` bit for bit.
+    Ordered by (distance, index); when a cloud has fewer than k points, the
+    tail repeats the nearest point. Distances come from the coordinate-major
+    `_point_sq_distances` scan, the selection from `_nearest_k`; equal to
+    `knn_features_batch` bit for bit.
     """
     return _nearest_k(_point_sq_distances(points, queries), k)
 
 
 def ball_points_batch(points: np.ndarray, queries: np.ndarray, radius: float,
                       max_k: int) -> np.ndarray:
-    """Batched ball query with the same ordering/padding rules as ball_points.
+    """Points within `radius` of each query: (B, n, 3), (B, q, 3) -> (B, q, max_k).
 
-    Implemented as a masked sort: out-of-ball distances are pushed to +inf so
-    the stable argsort leaves in-ball hits, ordered by (distance, index), in
-    the leading columns; short rows are padded with their first hit, and
-    empty rows degrade to the single nearest point.
+    Membership is distance <= radius (tested on squared values). Hits are
+    ordered by (distance, index) and truncated to max_k; short rows are
+    padded by repeating the first hit, and an empty ball degrades to the
+    single nearest point. Implemented as a masked sort: out-of-ball
+    distances are pushed to +inf, so the stable argsort leaves the in-ball
+    hits in the leading columns.
     """
     if max_k < 1:
         raise ValueError(f"max_k must be >= 1, got {max_k}")
     if not radius > 0.0:
         raise ValueError(f"radius must be positive, got {radius!r}")
-    n = points.shape[1]
     d2 = _point_sq_distances(points, queries)
+    n = points.shape[1]
     inside = d2 <= radius * radius
     masked = np.where(inside, d2, np.inf)
     order = np.argsort(masked, axis=2, kind="stable")

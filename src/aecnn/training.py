@@ -45,6 +45,7 @@ class EpochStats:
     accuracy: float
     lr: float
     seconds: float
+    lrf_fallbacks: dict   # frames that took a fallback axis, by kind
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -186,6 +187,7 @@ def _train(model: Model, dataset: Dataset, tc: TrainConfig, segment: bool,
         rng = epoch_rng(tc.seed, epoch)
         lr = lr_schedule(epoch, tc.base_lr, tc.lr_decay, tc.lr_boundaries)
         perm = rng.permutation(len(samples))
+        fallbacks = dict(model.lrf_fallbacks)
         loss_sum = 0.0
         hits = 0
         total = 0
@@ -205,7 +207,9 @@ def _train(model: Model, dataset: Dataset, tc: TrainConfig, segment: bool,
             total += labels.size
         stats = EpochStats(epoch=epoch, loss=loss_sum / len(perm),
                            accuracy=hits / total, lr=lr,
-                           seconds=time.perf_counter() - e0)
+                           seconds=time.perf_counter() - e0,
+                           lrf_fallbacks={key: n - fallbacks.get(key, 0) for key, n
+                                          in model.lrf_fallbacks.items()})
         record.epoch_stats.append(stats)
         if checkpoint_path is not None:
             save_training_checkpoint(checkpoint_path, model, adam, epoch + 1)

@@ -199,6 +199,17 @@ def max_projection_anchor(neighbors, reference, origin):
     return best
 
 
+def is_rotation_matrix(r, tol=1e-9):
+    """Orthonormal with determinant +1, to within tol."""
+    r = np.asarray(r, dtype=np.float64)
+    if r.shape != (3, 3):
+        return False
+    return bool(
+        np.allclose(r @ r.T, np.eye(3), atol=tol)
+        and abs(np.linalg.det(r) - 1.0) <= tol
+    )
+
+
 def gram_schmidt_frame(reference, anchor, origin):
     """Frame construction routed through np.linalg instead of hand algebra."""
     z = reference - origin

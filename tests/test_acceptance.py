@@ -131,23 +131,24 @@ def test_search_oracle_equivalence():
         pts = rng.normal(size=(n, 3))
 
         s = int(rng.integers(1, min(n, 24) + 1))
-        if not np.array_equal(nb.farthest_point_sampling(pts, s), brute_fps(pts, s)):
+        if not np.array_equal(nb.fps_batch(pts[None], s)[0], brute_fps(pts, s)):
             mismatches.append(f"fps@{trial}")
 
-        index = nb.build_index(pts)
         k = int(rng.integers(1, min(n, 16) + 1))
         radius = float(rng.uniform(0.3, 1.5))
-        for query in rng.normal(size=(3, 3)):
-            if not np.array_equal(nb.knn(index, query, k), brute_knn(pts, query, k)):
+        queries = rng.normal(size=(3, 3))
+        knn = nb.knn_points_batch(pts[None], queries[None], k)[0]
+        ball = nb.ball_points_batch(pts[None], queries[None], radius, k)[0]
+        for query, got_knn, got_ball in zip(queries, knn, ball):
+            if not np.array_equal(got_knn, brute_knn(pts, query, k)):
                 mismatches.append(f"knn@{trial}")
-            got = nb.ball_query(index, query, radius, k)
-            if not np.array_equal(got, brute_ball(pts, query, radius, k)):
+            if not np.array_equal(got_ball, brute_ball(pts, query, radius, k)):
                 mismatches.append(f"ball@{trial}")
 
         feats = rng.normal(size=(n, 4))
         kf = int(rng.integers(1, min(n, 8) + 1))
-        graph = nb.knn_feature_graph(feats, kf)
-        if not np.array_equal(graph.neighbor_lists, brute_feature_knn(feats, kf)):
+        got = nb.knn_features_batch(feats[None], feats[None], kf)[0]
+        if not np.array_equal(got, brute_feature_knn(feats, kf)):
             mismatches.append(f"feature-knn@{trial}")
     check(
         "search-oracle-equivalence",

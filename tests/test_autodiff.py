@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 from aecnn import autodiff as ad
+from aecnn import geometry as geo
+from aecnn import lrf
+from aecnn import neighbors as nb
 from aecnn import network as net
 from aecnn.config import desk_segmentation_config
 from aecnn.network import Model
@@ -668,9 +671,10 @@ PACKAGE = pathlib.Path(ad.__file__).parent
 def uncalled_public_functions(module, roots, entry_points=()) -> list:
     """Public functions of `module` that no file under `roots` uses.
 
-    A use is an import of the name, or an attribute read through an alias of
-    the module or of the package. The module's own definitions and the
-    package's re-exports in its __init__.py do not count.
+    A use is an import of the name, an attribute read through an alias of
+    the module or of the package, or the bare name read inside the module
+    itself (a helper its own functions call). The module's own definitions
+    and the package's re-exports in its __init__.py do not count.
     """
     package, short = module.__name__.rsplit(".", 1)
     used = set()
@@ -679,6 +683,9 @@ def uncalled_public_functions(module, roots, entry_points=()) -> list:
             if path == PACKAGE / "__init__.py":
                 continue
             tree = ast.parse(path.read_text())
+            if path == pathlib.Path(module.__file__):
+                used.update(node.id for node in ast.walk(tree)
+                            if isinstance(node, ast.Name))
             aliases = set()
             for node in ast.walk(tree):
                 if isinstance(node, ast.ImportFrom):
@@ -709,10 +716,14 @@ def test_every_public_op_has_a_package_caller():
 
 
 def test_network_has_no_test_only_code():
-    """Model is the one way to run the network: every public function of
-    aecnn.network has a caller in the package, bench/ or demos/."""
+    """Model is the one way to run the network, and the batched kernels the
+    one way to search and build frames: every public function of
+    aecnn.network, neighbors, lrf and geometry has a caller in the package,
+    bench/ or demos/."""
     roots = [PACKAGE, ROOT / "bench", ROOT / "demos"]
-    assert uncalled_public_functions(net, roots) == []
+    uncalled = {m.__name__: uncalled_public_functions(m, roots)
+                for m in (net, nb, lrf, geo)}
+    assert {name: found for name, found in uncalled.items() if found} == {}
 
 
 class TestGradientOwnership:

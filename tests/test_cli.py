@@ -1,5 +1,7 @@
 """Command-line behavior: exit codes, files written, output schema."""
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from aecnn.data import (
     synth_classification,
     synth_segmentation,
 )
-from aecnn.lrf import compute_lrf, rir
+from aecnn.lrf import compute_lrf_batch, rir_batch
 from aecnn.network import Model
 from aecnn.nn import Mlp, load_checkpoint, save_checkpoint
 from aecnn.training import train_classifier
@@ -471,10 +473,10 @@ class TestLrfDump:
         assert len(rows) == 5
         row = rows[2]
         nb_idx = row["neighbors"]
-        frame = compute_lrf(pts[2], pts[nb_idx])
-        assert np.allclose(row["basis"], frame.basis, atol=1e-12)
-        for j, rr in zip(nb_idx, row["rirs"]):
-            assert np.allclose(rr, rir(pts[j], frame), atol=1e-12)
+        basis = compute_lrf_batch(pts[2], pts[nb_idx])
+        assert np.allclose(row["basis"], basis, atol=1e-12)
+        assert np.allclose(row["rirs"], rir_batch(pts[nb_idx], pts[2], basis),
+                           atol=1e-12)
 
     def test_rotated_dump_same_rirs(self, tmp_path, capsys):
         rng = np.random.default_rng(5)
@@ -490,6 +492,23 @@ class TestLrfDump:
             assert ra["neighbors"] == rb["neighbors"]
             assert not np.allclose(ra["basis"], rb["basis"], atol=1e-6)
             assert np.allclose(ra["rirs"], rb["rirs"], atol=1e-9)
+
+    # SHA-256 of the whole stdout at --k 3 on a cloud with kNN ties, one
+    # degenerate reference and three degenerate anchors, recorded when the
+    # dump still searched one cloud and built its RIRs point by point.
+    @pytest.mark.parametrize("anchor,digest", [
+        ("mean", "dbe2ea404a3cb78a6a06ea8bec6051a7525080c61b5a2f15b9120714b6b138bb"),
+        ("max_projection",
+         "8dda7f398268d51d77db8ff7c733fe183c70e89eef738f3d6b4ff7bfa2759c40"),
+    ])
+    def test_stdout_is_golden(self, capsys, anchor, digest):
+        cloud = Path(__file__).parent / "data" / "lrf_dump_cloud.xyz"
+        capsys.readouterr()
+        assert main(["lrf-dump", str(cloud), "--k", "3", "--anchor", anchor]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out.splitlines()[0])["degenerate_fallbacks"] == {
+            "degenerate_reference": 1, "degenerate_anchor": 3}
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_bad_path_exits_2(self, tmp_path, capsys):
         assert main(["lrf-dump", str(tmp_path / "ghost.xyz")]) == 2

@@ -4,7 +4,12 @@ import pytest
 
 from aecnn import geometry as geo
 
-from oracles import rotation_from_axis_angle
+from oracles import (
+    is_rotation_matrix,
+    quaternion_from_axis_angle,
+    quaternion_rotate,
+    rotation_from_axis_angle,
+)
 
 
 def rng(seed=0):
@@ -38,7 +43,7 @@ class TestNormalize:
     def test_centroid_zero_max_radius_one(self):
         pts = rng(1).normal(size=(100, 3)) * 5 + 3
         out = geo.normalize(geo.PointCloud(pts))
-        assert np.allclose(geo.centroid(out), 0.0, atol=1e-12)
+        assert np.allclose(out.points.mean(axis=0), 0.0, atol=1e-12)
         radii = np.linalg.norm(out.points, axis=1)
         assert radii.max() == pytest.approx(1.0, abs=1e-12)
 
@@ -96,8 +101,8 @@ class TestRotationSampling:
     def test_samples_are_rotation_matrices(self):
         g = rng(5)
         for _ in range(100):
-            assert geo.is_rotation_matrix(geo.sample_arbitrary_rotation(g))
-            assert geo.is_rotation_matrix(geo.sample_y_rotation(g))
+            assert is_rotation_matrix(geo.sample_arbitrary_rotation(g))
+            assert is_rotation_matrix(geo.sample_y_rotation(g))
 
     def test_y_rotation_fixes_vertical_axis(self):
         g = rng(6)
@@ -132,29 +137,25 @@ class TestRotationSampling:
 
 
 class TestApplyRotation:
+    """Every caller rotates a cloud as `pts @ R.T`, the row form of R @ p."""
+
     def test_row_action_matches_column_convention(self):
         g = rng(10)
         pts = g.normal(size=(20, 3))
-        r = geo.sample_arbitrary_rotation(g)
-        out = geo.apply_rotation(geo.PointCloud(pts), r)
+        axis = g.normal(size=3)
+        axis /= np.linalg.norm(axis)
+        out = pts @ geo.rodrigues(axis, 0.9).T
+        q = quaternion_from_axis_angle(axis, 0.9)
         for i in range(20):
-            assert np.allclose(out.points[i], r @ pts[i], atol=1e-12)
+            assert np.allclose(out[i], quaternion_rotate(q, pts[i]), atol=1e-12)
 
     def test_preserves_pairwise_distances(self):
         g = rng(11)
         pts = g.normal(size=(30, 3))
-        r = geo.sample_arbitrary_rotation(g)
-        out = geo.apply_rotation(pts, r).points
+        out = pts @ geo.sample_arbitrary_rotation(g).T
         d0 = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
         d1 = np.linalg.norm(out[:, None] - out[None, :], axis=2)
         assert np.allclose(d0, d1, atol=1e-9)
-
-    def test_labels_ride_along(self):
-        c = geo.PointCloud(rng(12).normal(size=(5, 3)), class_label=1,
-                           part_labels=np.array([0, 1, 0, 1, 0]))
-        out = geo.apply_rotation(c, geo.rotation_about_y(0.3))
-        assert out.class_label == 1
-        assert np.array_equal(out.part_labels, c.part_labels)
 
 
 class TestAugmentation:

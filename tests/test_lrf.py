@@ -1,6 +1,4 @@
 """Local reference frames: construction, equivariance, degeneracy handling."""
-import logging
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,7 @@ from aecnn import geometry as geo
 from aecnn import lrf
 from aecnn import neighbors as nb
 
-from oracles import gram_schmidt_frame, max_projection_anchor
+from oracles import gram_schmidt_frame, is_rotation_matrix, max_projection_anchor
 
 
 def rng(seed=0):
@@ -24,22 +22,38 @@ def make_neighborhood(g, k=12):
     return reference, neighbors
 
 
+def frame(reference, neighbors, origin=lrf.ORIGIN, strategy="mean"):
+    """compute_lrf_batch for one reference: the (3, 3) basis."""
+    return lrf.compute_lrf_batch(reference[None], neighbors[None], origin=origin,
+                                 strategy=strategy)[0]
+
+
+def frame_at_anchor(reference, anchor, origin=lrf.ORIGIN):
+    """The frame whose anchor is `anchor`: a one-point neighborhood's mean is
+    that point exactly, so a strategy that picks `anchor` gives these bits."""
+    return frame(reference, anchor[None], origin)
+
+
 class TestAnchors:
+    """Each strategy's anchor, seen through the frame it builds."""
+
     def test_anchor_mean_is_barycenter(self):
         g = rng(40)
-        pts = g.normal(size=(9, 3))
-        assert np.allclose(lrf.anchor_mean(pts), pts.mean(axis=0), atol=1e-15)
+        reference, pts = make_neighborhood(g, k=9)
+        assert np.array_equal(frame(reference, pts),
+                              frame_at_anchor(reference, pts.mean(axis=0)))
 
     def test_anchor_max_projection_picks_offaxis_extreme(self):
         reference = np.array([0.0, 0.0, 1.0])  # z axis is +z, origin 0
         neighbors = np.array([
-            [0.1, 0.0, 0.9],
+            [0.1, 0.1, 0.9],
             [0.5, 0.0, 1.2],   # farthest from the z axis
             [0.0, 0.2, 1.0],
             [0.0, 0.0, 2.0],   # on the axis entirely
         ])
-        got = lrf.anchor_max_projection(neighbors, reference)
-        assert np.allclose(got, neighbors[1])
+        got = frame(reference, neighbors, strategy="max_projection")
+        assert np.array_equal(got, frame_at_anchor(reference, neighbors[1]))
+        assert np.allclose(got[0], [1.0, 0.0, 0.0], atol=1e-15)
 
     def test_anchor_max_projection_tie_takes_first(self):
         reference = np.array([0.0, 0.0, 1.0])
@@ -48,17 +62,17 @@ class TestAnchors:
             [0.3, 0.0, 1.0],
             [-0.3, 0.0, 1.0],  # same axis distance as row 1
         ])
-        got = lrf.anchor_max_projection(neighbors, reference)
-        assert np.allclose(got, neighbors[1])
+        got = frame(reference, neighbors, strategy="max_projection")
+        assert np.array_equal(got, frame_at_anchor(reference, neighbors[1]))
 
     def test_anchor_max_projection_matches_loop(self):
         g = rng(55)
         for _ in range(50):
             reference, neighbors = make_neighborhood(g)
             origin = g.normal(size=3) * 0.1
-            got = lrf.anchor_max_projection(neighbors, reference, origin)
+            got = frame(reference, neighbors, origin, "max_projection")
             want = max_projection_anchor(neighbors, reference, origin)
-            assert np.array_equal(got, want)
+            assert np.array_equal(got, frame_at_anchor(reference, want, origin))
 
     def test_strategy_parse(self):
         assert lrf.AnchorStrategy.from_name("mean") is lrf.AnchorStrategy.MEAN
@@ -72,10 +86,8 @@ class TestComputeLrf:
     @pytest.mark.parametrize("strategy", ["mean", "max_projection"])
     def test_orthonormal_right_handed(self, strategy):
         g = rng(41)
-        for _ in range(100):
-            reference, neighbors = make_neighborhood(g)
-            frame = lrf.compute_lrf(reference, neighbors, strategy=strategy)
-            b = frame.basis
+        refs, hoods = map(np.stack, zip(*(make_neighborhood(g) for _ in range(100))))
+        for b in lrf.compute_lrf_batch(refs, hoods, strategy=strategy):
             assert np.allclose(b @ b.T, np.eye(3), atol=1e-12)
             assert np.linalg.det(b) == pytest.approx(1.0, abs=1e-12)
             assert np.allclose(np.cross(b[0], b[1]), b[2], atol=1e-12)
@@ -83,83 +95,67 @@ class TestComputeLrf:
     def test_z_points_away_from_origin(self):
         g = rng(42)
         reference, neighbors = make_neighborhood(g)
-        frame = lrf.compute_lrf(reference, neighbors)
         expected = reference / np.linalg.norm(reference)
-        assert np.allclose(frame.z, expected, atol=1e-12)
+        assert np.allclose(frame(reference, neighbors)[2], expected, atol=1e-12)
 
     def test_matches_gram_schmidt_oracle(self):
         g = rng(43)
         for _ in range(100):
             reference, neighbors = make_neighborhood(g)
             origin = g.normal(size=3) * 0.1
-            frame = lrf.compute_lrf(reference, neighbors, origin=origin)
-            oracle = gram_schmidt_frame(reference, lrf.anchor_mean(neighbors), origin)
-            assert np.allclose(frame.basis, oracle, atol=1e-12)
-
-    def test_reference_at_origin_raises(self):
-        with pytest.raises(lrf.DegenerateReferenceError):
-            lrf.compute_lrf(np.zeros(3), np.ones((4, 3)))
-
-    def test_anchor_on_axis_raises(self):
-        reference = np.array([0.0, 0.0, 1.0])
-        neighbors = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 1.5]])
-        with pytest.raises(lrf.DegenerateAnchorError):
-            lrf.compute_lrf(reference, neighbors)
+            oracle = gram_schmidt_frame(reference, neighbors.mean(axis=0), origin)
+            assert np.allclose(frame(reference, neighbors, origin), oracle, atol=1e-12)
 
     def test_x_orthogonal_to_z(self):
         g = rng(44)
         for _ in range(50):
             reference, neighbors = make_neighborhood(g)
-            frame = lrf.compute_lrf(reference, neighbors,
-                                    strategy="max_projection")
-            assert abs(frame.x @ frame.z) < 1e-12
+            b = frame(reference, neighbors, strategy="max_projection")
+            assert abs(b[0] @ b[2]) < 1e-12
 
 
 class TestRirOps:
     def test_rir_is_frame_coordinates(self):
         g = rng(45)
         reference, neighbors = make_neighborhood(g)
-        frame = lrf.compute_lrf(reference, neighbors)
+        basis = frame(reference, neighbors)
         p = g.normal(size=3)
-        got = lrf.rir(p, frame)
-        # Reconstruct: origin + basis^T @ coords must give p back.
-        assert np.allclose(frame.origin + frame.basis.T @ got, p, atol=1e-12)
+        got = lrf.rir_batch(p[None, None], reference[None], basis[None])[0, 0]
+        # Reconstruct: reference + basis^T @ coords must give p back.
+        assert np.allclose(reference + basis.T @ got, p, atol=1e-12)
 
     def test_relative_rotation_identity_for_same_frame(self):
         g = rng(47)
-        reference, neighbors = make_neighborhood(g)
-        frame = lrf.compute_lrf(reference, neighbors)
-        assert np.allclose(lrf.relative_rotation(frame, frame), np.eye(3), atol=1e-12)
+        basis = frame(*make_neighborhood(g))
+        assert np.allclose(lrf.relative_rotation_batch(basis, basis), np.eye(3),
+                           atol=1e-12)
 
     def test_relative_rotation_is_rotation(self):
         g = rng(48)
-        ra, na = make_neighborhood(g)
-        rb, nbodies = make_neighborhood(g)
-        fa = lrf.compute_lrf(ra, na)
-        fb = lrf.compute_lrf(rb, nbodies)
-        assert geo.is_rotation_matrix(lrf.relative_rotation(fa, fb), tol=1e-10)
+        fa = frame(*make_neighborhood(g))
+        fb = frame(*make_neighborhood(g))
+        assert is_rotation_matrix(lrf.relative_rotation_batch(fa, fb), tol=1e-10)
 
 
 class TestEquivariance:
     """The property the whole method rests on: rotate the cloud, frames
     co-rotate, frame-relative quantities stay fixed."""
 
-    def select(self, pts, n_ref=8, k=6):
-        refs = nb.farthest_point_sampling(pts, n_ref)
-        lists = nb.knn_points(pts, pts[refs], k)
-        return refs, lists
+    def frames(self, pts, strategy="mean", n_ref=8, k=6):
+        """Bases (n_ref, 3, 3) at FPS references with kNN neighborhoods, and
+        the reference points."""
+        refs = nb.fps_batch(pts[None], n_ref)[0]
+        lists = nb.knn_points_batch(pts[None], pts[None, refs], k)[0]
+        return lrf.compute_lrf_batch(pts[refs], pts[lists], strategy=strategy), pts[refs]
 
     def test_basis_co_rotates(self):
         g = rng(50)
         for _ in range(20):
             pts = geo.normalize(geo.PointCloud(g.normal(size=(40, 3)))).points
             r = geo.sample_arbitrary_rotation(g)
-            rot = pts @ r.T
-            refs, lists = self.select(pts)
-            for ri, row in zip(refs, lists):
-                f0 = lrf.compute_lrf(pts[ri], pts[row])
-                f1 = lrf.compute_lrf(rot[ri], rot[row])
-                assert np.allclose(f1.basis, f0.basis @ r.T, atol=1e-9)
+            f0, _ = self.frames(pts)
+            f1, _ = self.frames(pts @ r.T)
+            assert np.allclose(f1, f0 @ r.T, atol=1e-9)
 
     @pytest.mark.parametrize("strategy", ["mean", "max_projection"])
     def test_rir_and_relative_rotation_invariant(self, strategy):
@@ -167,22 +163,17 @@ class TestEquivariance:
         for _ in range(20):
             pts = geo.normalize(geo.PointCloud(g.normal(size=(40, 3)))).points
             r = geo.sample_arbitrary_rotation(g)
-            rot = pts @ r.T
-            refs, lists = self.select(pts)
-            for a in range(len(refs)):
-                f0 = lrf.compute_lrf(pts[refs[a]], pts[lists[a]], strategy=strategy)
-                f1 = lrf.compute_lrf(rot[refs[a]], rot[lists[a]], strategy=strategy)
-                for b in range(len(refs)):
-                    g0 = lrf.compute_lrf(pts[refs[b]], pts[lists[b]], strategy=strategy)
-                    g1 = lrf.compute_lrf(rot[refs[b]], rot[lists[b]], strategy=strategy)
-                    assert np.allclose(
-                        lrf.rir(pts[refs[b]], f0), lrf.rir(rot[refs[b]], f1),
-                        atol=1e-7,
-                    )
-                    assert np.allclose(
-                        lrf.relative_rotation(f0, g0), lrf.relative_rotation(f1, g1),
-                        atol=1e-7,
-                    )
+            f0, refs0 = self.frames(pts, strategy)
+            f1, refs1 = self.frames(pts @ r.T, strategy)
+            # Every reference in every reference's frame, and every pair's
+            # relative rotation.
+            n = len(refs0)
+            rir0 = lrf.rir_batch(np.broadcast_to(refs0, (n, n, 3)), refs0, f0)
+            rir1 = lrf.rir_batch(np.broadcast_to(refs1, (n, n, 3)), refs1, f1)
+            assert np.allclose(rir0, rir1, atol=1e-7)
+            rel0 = lrf.relative_rotation_batch(f0, np.broadcast_to(f0, (n, n, 3, 3)))
+            rel1 = lrf.relative_rotation_batch(f1, np.broadcast_to(f1, (n, n, 3, 3)))
+            assert np.allclose(rel0, rel1, atol=1e-7)
 
 
 class TestBatchKernels:
@@ -210,22 +201,20 @@ class TestBatchKernels:
         bases = lrf.compute_lrf_batch(refs, hoods)
         out = lrf.rir_batch(hoods, refs, bases)
         for i in range(6):
-            frame = lrf.Lrf(origin=refs[i], basis=bases[i])
             for j in range(5):
-                assert np.allclose(out[i, j], lrf.rir(hoods[i, j], frame), atol=1e-14)
+                assert np.allclose(out[i, j], bases[i] @ (hoods[i, j] - refs[i]),
+                                   atol=1e-14)
 
-    def test_degenerate_reference_falls_back(self, caplog):
+    def test_degenerate_reference_falls_back(self):
         refs = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
         hoods = np.array([
             [[0.4, 0.1, 0.0], [0.5, -0.2, 0.1]],
             [[0.3, 0.0, 2.1], [0.1, 0.2, 1.9]],
         ])
         counts = {}
-        with caplog.at_level(logging.WARNING, logger="aecnn.lrf"):
-            bases = lrf.compute_lrf_batch(refs, hoods, counts=counts)
+        bases = lrf.compute_lrf_batch(refs, hoods, counts=counts)
         assert counts["degenerate_reference"] == 1
         assert np.allclose(bases[0, 2], [0.0, 0.0, 1.0], atol=1e-15)  # fallback z
-        assert caplog.records  # warning was logged
         # Sane frame for the good row.
         assert np.allclose(bases[1] @ bases[1].T, np.eye(3), atol=1e-12)
 

@@ -1,9 +1,10 @@
 """Neighbor machinery against brute-force oracles, including exact tie cases."""
+import re
+
 import numpy as np
 import pytest
 
 from aecnn import neighbors as nb
-from aecnn.geometry import PointCloud
 
 from oracles import brute_ball, brute_feature_knn, brute_fps, brute_knn, loop_fps
 
@@ -24,6 +25,28 @@ def random_cloud(g, n, duplicates=False, lattice=False):
     return pts
 
 
+def knn(pts, query, k):
+    """knn_points_batch for one query against one cloud."""
+    return nb.knn_points_batch(pts[None], np.reshape(query, (1, 1, 3)), k)[0, 0]
+
+
+def ball(pts, query, radius, max_k):
+    """ball_points_batch for one query against one cloud."""
+    return nb.ball_points_batch(pts[None], np.reshape(query, (1, 1, 3)),
+                                radius, max_k)[0, 0]
+
+
+def fps(pts, n_samples):
+    """fps_batch over one cloud."""
+    return nb.fps_batch(pts[None], n_samples)[0]
+
+
+def feature_knn(feats, k, refs=None):
+    """knn_features_batch over one cloud, queried at rows refs (default all)."""
+    queries = feats if refs is None else feats[refs]
+    return nb.knn_features_batch(feats[None], queries[None], k)[0]
+
+
 class TestKnn:
     @pytest.mark.parametrize("lattice", [False, True])
     def test_matches_oracle(self, lattice):
@@ -31,26 +54,22 @@ class TestKnn:
         for _ in range(40):
             n = int(g.integers(2, 60))
             pts = random_cloud(g, n, duplicates=bool(g.integers(2)), lattice=lattice)
-            index = nb.build_index(pts)
             k = int(g.integers(1, n + 2))
             q = pts[int(g.integers(n))] if g.integers(2) else g.normal(size=3)
-            assert np.array_equal(nb.knn(index, q, k), brute_knn(pts, q, k))
+            assert np.array_equal(knn(pts, q, k), brute_knn(pts, q, k))
 
     def test_pads_when_short(self):
         pts = np.array([[0, 0, 0], [1, 0, 0]], dtype=float)
-        index = nb.build_index(pts)
-        got = nb.knn(index, np.array([0.1, 0.0, 0.0]), 5)
+        got = knn(pts, np.array([0.1, 0.0, 0.0]), 5)
         assert np.array_equal(got, [0, 1, 0, 0, 0])
 
     def test_tie_resolves_to_smaller_index(self):
         pts = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], dtype=float)
-        index = nb.build_index(pts)
-        assert np.array_equal(nb.knn(index, np.zeros(3), 4), [0, 1, 2, 3])
+        assert np.array_equal(knn(pts, np.zeros(3), 4), [0, 1, 2, 3])
 
     def test_rejects_bad_k(self):
-        index = nb.build_index(np.zeros((3, 3)))
         with pytest.raises(ValueError):
-            nb.knn(index, np.zeros(3), 0)
+            knn(np.zeros((3, 3)), np.zeros(3), 0)
 
 
 class TestBall:
@@ -60,25 +79,22 @@ class TestBall:
         for _ in range(40):
             n = int(g.integers(2, 60))
             pts = random_cloud(g, n, duplicates=bool(g.integers(2)), lattice=lattice)
-            index = nb.build_index(pts)
             radius = float(g.uniform(0.1, 3.0)) if not lattice else float(g.integers(1, 4))
             max_k = int(g.integers(1, 12))
             q = pts[int(g.integers(n))] if g.integers(2) else g.normal(size=3)
             assert np.array_equal(
-                nb.ball_query(index, q, radius, max_k),
+                ball(pts, q, radius, max_k),
                 brute_ball(pts, q, radius, max_k),
             )
 
     def test_empty_ball_degrades_to_nearest(self):
         pts = np.array([[5, 0, 0], [6, 0, 0]], dtype=float)
-        index = nb.build_index(pts)
-        got = nb.ball_query(index, np.zeros(3), 0.5, 3)
+        got = ball(pts, np.zeros(3), 0.5, 3)
         assert np.array_equal(got, [0, 0, 0])
 
     def test_padding_repeats_first_hit(self):
         pts = np.array([[0.1, 0, 0], [3, 0, 0]], dtype=float)
-        index = nb.build_index(pts)
-        got = nb.ball_query(index, np.zeros(3), 1.0, 4)
+        got = ball(pts, np.zeros(3), 1.0, 4)
         assert np.array_equal(got, [0, 0, 0, 0])
 
     def test_batched_matches_single(self):
@@ -90,7 +106,7 @@ class TestBall:
         for b in range(2):
             for qi in range(7):
                 assert np.array_equal(
-                    out[b, qi], nb.ball_points(pts[b], queries[b, qi], radius, max_k)
+                    out[b, qi], brute_ball(pts[b], queries[b, qi], radius, max_k)
                 )
 
 
@@ -103,14 +119,14 @@ class TestFps:
             pts = random_cloud(g, n, duplicates=bool(g.integers(2)), lattice=lattice)
             m = int(g.integers(1, n + 1))
             assert np.array_equal(
-                nb.farthest_point_sampling(pts, m), brute_fps(pts, m)
+                fps(pts, m), brute_fps(pts, m)
             )
 
     def test_symmetric_tie_break(self):
         # Four corners of a square: every step has ties; the contract picks
         # the lexicographically smallest coordinates first.
         pts = np.array([[1, 1, 0], [-1, -1, 0], [1, -1, 0], [-1, 1, 0]], dtype=float)
-        got = nb.farthest_point_sampling(pts, 4)
+        got = fps(pts, 4)
         assert np.array_equal(got, brute_fps(pts, 4))
         assert got[0] == 1  # (-1,-1,0) is lexicographically smallest
 
@@ -119,7 +135,7 @@ class TestFps:
         pts = g.normal(size=(60, 3))
         prev = np.inf
         for m in range(1, 30):
-            sel = nb.farthest_point_sampling(pts, m)
+            sel = fps(pts, m)
             d = np.linalg.norm(pts[:, None] - pts[sel][None, :], axis=2).min(axis=1)
             radius = d.max()
             assert radius <= prev + 1e-12
@@ -167,16 +183,16 @@ class TestFps:
 
     def test_rejects_bad_count(self):
         with pytest.raises(ValueError):
-            nb.farthest_point_sampling(np.zeros((4, 3)), 5)
+            fps(np.zeros((4, 3)), 5)
         with pytest.raises(ValueError):
-            nb.farthest_point_sampling(np.zeros((4, 3)), 0)
+            fps(np.zeros((4, 3)), 0)
 
-    def test_accepts_pointcloud(self):
-        pts = rng(32).normal(size=(10, 3))
-        assert np.array_equal(
-            nb.farthest_point_sampling(PointCloud(pts), 4),
-            nb.farthest_point_sampling(pts, 4),
-        )
+    @pytest.mark.parametrize("shape", [(6, 3), (1, 6, 4), (1, 6, 2)])
+    def test_rejects_other_shapes(self, shape):
+        # Unchecked, FPS would ignore a fourth coordinate and index past the
+        # end of a 2-D one.
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            nb.fps_batch(rng(33).normal(size=shape), 2)
 
 
 class TestFeatureGraph:
@@ -189,21 +205,17 @@ class TestFeatureGraph:
             if g.integers(2) and n >= 2:
                 feats[n // 2] = feats[0]  # exact duplicate rows
             k = int(g.integers(1, n + 2))
-            graph = nb.knn_feature_graph(feats, k)
-            assert graph.space_tag == "feature"
-            assert np.array_equal(graph.neighbor_lists, brute_feature_knn(feats, k))
+            assert np.array_equal(feature_knn(feats, k), brute_feature_knn(feats, k))
 
     def test_self_is_first_neighbor(self):
         g = rng(34)
         feats = g.normal(size=(20, 8))
-        graph = nb.knn_feature_graph(feats, 5)
-        assert np.array_equal(graph.neighbor_lists[:, 0], np.arange(20))
+        assert np.array_equal(feature_knn(feats, 5)[:, 0], np.arange(20))
 
     def test_duplicate_rows_resolve_by_index(self):
         feats = np.zeros((4, 3))
-        graph = nb.knn_feature_graph(feats, 2)
         # All rows identical: every list keeps the smallest indices.
-        assert np.array_equal(graph.neighbor_lists,
+        assert np.array_equal(feature_knn(feats, 2),
                               [[0, 1], [0, 1], [0, 1], [0, 1]])
 
     def test_batched_matches_flat(self):
@@ -212,14 +224,7 @@ class TestFeatureGraph:
         queries = corpus[:, :10, :]
         out = nb.knn_features_batch(corpus, queries, 4)
         for b in range(3):
-            graph = nb.knn_feature_graph(corpus[b], 4, reference_indices=np.arange(10))
-            assert np.array_equal(out[b], graph.neighbor_lists)
-
-    def test_rejects_nonfinite(self):
-        feats = np.zeros((3, 2))
-        feats[1, 1] = np.inf
-        with pytest.raises(ValueError):
-            nb.knn_feature_graph(feats, 2)
+            assert np.array_equal(out[b], brute_feature_knn(corpus[b], 4)[:10])
 
 
 def stable_topk(d2, k):
@@ -246,15 +251,11 @@ class TestSelectionMatchesStableArgsort:
         assert np.array_equal(nb.knn_features_batch(corpus, queries, k), want)
         if corpus.shape[2] == 3:
             assert np.array_equal(nb.knn_points_batch(corpus, queries, k), want)
-        for b in range(corpus.shape[0]):
-            if corpus.shape[2] == 3:
-                assert np.array_equal(nb.knn_points(corpus[b], queries[b], k), want[b])
         return want
 
     def check_graph(self, feats, k, refs):
         d2 = exact_sq_distances(feats[None], feats[None, refs])[0]
-        graph = nb.knn_feature_graph(feats, k, reference_indices=refs)
-        assert np.array_equal(graph.neighbor_lists, stable_topk(d2, k))
+        assert np.array_equal(feature_knn(feats, k, refs), stable_topk(d2, k))
 
     @pytest.mark.parametrize("k", [1, 5, 16, 27, 30])
     def test_integer_lattice(self, k):
@@ -446,15 +447,18 @@ class TestNonFinitePoints:
         return pts
 
     CALLS = {
-        "farthest_point_sampling": lambda p: nb.farthest_point_sampling(p, 4),
         "fps_batch": lambda p: nb.fps_batch(p[None], 4),
-        "knn_points": lambda p: nb.knn_points(p, p[:2], 3),
+        "fps_batch_second_cloud": lambda p: nb.fps_batch(
+            np.stack([np.ones_like(p), p]), 4),
         "knn_points_batch": lambda p: nb.knn_points_batch(p[None], p[None, :2], 3),
         "knn_points_batch_query": lambda p: nb.knn_points_batch(
             np.zeros((1, 5, 3)), p[None], 3),
-        "ball_points": lambda p: nb.ball_points(p, p[0], 0.5, 3),
+        "knn_points_batch_second_cloud": lambda p: nb.knn_points_batch(
+            np.stack([np.ones_like(p), p]), np.zeros((2, 2, 3)), 3),
         "ball_points_batch": lambda p: nb.ball_points_batch(
             p[None], p[None, :2], 0.5, 3),
+        "ball_points_batch_query": lambda p: nb.ball_points_batch(
+            np.zeros((1, 5, 3)), p[None], 0.5, 3),
     }
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -462,3 +466,30 @@ class TestNonFinitePoints:
     def test_rejected(self, call, bad):
         with pytest.raises(ValueError, match="points must be finite"):
             self.CALLS[call](self.cloud(bad))
+
+
+class TestSearchInputContract:
+    """Every search refuses a corpus and queries it cannot pair, naming both
+    shapes, rather than dropping query clouds or returning empty lists."""
+
+    SEARCHES = {
+        "knn_points_batch": lambda c, q: nb.knn_points_batch(c, q, 2),
+        "ball_points_batch": lambda c, q: nb.ball_points_batch(c, q, 0.5, 2),
+        "knn_features_batch": lambda c, q: nb.knn_features_batch(c, q, 2),
+    }
+    SHAPES = {
+        "batch_size": ((1, 6, 3), (2, 2, 3)),
+        "width": ((1, 6, 3), (1, 2, 4)),
+        "rank": ((6, 3), (2, 3)),
+        "empty_corpus": ((1, 0, 3), (1, 2, 3)),
+    }
+
+    @pytest.mark.parametrize("mismatch", sorted(SHAPES))
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    def test_rejected(self, search, mismatch):
+        corpus_shape, query_shape = self.SHAPES[mismatch]
+        g = rng(96)
+        corpus, queries = g.normal(size=corpus_shape), g.normal(size=query_shape)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{corpus_shape} and {query_shape}")):
+            self.SEARCHES[search](corpus, queries)

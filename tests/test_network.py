@@ -378,10 +378,10 @@ class TestFunctionalOps:
         rng = np.random.default_rng(52)
         model = Model(tiny_config(variant="aeconv3"), seed=9)
         first = first_level(model, random_cloud(rng))
-        graph = nb.knn_feature_graph(first.feat.values[0], k=4)
+        feat = first.feat.values
+        graph = nb.knn_features_batch(feat, feat, 4)
         with model._inference():
-            out = model._edge_conv(first, graph.reference_indices[None],
-                                   graph.neighbor_lists[None], 0, []).feat.values
+            out = model._edge_conv(first, np.arange(16)[None], graph, 0, []).feat.values
         assert out.shape == (1, 16, 24)
         assert np.isfinite(out).all()
 

@@ -12,6 +12,7 @@ from aecnn.config import (
     TrainConfig,
 )
 from aecnn.data import synth_classification, synth_segmentation
+from aecnn.geometry import PointCloud
 from aecnn.network import Model
 from aecnn.nn import load_checkpoint
 from aecnn.training import (
@@ -169,6 +170,22 @@ class TestRecord:
         assert parsed[1]["type"] == "epoch"
         assert parsed[-1]["type"] == "summary"
         assert parsed[-1]["epochs_run"] == 2
+
+    def test_epoch_lines_count_lrf_fallbacks(self):
+        # A collinear cloud: every neighborhood mean lies on its frame's z
+        # axis, so each of its 8 frames takes the fallback x axis once an
+        # epoch; the other clouds' frames take none.
+        ds = tiny_dataset()
+        line = np.linspace(-1.0, 1.0, 24)[:, None] * np.array([0.3, 0.5, 0.8])
+        ds.samples[0] = PointCloud(line, class_label=ds.samples[0].class_label)
+        model = Model(tiny_cfg(), seed=1)
+        rec = train_classifier(model, ds, tiny_train())
+        counts = [s.lrf_fallbacks for s in rec.epoch_stats]
+        assert counts == [{"degenerate_reference": 0, "degenerate_anchor": 8}] * 2
+        for key, total in model.lrf_fallbacks.items():
+            assert sum(c[key] for c in counts) == total
+        epoch_line = json.loads(rec.to_lines()[1])
+        assert epoch_line["lrf_fallbacks"] == counts[0]
 
     def test_lr_schedule_recorded(self):
         ds = tiny_dataset()
