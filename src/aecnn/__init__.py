@@ -2,7 +2,7 @@
 
 The package is organized bottom up:
 
-- geometry:  point cloud container, rotations, normalization, augmentation
+- geometry:  point cloud container, rotations, normalization
 - neighbors: kNN and ball searches, farthest point sampling, feature-space kNN
 - lrf:       per-point local reference frames and rotation-invariant coords
 - autodiff:  minimal reverse-mode engine over float64 arrays

@@ -6,7 +6,7 @@ line of each command's output carries "schema": 1. Exit codes: 0 success,
 2 validation or input failure, 3 invariance audit failure.
 
 Seeds: one --seed governs a command end to end. Training derives its
-synthetic data, its per-epoch shuffling/augmentation, and its weight
+synthetic data, its per-epoch shuffling and rotations, and its weight
 initialization from that seed through separate fixed streams, so any
 command run twice with the same arguments produces identical bytes.
 """
@@ -27,6 +27,9 @@ from . import geometry as geo
 from . import lrf as lrfmod
 from . import neighbors as nb
 from .config import (
+    ALIGN_VARIANTS,
+    ANCHOR_MODES,
+    SETTINGS,
     ConfigError,
     NetworkConfig,
     TrainConfig,
@@ -403,7 +406,7 @@ def cmd_lrf_dump(args) -> int:
     rirs = lrfmod.rir_batch(hoods, pts, bases)
     _emit({"type": "lrf_dump_header", "schema": SCHEMA_VERSION,
            "points": int(pts.shape[0]), "k": int(k), "anchor": args.anchor,
-           "degenerate_fallbacks": {key: int(v) for key, v in counts.items()}})
+           "lrf_fallbacks": {key: int(v) for key, v in counts.items()}})
     for i in range(pts.shape[0]):
         _emit({
             "type": "lrf", "index": i, "origin": pts[i].tolist(),
@@ -453,8 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="config INI (default: config.ini next to the checkpoint)")
         sp.add_argument("--seed", type=int, default=0)
         if with_votes:
-            sp.add_argument("--setting", default="ARAR",
-                            choices=["YY", "YAR", "ARAR"])
+            sp.add_argument("--setting", default="ARAR", choices=SETTINGS)
             sp.add_argument("--votes", type=_at_least(1), default=1,
                             help="average softmax over this many rotated copies")
 
@@ -462,9 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("config", help="INI file with [network] and optional [training]")
     t.add_argument("out_dir")
     t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--setting", default=None, choices=["YY", "YAR", "ARAR"])
-    t.add_argument("--variant", default=None,
-                   choices=["edgeconv", "aeconv1", "aeconv2", "aeconv3"])
+    t.add_argument("--setting", default=None, choices=SETTINGS)
+    t.add_argument("--variant", default=None, choices=ALIGN_VARIANTS)
     t.add_argument("--epochs", type=int, default=None)
     t.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     t.add_argument("--early-stop-acc", dest="early_stop_acc", type=float,
@@ -503,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--anchors", type=_listed(), default=",".join(ABLATION_ANCHORS))
     b.add_argument("--ks", type=_listed(int), default=",".join(str(k) for k in ABLATION_KS))
     b.add_argument("--seeds", type=_listed(int), default="0,1,2")
-    b.add_argument("--setting", default="YAR", choices=["YY", "YAR", "ARAR"])
+    b.add_argument("--setting", default="YAR", choices=SETTINGS)
     b.add_argument("--seed", type=int, default=None)
     b.add_argument("--epochs", type=int, default=None)
     b.add_argument("--batch-size", dest="batch_size", type=int, default=None)
@@ -516,8 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dump per-point frames and neighbor coordinates")
     d.add_argument("cloud", help=".xyz file")
     d.add_argument("--k", type=_at_least(1), default=8)
-    d.add_argument("--anchor", default="mean",
-                   choices=["mean", "max_projection"])
+    d.add_argument("--anchor", default="mean", choices=ANCHOR_MODES)
     d.set_defaults(fn=cmd_lrf_dump)
     return p
 

@@ -1,4 +1,4 @@
-"""Point cloud primitives: normalization, rotation sampling, augmentation.
+"""Point cloud primitives: normalization and rotation sampling.
 
 Conventions used across the package: rotations are right-handed and act on
 column vectors (p' = R @ p), the vertical axis is +y, and clouds are
@@ -14,10 +14,6 @@ import numpy as np
 
 # Degeneracy threshold in model units (normalized clouds live in the unit ball).
 EPS = 1e-8
-
-# Train-time augmentation ranges.
-SCALE_RANGE = (2.0 / 3.0, 1.5)
-TRANSLATION_LIMIT = 0.2
 
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 
@@ -50,23 +46,6 @@ class PointCloud:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def copy(self) -> "PointCloud":
-        return PointCloud(
-            self.points.copy(),
-            self.class_label,
-            None if self.part_labels is None else self.part_labels.copy(),
-        )
-
-
-def as_points(cloud) -> np.ndarray:
-    """Accept a PointCloud or a raw (n, 3) array, return the array view."""
-    if isinstance(cloud, PointCloud):
-        return cloud.points
-    pts = np.asarray(cloud, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected (n, 3) points, got shape {pts.shape}")
-    return pts
-
 
 def max_radius(points: np.ndarray) -> float:
     return float(np.sqrt((points * points).sum(axis=1).max()))
@@ -77,15 +56,12 @@ def normalize(cloud: PointCloud) -> PointCloud:
 
     Raises ValueError when all points coincide (no scale is recoverable).
     """
-    pts = as_points(cloud)
+    pts = cloud.points
     shifted = pts - pts.mean(axis=0)
     radius = max_radius(shifted)
     if radius <= EPS:
         raise ValueError("degenerate cloud: all points coincide, cannot normalize")
-    out = shifted / radius
-    if isinstance(cloud, PointCloud):
-        return PointCloud(out, cloud.class_label, cloud.part_labels)
-    return PointCloud(out)
+    return PointCloud(shifted / radius, cloud.class_label, cloud.part_labels)
 
 
 def cross_product_matrix(axis: np.ndarray) -> np.ndarray:
@@ -132,30 +108,6 @@ def rotation_about_y(angle: float) -> np.ndarray:
 def sample_y_rotation(rng: np.random.Generator) -> np.ndarray:
     """Rotation about the vertical (+y) axis by a uniform [0, 2pi) angle."""
     return rotation_about_y(rng.uniform(0.0, 2.0 * np.pi))
-
-
-def apply_scale_translation(cloud, scale: float, translation) -> PointCloud:
-    translation = np.asarray(translation, dtype=np.float64)
-    if translation.shape != (3,):
-        raise ValueError(f"translation must have shape (3,), got {translation.shape}")
-    if not scale > 0.0:
-        raise ValueError(f"scale must be positive, got {scale!r}")
-    pts = as_points(cloud) * float(scale) + translation
-    if isinstance(cloud, PointCloud):
-        return PointCloud(pts, cloud.class_label, cloud.part_labels)
-    return PointCloud(pts)
-
-
-def augment_scale_translate(cloud, rng: np.random.Generator) -> PointCloud:
-    """Random uniform scale in [2/3, 1.5] plus per-axis translation in [-0.2, 0.2].
-
-    Applied before normalization in the training pipeline, so the global
-    component is mostly undone on purpose; it exists to keep the input
-    distribution honest about sensor-style nuisance transforms.
-    """
-    scale = rng.uniform(SCALE_RANGE[0], SCALE_RANGE[1])
-    translation = rng.uniform(-TRANSLATION_LIMIT, TRANSLATION_LIMIT, size=3)
-    return apply_scale_translation(cloud, scale, translation)
 
 
 def canonical_order(points: np.ndarray) -> np.ndarray:

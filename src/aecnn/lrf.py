@@ -53,6 +53,17 @@ _FALLBACK_X_PRIMARY = np.array([1.0, 0.0, 0.0])
 _FALLBACK_X_SECONDARY = np.array([0.0, 1.0, 0.0])
 
 
+def _check_frame_shapes(points, references, bases=None):
+    """Refuse points (..., k, 3) with k >= 1, references (..., 3) and bases
+    (..., 3, 3) that do not share one leading shape."""
+    if not (references.shape[-1:] == (3,) and points.shape[-2:-1] >= (1,)
+            and points.shape[:-2] + points.shape[-1:] == references.shape
+            and (bases is None or bases.shape == references.shape + (3,))):
+        got = [a.shape for a in (points, references, bases) if a is not None]
+        raise ValueError(f"expected points (..., k, 3) with k >= 1, references (..., 3) "
+                         f"and bases (..., 3, 3) of one leading shape, got {got}")
+
+
 def compute_lrf_batch(references: np.ndarray, neighborhoods: np.ndarray,
                       origin=ORIGIN,
                       strategy: Union[str, AnchorStrategy] = AnchorStrategy.MEAN,
@@ -66,6 +77,7 @@ def compute_lrf_batch(references: np.ndarray, neighborhoods: np.ndarray,
     """
     references = np.asarray(references, dtype=np.float64)
     neighborhoods = np.asarray(neighborhoods, dtype=np.float64)
+    _check_frame_shapes(neighborhoods, references)
     origin = np.asarray(origin, dtype=np.float64)
     z, bad_ref = _z_axes(references, origin)
     if AnchorStrategy.from_name(strategy) is AnchorStrategy.MEAN:
@@ -127,6 +139,7 @@ def _fallback_x(x: np.ndarray, z: np.ndarray, bad: np.ndarray) -> np.ndarray:
 def rir_batch(points: np.ndarray, references: np.ndarray,
               bases: np.ndarray) -> np.ndarray:
     """Express points (..., k, 3) in frames (bases (..., 3, 3)) at references."""
+    _check_frame_shapes(points, references, bases)
     rel = points - references[..., None, :]
     return np.einsum("...ij,...kj->...ki", bases, rel)
 

@@ -137,10 +137,8 @@ class Model:
             self.block_mlps.append((variant, align, q, blk.k))
             f_in = blk.widths[-1]
 
-        # A segmenter draws and drops this head, so later weights keep their bits.
-        head = Mlp((f_in, *c.head_widths, c.n_classes), rng,
-                   {} if c.n_parts else self.params, "head")
-        self.head_mlp = None if c.n_parts else head
+        self.head_mlp = None if c.n_parts else Mlp(
+            (f_in, *c.head_widths, c.n_classes), rng, self.params, "head")
 
         self.fp_stages = []
         self.point_head = None

@@ -1,14 +1,15 @@
 """Training loops: deterministic epochs, Adam, checkpoints, run records.
 
-Every epoch draws its randomness (shuffle order, augmentation, rotations)
+Every epoch draws its randomness (shuffle order, rotations)
 from a SeedSequence keyed by (seed, epoch), never from a generator that
 persists across epochs. That makes two guarantees cheap: the same seed
 always produces the same run bit for bit, and resuming from a checkpoint
 written after epoch k replays epochs k+1..N exactly as an unbroken run
 would have.
 
-The per-sample input pipeline is augment (random scale and translation),
-then normalize, then rotate per the protocol's train side.
+The per-sample input pipeline is normalize, then rotate per the protocol's
+train side. No scale or translation augmentation is drawn: `normalize`
+would cancel it.
 """
 from __future__ import annotations
 
@@ -144,11 +145,9 @@ def load_training_checkpoint(path, model: Model):
 
 def prepared_points(sample: geo.PointCloud, setting: str, side: str,
                     rng) -> np.ndarray:
-    """One cloud through the input pipeline: augment, normalize, rotate."""
-    cloud = geo.augment_scale_translate(sample, rng)
-    cloud = geo.normalize(cloud)
+    """One cloud through the input pipeline: normalize, rotate."""
     rot = protocol_rotation(setting, side, rng)
-    return cloud.points @ rot.T
+    return geo.normalize(sample).points @ rot.T
 
 
 def _batch(samples, idx, setting: str, rng, segment: bool):

@@ -437,7 +437,8 @@ class TestEvaluateClassification:
                             head_widths=(16,))
         model = Model(cfg, seed=5)
         ds = synth_classification(3, 32, np.random.default_rng(34))
-        moved = Dataset([geo.apply_scale_translation(s, 2.0, (0.3, -0.2, 0.1))
+        t = np.array([0.3, -0.2, 0.1])
+        moved = Dataset([geo.PointCloud(s.points * 2.0 + t, s.class_label)
                          for s in ds], ds.class_names)
 
         def scores(dataset):

@@ -53,6 +53,14 @@ class TestNormalize:
         twice = geo.normalize(once)
         assert np.allclose(once.points, twice.points, atol=1e-12)
 
+    def test_cancels_scale_and_shift(self):
+        # Why training draws no scale or translation augmentation.
+        g = rng(14)
+        base = geo.normalize(geo.PointCloud(g.normal(size=(40, 3))))
+        moved = geo.PointCloud(base.points * g.uniform(2 / 3, 1.5)
+                               + g.uniform(-0.2, 0.2, size=3))
+        assert np.allclose(geo.normalize(moved).points, base.points, atol=1e-9)
+
     def test_degenerate_cloud_raises(self):
         with pytest.raises(ValueError):
             geo.normalize(geo.PointCloud(np.ones((5, 3))))
@@ -156,29 +164,6 @@ class TestApplyRotation:
         d0 = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
         d1 = np.linalg.norm(out[:, None] - out[None, :], axis=2)
         assert np.allclose(d0, d1, atol=1e-9)
-
-
-class TestAugmentation:
-    def test_ranges_respected(self):
-        g = rng(13)
-        base = geo.PointCloud(np.eye(3))
-        for _ in range(200):
-            out = geo.augment_scale_translate(base, g)
-            # Recover the transform from the known input.
-            scale = np.linalg.norm(out.points[0] - out.points[1]) / np.sqrt(2)
-            assert geo.SCALE_RANGE[0] - 1e-9 <= scale <= geo.SCALE_RANGE[1] + 1e-9
-
-    def test_normalization_absorbs_augmentation(self):
-        g = rng(14)
-        pts = g.normal(size=(40, 3))
-        base = geo.normalize(geo.PointCloud(pts))
-        aug = geo.augment_scale_translate(base, g)
-        renorm = geo.normalize(aug)
-        assert np.allclose(renorm.points, base.points, atol=1e-9)
-
-    def test_scale_must_be_positive(self):
-        with pytest.raises(ValueError):
-            geo.apply_scale_translation(geo.PointCloud(np.eye(3)), 0.0, [0, 0, 0])
 
 
 class TestCanonicalOrder:

@@ -176,6 +176,37 @@ class TestEquivariance:
             assert np.allclose(rel0, rel1, atol=1e-7)
 
 
+class TestFrameShapeContract:
+    """Frames and RIRs refuse stacks whose leading shapes differ instead of
+    broadcasting one neighborhood, reference or frame across the others."""
+
+    @pytest.mark.parametrize("references,neighborhoods", [
+        ((5, 3), (1, 4, 3)),     # one neighborhood for five references
+        ((1, 3), (5, 4, 3)),
+        ((2, 5, 3), (5, 4, 3)),
+        ((5, 3), (5, 3)),        # no neighbor axis
+        ((5, 3), (5, 0, 3)),     # empty neighborhoods
+        ((5, 2), (5, 4, 2)),
+    ])
+    def test_frames_rejected(self, references, neighborhoods):
+        with pytest.raises(ValueError, match="leading shape") as err:
+            lrf.compute_lrf_batch(np.ones(references), np.ones(neighborhoods))
+        assert str(neighborhoods) in str(err.value)
+
+    @pytest.mark.parametrize("points,references,bases", [
+        ((1, 4, 3), (5, 3), (5, 3, 3)),  # one neighborhood for five frames
+        ((5, 4, 3), (5, 3), (1, 3, 3)),
+        ((5, 4, 3), (1, 3), (5, 3, 3)),
+        ((5, 4, 3), (5, 3), (5, 3)),
+        ((5, 4, 2), (5, 3), (5, 3, 3)),
+        ((5, 0, 3), (5, 3), (5, 3, 3)),
+    ])
+    def test_rirs_rejected(self, points, references, bases):
+        with pytest.raises(ValueError, match="leading shape") as err:
+            lrf.rir_batch(np.ones(points), np.ones(references), np.ones(bases))
+        assert str(points) in str(err.value)
+
+
 class TestBatchKernels:
     def test_batch_matches_gram_schmidt_oracle(self):
         g = rng(52)

@@ -323,6 +323,14 @@ class TestWeightManagement:
         assert model.head_mlp is None
         assert not [n for n in model.values() if n.startswith("head.")]
 
+    def test_segmenter_weights_ignore_head_widths(self):
+        # A segmenter draws no classification head, so its [head] widths
+        # size nothing and every weight it does draw keeps its bits.
+        a = Model(tiny_seg_config(head_widths=(16,)), seed=3).values()
+        b = Model(tiny_seg_config(head_widths=(99, 7)), seed=3).values()
+        assert a.keys() == b.keys()
+        assert all(np.array_equal(a[k], b[k]) for k in a)
+
     def test_load_names_old_layout_head(self):
         # Segmentation checkpoints once held the classification head too.
         seg = Model(tiny_seg_config(), seed=0)
@@ -595,7 +603,10 @@ class TestGoldenOutputs:
     OpenBLAS build they were recorded on; another BLAS kernel may round
     differently. The segmentation gradient digest moved once, when
     segmenters stopped holding the classification head: it is the earlier
-    digest with the head's zero gradients left out.
+    digest with the head's zero gradients left out. Both segmentation
+    digests moved again when segmenters stopped drawing that head's weights
+    from the seed at all: the FP stages and the point head, drawn after it,
+    now start from other values. The classification digests did not move.
     """
 
     @staticmethod
@@ -631,8 +642,8 @@ class TestGoldenOutputs:
 
     def test_segmentation(self):
         assert self.run(tiny_seg_config(), 4) == (
-            "6ecd3b1f8b4d3c61b37de2cf2a3eead5a88926d0aadf18b3a631e57cbb2e1ee9",
-            "4eeb0abdd78e95d1ed08b9e028be61bd68b308f27e0740bd51a4bdb98c32da5a",
+            "c0a4d33d1b19927617547a84038cb276232e0efdb65291e540b657ae24e532aa",
+            "17a07adb847e5aa5746f492246924e1afb436ff58be54e7798a5f48f3d890266",
         )
 
 

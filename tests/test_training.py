@@ -11,7 +11,8 @@ from aecnn.config import (
     SaNextConfig,
     TrainConfig,
 )
-from aecnn.data import synth_classification, synth_segmentation
+import aecnn.geometry as geo
+from aecnn.data import protocol_rotation, synth_classification, synth_segmentation
 from aecnn.geometry import PointCloud
 from aecnn.network import Model
 from aecnn.nn import load_checkpoint
@@ -264,12 +265,17 @@ class TestPipeline:
         assert abs(np.linalg.norm(pts, axis=1).max() - 1.0) < 1e-12
 
     def test_yy_train_side_keeps_vertical(self):
-        ds = tiny_dataset()
-        rng = np.random.default_rng(11)
-        base = ds.samples[0].points
-        pts = prepared_points(ds.samples[0], "YY", "train", rng)
+        sample = tiny_dataset().samples[0]
+        pts = prepared_points(sample, "YY", "train", np.random.default_rng(11))
         # Vertical extent is preserved by y-axis rotations (post normalize).
-        import aecnn.geometry as geo
-        normed = geo.normalize(geo.augment_scale_translate(
-            ds.samples[0], np.random.default_rng(11))).points
+        normed = geo.normalize(sample).points
         assert np.allclose(sorted(pts[:, 1]), sorted(normed[:, 1]), atol=1e-12)
+
+    @pytest.mark.parametrize("setting", ["YY", "YAR", "ARAR"])
+    def test_prepared_points_draw_only_the_rotation(self, setting):
+        # No scale or translation is drawn before the rotation: `normalize`
+        # would cancel it, so the rotation takes the generator's first draws.
+        sample = tiny_dataset().samples[0]
+        got = prepared_points(sample, setting, "train", np.random.default_rng(12))
+        rot = protocol_rotation(setting, "train", np.random.default_rng(12))
+        assert np.array_equal(got, geo.normalize(sample).points @ rot.T)
