@@ -5,9 +5,9 @@ the graph once in reverse topological order. The module holds only the ops
 the network runs: affine maps, addition and scaling of losses, in-place
 relu, max reduction, last-axis concatenation, reshapes, batched row gathers
 (optionally behind a constant prefix), inverse-distance weighted sums,
-per-set standardization, stable softmax cross entropy, and three fused edge
-kernels (the DGCNN edge feature [x_i, xhat - x_i, t], matrix-vector
-alignment and the orthogonality penalty) whose gradients are hand derived.
+stable softmax cross entropy, and three fused edge kernels (the DGCNN edge
+feature [x_i, xhat - x_i, t], matrix-vector alignment and the orthogonality
+penalty) whose gradients are hand derived.
 The unfused ops the tests compare them against (`sub`, `mul`, `square`,
 `relu`, `sum_reduce`, `mean_reduce`, `expand_set`) live in
 tests/reference_ops.py, built on `_make` and `Tensor._add_grad`.
@@ -21,11 +21,11 @@ by reference counting at once.
 Four ops save a buffer and keep the bits of the op chain they replace.
 `relu_inplace` overwrites its input's values, so it may only take a tensor
 nobody else reads: `Mlp` applies it to the output of its own hidden
-`linear` or `standardize`, whose backward reads its inputs, never its
-output. `edge_features` writes the edge feature into one buffer and
-lists its parents as (xhat, x_i), the order in which the backward sweep
-reached them through expand_set, sub and concat; another order sums the
-contributions to a shared source tensor in another order and moves bits.
+`linear`, whose backward reads its inputs, never its output.
+`edge_features` writes the edge feature into one buffer and lists its
+parents as (xhat, x_i), the order in which the backward sweep reached them
+through expand_set, sub and concat; another order sums the contributions
+to a shared source tensor in another order and moves bits.
 `gather_rows(x, idx, prefix=p)` writes a constant prefix and the gathered
 rows into one buffer, equal to concat([constant(p), gather_rows(x, idx)]),
 and scatters its gradient straight from the rows' slice of the output
@@ -53,34 +53,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-_finite_checks = True
-
-
-def set_finite_checks(enabled: bool) -> bool:
-    """Toggle NaN/Inf screening on tensor creation; returns the old value.
-
-    With screening off nothing hides a NaN: `relu_inplace` passes it through
-    (it is np.maximum, not a mask) and `max_reduce` pools it into the output.
-
-    Leaves, `Tensor(...)` and arithmetic ops, `weighted_sum` among them,
-    screen their output. `relu_inplace`, `max_reduce`, `gather_rows`,
-    `concat` and `reshape` do not: they only select or copy values of their
-    inputs (or zeros), which were screened when they were made, so the scan
-    could not fail. A tensor made while screening was off is therefore not
-    re-screened by those ops after it is turned back on; the next arithmetic
-    op raises. The constant arrays that ops take as
-    plain arrays, `gather_rows`'s prefix and `weighted_sum`'s weights, are
-    screened as `constant` screens its values.
-    """
-    global _finite_checks
-    old = _finite_checks
-    _finite_checks = bool(enabled)
-    return old
-
-
 def _screen(v: np.ndarray, what: str):
-    """Raise FloatingPointError if screening is on and v holds a NaN or Inf."""
-    if _finite_checks and not np.isfinite(v).all():
+    """Raise FloatingPointError if v holds a NaN or Inf."""
+    if not np.isfinite(v).all():
         raise FloatingPointError(f"non-finite values entering {what}")
 
 
@@ -294,12 +269,12 @@ def linear(x, w, b=None) -> Tensor:
 def relu_inplace(x: Tensor) -> Tensor:
     """max(x, 0) written over x's own values, which x gives up.
 
-    Only for an x that nothing else reads: the output of an affine map or a
-    standardization whose backward does not read its output's values, held
-    by the caller alone (`Mlp` hidden layers). The values and gradients are
-    the reference `relu`'s bit for bit (negative zeros come out as +0.0),
-    without a second buffer of x's size. The gradient mask is built from the
-    output: out > 0 exactly where x > 0.
+    Only for an x that nothing else reads: the output of an affine map,
+    whose backward does not read its output's values, held by the caller
+    alone (`Mlp` hidden layers). The values and gradients are the reference
+    `relu`'s bit for bit (negative zeros come out as +0.0), without a second
+    buffer of x's size. The gradient mask is built from the output: out > 0
+    exactly where x > 0.
     """
 
     def bwd(out):
@@ -343,13 +318,11 @@ def _first_argmax(v: np.ndarray, axis: int) -> np.ndarray:
     """`v.argmax(axis)`, from the max and one equality pass per slice.
 
     Scans the slices along axis from the last to the first, marking each
-    place that equals the max, so the first maximum is written last. A NaN
-    equals nothing, so a max holding a NaN (finite checks off) takes argmax,
-    which returns the first NaN.
+    place that equals the max, so the first maximum is written last. Every
+    tensor is screened when it is made or only selects screened values, so
+    v holds no NaN.
     """
     m = v.max(axis=axis)
-    if np.isnan(m).any():
-        return v.argmax(axis=axis)
     idx = np.zeros(m.shape, dtype=np.intp)
     hit = np.empty(m.shape, dtype=bool)
     sl = [slice(None)] * v.ndim
@@ -534,49 +507,8 @@ def gather_rows(x, indices: np.ndarray, prefix: Optional[np.ndarray] = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# normalization, loss, and fused edge kernels
+# loss and fused edge kernels
 # ---------------------------------------------------------------------------
-
-STANDARDIZE_EPS = 1e-6
-
-
-def standardize(x, gamma, beta, axes: tuple) -> Tensor:
-    """Zero-mean unit-variance over the given set axes, then scale and shift.
-
-    gamma and beta are (f,) and broadcast over the last axis. Statistics are
-    per sample and per feature; `axes` names the set axes to pool over (for
-    (b, n, f) activations that is (1,), for (b, r, k, f) it is (1, 2) or (2,)
-    depending on what counts as one set).
-    """
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    axes = tuple(a if a >= 0 else x.values.ndim + a for a in axes)
-    if x.values.ndim - 1 in axes:
-        raise ValueError("cannot standardize over the feature axis")
-    m = 1
-    for a in axes:
-        m *= x.values.shape[a]
-    mu = x.values.mean(axis=axes, keepdims=True)
-    diff = x.values - mu
-    var = (diff * diff).mean(axis=axes, keepdims=True)
-    inv = 1.0 / np.sqrt(var + STANDARDIZE_EPS)
-    xhat = diff * inv
-    out_vals = xhat * gamma.values + beta.values
-
-    def bwd(out):
-        g = out.grad
-        sum_axes = tuple(range(g.ndim - 1))
-        if gamma.needs_grad:
-            gamma._add_grad((g * xhat).sum(axis=sum_axes), owned=True)
-        if beta.needs_grad:
-            beta._add_grad(g.sum(axis=sum_axes), owned=True)
-        if x.needs_grad:
-            dxhat = g * gamma.values
-            t1 = dxhat.sum(axis=axes, keepdims=True)
-            t2 = (dxhat * xhat).sum(axis=axes, keepdims=True)
-            x._add_grad((inv / m) * (m * dxhat - t1 - xhat * t2), owned=True)
-
-    return _make(out_vals, (x, gamma, beta), bwd)
-
 
 def cross_entropy(logits, labels) -> Tensor:
     """Mean negative log likelihood with a stable log-softmax.

@@ -128,6 +128,10 @@ def _check_fits(network: NetworkConfig, dataset: dat.Dataset, name: str):
                              ("parts", seg * len(dataset.part_names), network.n_parts)]:
         if have > room:
             raise ValueError(f"the {name} has {have} {what} but the model has {room}")
+    for i, s in enumerate(dataset):
+        if s.points.shape[0] != network.n_points:
+            raise ValueError(f"sample {i} of the {name} has {s.points.shape[0]} "
+                             f"points but the model expects {network.n_points}")
 
 
 def _score(model: Model, test_set: dat.Dataset, setting: str, seed: int,
@@ -159,7 +163,8 @@ def _resume_conflicts(config_path, network, training) -> list:
 
     Compares the INI text save_config writes, so a field it leaves out (the
     segmentation widths of a classifier) cannot differ; a resume may change
-    the epoch count.
+    the epoch count. A file written before per-set standardization was
+    removed holds `normalize = false`, which every network now does.
     """
     parser = configparser.ConfigParser()
     try:
@@ -168,6 +173,8 @@ def _resume_conflicts(config_path, network, training) -> list:
     except configparser.Error as e:
         return [f"cannot parse {config_path}: {e}"]
     old = {(s, k): v for s in parser.sections() for k, v in parser[s].items()}
+    if old.get(("network", "normalize")) == "false":
+        del old[("network", "normalize")]
     new = {(s, k): v for s, values in config_sections(network, training).items()
            for k, v in values.items()}
     keys = sorted((old.keys() | new.keys()) - {("training", "epochs")})

@@ -1,4 +1,8 @@
-"""Network and training configuration with validation and INI round trips."""
+"""Network and training configuration with validation and INI round trips.
+
+Also the file plumbing the config, checkpoint and dataset formats share:
+atomic replacement on write and a reader that names the byte it fails at.
+"""
 from __future__ import annotations
 
 import configparser
@@ -42,7 +46,6 @@ class SaNextConfig:
 
     k: int = 12
     widths: tuple = (64, 128)
-    variant: str = ""  # empty inherits the network-level variant
 
 
 @dataclass
@@ -50,8 +53,7 @@ class NetworkConfig:
     n_points: int = 256
     n_classes: int = 4
     features: str = "rir"          # "rir" or "absolute" (negative control)
-    variant: str = "aeconv3"       # alignment used by every sa_next block
-    normalize: bool = False        # per-set standardization inside MLPs
+    variant: str = "aeconv3"       # alignment of every edge convolution
     sa_first: SaFirstConfig = field(default_factory=SaFirstConfig)
     sa_next: tuple = field(default_factory=lambda: (
         SaNextConfig(12, (64, 128)),
@@ -117,10 +119,6 @@ class NetworkConfig:
             if blk.k > refs * 4:
                 problems.append(
                     f"sa_next_{i}.k = {blk.k} exceeds the {refs * 4} available points"
-                )
-            if blk.variant and blk.variant not in ALIGN_VARIANTS:
-                problems.append(
-                    f"sa_next_{i}.variant must be one of {ALIGN_VARIANTS}, got {blk.variant!r}"
                 )
             problems.extend(_check_widths(f"sa_next_{i}.widths", blk.widths))
         problems.extend(_check_widths("head.widths", self.head_widths))
@@ -210,11 +208,10 @@ class TrainConfig:
 # and parsed by the type of the attribute's dataclass default; the one field
 # whose default is None (early_stop_train_acc) is a float.
 _SECTIONS = {
-    "network": {k: k for k in ("n_points", "n_classes", "features", "variant",
-                               "normalize")},
+    "network": {k: k for k in ("n_points", "n_classes", "features", "variant")},
     "sa_first": {k: k for k in ("n_ref", "k", "search", "radius", "anchor",
                                 "widths")},
-    "sa_next": {k: k for k in ("k", "widths", "variant")},
+    "sa_next": {k: k for k in ("k", "widths")},
     "head": {"widths": "head_widths"},
     "segmentation": {k: k for k in ("n_parts", "fp_widths", "point_head",
                                     "fp_align_hidden")},
@@ -234,8 +231,6 @@ def _table(section: str) -> Optional[dict]:
 
 def _format(default, value) -> str:
     """The INI text of a value, by the type of its field's default."""
-    if isinstance(default, bool):
-        return str(bool(value)).lower()
     if default is None or isinstance(default, float):
         return repr(float(value))
     if isinstance(default, tuple):
@@ -245,11 +240,6 @@ def _format(default, value) -> str:
 
 def _parse(default, raw: str):
     """An INI value as the type of its field's default; ValueError names why."""
-    if isinstance(default, bool):
-        states = configparser.ConfigParser.BOOLEAN_STATES
-        if raw.lower() not in states:
-            raise ValueError("expected a boolean")
-        return states[raw.lower()]
     try:
         if default is None or isinstance(default, float):
             return float(raw)
@@ -265,8 +255,7 @@ def config_sections(network: NetworkConfig,
     """The INI text of the configs as {section: {key: value string}}.
 
     [segmentation] is written only for a segmenter and [align] only when
-    aeconv1_hidden is not its default; an unset optional value (a block's
-    inherited variant, no early stop) is left out.
+    aeconv1_hidden is not its default; an unset early stop is left out.
     """
     objects = [("network", network), ("sa_first", network.sa_first)]
     objects += [(f"sa_next_{i}", blk) for i, blk in enumerate(network.sa_next, start=1)]
@@ -283,7 +272,7 @@ def config_sections(network: NetworkConfig,
         values = sections[section] = {}
         for key, attr in _table(section).items():
             default, value = getattr(defaults, attr), getattr(obj, attr)
-            if default in (None, "") and value == default:
+            if default is None and value is None:
                 continue
             values[key] = _format(default, value)
     return sections
@@ -313,6 +302,49 @@ def atomic_write(path, mode: str = "w"):
         raise
 
 
+class ByteReader:
+    """Sequential reads of a binary file; every failure raises the caller's
+    error class with the path and the byte position."""
+
+    def __init__(self, path, error: type):
+        with open(path, "rb") as f:
+            self.blob = f.read()
+        self.pos = 0
+        self.path = path
+        self.error = error
+
+    def take(self, n: int, what: str) -> bytes:
+        if self.pos + n > len(self.blob):
+            raise self.error(
+                f"{self.path}: truncated at byte {self.pos}: needed {n} more "
+                f"bytes for {what}, file holds {len(self.blob) - self.pos}"
+            )
+        out = self.blob[self.pos:self.pos + n]
+        self.pos += n
+        return out
+
+    def u32(self, what: str) -> int:
+        return int.from_bytes(self.take(4, what), "little")
+
+    def u8(self, what: str) -> int:
+        return self.take(1, what)[0]
+
+    def string(self, what: str, max_bytes: int, min_bytes: int = 0) -> str:
+        """A u32 byte length, then that many utf-8 bytes."""
+        n = self.u32(f"{what} length")
+        if not min_bytes <= n <= max_bytes:
+            raise self.error(
+                f"{self.path}: implausible {what} length {n} at byte {self.pos - 4}"
+            )
+        start = self.pos
+        try:
+            return self.take(n, what).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise self.error(
+                f"{self.path}: {what} is not utf-8 at byte {start + e.start}"
+            ) from None
+
+
 def save_config(path, network: NetworkConfig, train: Optional[TrainConfig] = None):
     cp = configparser.ConfigParser()
     cp.read_dict(config_sections(network, train))
@@ -334,6 +366,13 @@ def load_config(path):
     except configparser.Error as e:
         raise ConfigError([f"cannot parse config file: {e}"]) from None
     problems = []
+    # Files written before per-set standardization was removed carry
+    # `normalize = false`, which is what every network now does.
+    if cp.has_option("network", "normalize"):
+        if cp.BOOLEAN_STATES.get(cp["network"]["normalize"].lower()) is not False:
+            problems.append("[network] normalize: per-set standardization was "
+                            "removed; only normalize = false is accepted")
+        cp.remove_option("network", "normalize")
     for section in cp.sections():
         table = _table(section)
         if table is None:

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import geometry as geo
-from .config import atomic_write
+from .config import ByteReader, atomic_write
 
 DATASET_MAGIC = b"AEDS1"
 # Longest class name, part name or split tag, in utf-8 bytes, and the largest
@@ -246,43 +246,8 @@ def save_dataset_bin(path, dataset: Dataset):
                 f.write(s.part_labels.astype(np.uint8).tobytes())
 
 
-class _Reader:
-    """Sequential reads with position-bearing truncation errors."""
-
-    def __init__(self, blob: bytes, path):
-        self.blob = blob
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise FileFormatError(
-                f"{self.path}: truncated at byte {self.pos}: needed {n} more "
-                f"bytes for {what}, file holds {len(self.blob) - self.pos}"
-            )
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self, what: str) -> int:
-        return int(np.frombuffer(self.take(4, what), dtype="<u4")[0])
-
-    def u8(self, what: str) -> int:
-        return int(self.take(1, what)[0])
-
-    def string(self, what: str) -> str:
-        n = self.u32(f"{what} length")
-        if n > DATASET_MAX_STRING_BYTES:
-            raise FileFormatError(
-                f"{self.path}: implausible {what} length {n} at byte {self.pos - 4}"
-            )
-        return self.take(n, what).decode("utf-8")
-
-
 def load_dataset_bin(path) -> Dataset:
-    with open(path, "rb") as f:
-        blob = f.read()
-    r = _Reader(blob, path)
+    r = ByteReader(path, FileFormatError)
     magic = r.take(len(DATASET_MAGIC), "magic")
     if magic != DATASET_MAGIC:
         raise FileFormatError(
@@ -291,11 +256,11 @@ def load_dataset_bin(path) -> Dataset:
     n_samples = r.u32("sample count")
     if n_samples == 0:
         raise FileFormatError(f"{path}: dataset holds zero samples")
-    class_names = tuple(r.string("class name")
+    class_names = tuple(r.string("class name", DATASET_MAX_STRING_BYTES)
                         for _ in range(r.u32("class name count")))
-    part_names = tuple(r.string("part name")
+    part_names = tuple(r.string("part name", DATASET_MAX_STRING_BYTES)
                        for _ in range(r.u32("part name count")))
-    split_tag = r.string("split tag")
+    split_tag = r.string("split tag", DATASET_MAX_STRING_BYTES)
     samples = []
     for si in range(n_samples):
         class_id = r.u32(f"sample {si} class id")
@@ -323,9 +288,9 @@ def load_dataset_bin(path) -> Dataset:
             part = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
         samples.append(geo.PointCloud(coords, class_label=class_id,
                                       part_labels=part))
-    if r.pos != len(blob):
+    if r.pos != len(r.blob):
         raise FileFormatError(
-            f"{path}: {len(blob) - r.pos} trailing bytes after the last sample "
+            f"{path}: {len(r.blob) - r.pos} trailing bytes after the last sample "
             f"(byte {r.pos})"
         )
     return Dataset(samples, class_names, part_names, split_tag)

@@ -121,19 +121,17 @@ class Model:
         c = config
 
         in_dim = 3 if c.features == "rir" else 6
-        self.h_mlp = Mlp((in_dim, *c.sa_first.widths), rng, self.params,
-                         "sa_first.h", normalize=c.normalize)
+        self.h_mlp = Mlp((in_dim, *c.sa_first.widths), rng, self.params, "sa_first.h")
 
+        variant = AlignVariant.from_name(c.variant)
         self.block_mlps = []
         f_in = c.sa_first.widths[-1]
         for i, blk in enumerate(c.sa_next, start=1):
-            variant = AlignVariant.from_name(blk.variant or c.variant)
             hidden = c.aeconv1_hidden if variant is AlignVariant.AECONV1 else f_in
             align = self._build_align_mlp(variant, f_in, hidden, rng,
                                           f"sa_next{i}.align")
             q_in = 2 * f_in if variant is AlignVariant.PLAIN_EDGECONV else 2 * f_in + 3
-            q = Mlp((q_in, *blk.widths), rng, self.params, f"sa_next{i}.q",
-                    normalize=c.normalize)
+            q = Mlp((q_in, *blk.widths), rng, self.params, f"sa_next{i}.q")
             self.block_mlps.append((variant, align, q, blk.k))
             f_in = blk.widths[-1]
 
@@ -143,7 +141,6 @@ class Model:
         self.fp_stages = []
         self.point_head = None
         if c.n_parts:
-            variant = AlignVariant.from_name(c.variant)
             widths = c.feature_widths()          # (f1, f2, f3)
             # Stage 1: coarsest level onto the sa_first references (skip f1);
             # stage 2: onto the raw points (no skip).
@@ -155,12 +152,11 @@ class Model:
                 align = self._build_align_mlp(variant, f_coarse, c.fp_align_hidden,
                                               rng, f"fp{si}.align")
                 mlp = Mlp((f_coarse + f_skip, f_out, f_out), rng, self.params,
-                          f"fp{si}.mlp", normalize=c.normalize)
+                          f"fp{si}.mlp")
                 self.fp_stages.append((variant, align, mlp))
             self.point_head = Mlp(
                 (c.fp_widths[1] + c.n_classes, *c.point_head, c.n_parts),
-                rng, self.params, "point_head", normalize=c.normalize,
-            )
+                rng, self.params, "point_head")
 
     def _build_align_mlp(self, variant: AlignVariant, f: int, hidden: int,
                          rng, name: str):
@@ -178,6 +174,7 @@ class Model:
         return {k: t.values.copy() for k, t in self.params.items()}
 
     def load_values(self, arrays: dict):
+        """Swap in checkpointed arrays; refused ones leave every weight as it was."""
         missing = [k for k in self.params if k not in arrays]
         extra = [k for k in arrays if k not in self.params]
         if missing or extra:
@@ -190,7 +187,10 @@ class Model:
                 raise ValueError(
                     f"shape mismatch for {k}: checkpoint {a.shape}, model {t.values.shape}"
                 )
-            t.values = a.copy()
+            if not np.isfinite(a).all():
+                raise ValueError(f"non-finite values in {k}")
+        for k, t in self.params.items():
+            t.values = np.array(arrays[k], dtype=np.float64)
 
     @contextmanager
     def _inference(self):
@@ -240,21 +240,21 @@ class Model:
         # Forward only, the MLP and the max over k run on blocks of references
         # whose widest activation is about 4 MB. Whole-batch activations are
         # fresh buffers every call, and their first-touch page faults cost
-        # more than the GEMMs; blocks reuse warm memory. Rows never mix (the
-        # per-set statistics run over k alone) and a GEMM's rows do not
-        # depend on how many rows it is given, so the result is the same.
+        # more than the GEMMs; blocks reuse warm memory. Rows never mix and a
+        # GEMM's rows do not depend on how many rows it is given, so the
+        # result is the same.
         # Each block pools into its rows of one (b, r, f) array with the plain
         # max that max_reduce takes when nothing needs a gradient.
         # Tracked passes keep one block: splitting the graph would change the
         # summation order of the weight-gradient GEMM.
         if any(p.needs_grad for p in self.h_mlp.parameters()):
-            feat = ad.max_reduce(self.h_mlp(ad.constant(h_in), set_axes=(2,)), axis=2)
+            feat = ad.max_reduce(self.h_mlp(ad.constant(h_in)), axis=2)
             return _Level(pts=ref_pts, bases=bases, feat=feat)
         r = h_in.shape[1]
         step = max(1, SA_FIRST_BLOCK_ELEMS // (b * k * max(self.h_mlp.widths)))
         pooled = np.empty((b, r, self.h_mlp.out_width))
         for s in range(0, r, step):
-            h = self.h_mlp(ad.constant(h_in[:, s:s + step]), set_axes=(2,))
+            h = self.h_mlp(ad.constant(h_in[:, s:s + step]))
             np.max(h.values, axis=2, out=pooled[:, s:s + step])
         return _Level(pts=ref_pts, bases=bases, feat=ad.constant(pooled))
 
@@ -304,7 +304,7 @@ class Model:
         xhat = _align_edge_features(variant, align_mlp, level.feat, graph,
                                     new_bases, nb_bases, t, penalties)
         geometry = None if variant is AlignVariant.PLAIN_EDGECONV else t
-        edge = q_mlp(ad.edge_features(x_i, xhat, geometry), set_axes=(2,))
+        edge = q_mlp(ad.edge_features(x_i, xhat, geometry))
         feat = ad.max_reduce(edge, axis=2)
         return _Level(pts=new_pts, bases=new_bases, feat=feat)
 
@@ -359,7 +359,7 @@ class Model:
                              penalties)
 
         hot = np.repeat(onehot[:, None, :], n, axis=1)
-        logits = self.point_head(ad.concat([g2, ad.constant(hot)]), set_axes=(1,))
+        logits = self.point_head(ad.concat([g2, ad.constant(hot)]))
 
         # Undo the canonical sort so row i speaks for input point i.
         inv = np.empty_like(order)
@@ -383,7 +383,7 @@ class Model:
                                     fine_bases, cbases, t, penalties)  # (b, nf, 3, fc)
         interp = ad.weighted_sum(xhat, w)
         mixed = interp if skip is None else ad.concat([interp, skip])
-        return mlp(mixed, set_axes=(1,))
+        return mlp(mixed)
 
     # -- single-cloud conveniences ---------------------------------------------
 

@@ -1,34 +1,31 @@
 """Trainable building blocks: shared MLPs, Adam, LR schedule, checkpoints."""
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
-from .config import atomic_write
+from .config import ByteReader, atomic_write
 
 
 class Mlp:
     """Shared-weight MLP applied along the last axis of its input.
 
-    widths = (fin, h1, ..., fout). Hidden layers are affine -> optional
-    per-set standardization -> relu; the output layer is plain affine.
-    Parameters register themselves into `store` under dotted names so the
-    whole network is one flat name -> Tensor dict (which is also the
-    checkpoint layout).
+    widths = (fin, h1, ..., fout). Hidden layers are affine -> relu; the
+    output layer is plain affine. Parameters register themselves into
+    `store` under dotted names so the whole network is one flat
+    name -> Tensor dict (which is also the checkpoint layout).
     """
 
-    def __init__(self, widths, rng: np.random.Generator, store: dict, name: str,
-                 normalize: bool = False):
+    def __init__(self, widths, rng: np.random.Generator, store: dict, name: str):
         widths = tuple(int(w) for w in widths)
         if len(widths) < 2 or any(w < 1 for w in widths):
             raise ValueError(f"mlp widths must be >= 1 with >= 2 entries, got {widths}")
         self.widths = widths
         self.name = name
-        self.normalize = normalize
         self.layers = []
         n_layers = len(widths) - 1
         for li, (fin, fout) in enumerate(zip(widths[:-1], widths[1:])):
@@ -40,27 +37,19 @@ class Mlp:
             b = ad.parameter(np.zeros(fout), name=f"{name}.b{li}")
             store[w.name] = w
             store[b.name] = b
-            gamma = beta = None
-            if normalize and not last:
-                gamma = ad.parameter(np.ones(fout), name=f"{name}.gamma{li}")
-                beta = ad.parameter(np.zeros(fout), name=f"{name}.beta{li}")
-                store[gamma.name] = gamma
-                store[beta.name] = beta
-            self.layers.append((w, b, gamma, beta, last))
+            self.layers.append((w, b, last))
 
-    def __call__(self, x, set_axes: Optional[tuple] = None):
-        for w, b, gamma, beta, last in self.layers:
+    def __call__(self, x):
+        for w, b, last in self.layers:
             x = ad.linear(x, w, b)
             if not last:
-                if gamma is not None and set_axes:
-                    x = ad.standardize(x, gamma, beta, set_axes)
                 # x is this MLP's own fresh output, so relu may overwrite it.
                 x = ad.relu_inplace(x)
         return x
 
     def parameters(self) -> list:
         """Every trainable Tensor of this MLP, layer by layer."""
-        return [t for layer in self.layers for t in layer[:4] if t is not None]
+        return [t for w, b, _ in self.layers for t in (w, b)]
 
     @property
     def in_width(self) -> int:
@@ -183,36 +172,27 @@ def save_checkpoint(path, arrays: dict):
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint back into {name: float64 array}, original order."""
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+    """Read a checkpoint back into {name: float64 array}, original order.
+
+    Errors name the file and the byte. An array holding a NaN or Inf is
+    refused by name, as `Tensor` would refuse it once loaded.
+    """
+    r = ByteReader(path, CheckpointError)
+    magic = r.take(len(CHECKPOINT_MAGIC), "magic")
+    if magic != CHECKPOINT_MAGIC:
         raise CheckpointError(
-            f"bad magic {blob[:len(CHECKPOINT_MAGIC)]!r}, expected {CHECKPOINT_MAGIC!r}"
+            f"{path}: bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}"
         )
-    off = len(CHECKPOINT_MAGIC)
     out: dict = {}
-
-    def take(n: int, why: str) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise CheckpointError(f"truncated checkpoint at byte {off}: {why}")
-        piece = blob[off: off + n]
-        off += n
-        return piece
-
-    while off < len(blob):
-        (name_len,) = struct.unpack("<I", take(4, "name length"))
-        if name_len == 0 or name_len > CHECKPOINT_MAX_NAME_BYTES:
-            raise CheckpointError(f"implausible name length {name_len} at byte {off}")
-        name = take(name_len, "name").decode("utf-8")
-        (rank,) = struct.unpack("<I", take(4, "rank"))
+    while r.pos < len(r.blob):
+        name = r.string("name", CHECKPOINT_MAX_NAME_BYTES, min_bytes=1)
+        rank = r.u32("rank")
         if rank > CHECKPOINT_MAX_RANK:
-            raise CheckpointError(f"implausible rank {rank} at byte {off}")
-        shape = struct.unpack(f"<{rank}I", take(4 * rank, "dims")) if rank else ()
-        count = 1
-        for s in shape:
-            count *= s
-        data = take(8 * count, f"values of {name!r}")
-        out[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+            raise CheckpointError(f"{path}: implausible rank {rank} at byte {r.pos - 4}")
+        shape = tuple(r.u32(f"dims of {name!r}") for _ in range(rank))
+        data = r.take(8 * math.prod(shape), f"values of {name!r}")
+        a = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
+        if not np.isfinite(a).all():
+            raise CheckpointError(f"{path}: array {name!r} holds non-finite values")
+        out[name] = a
     return out

@@ -169,29 +169,23 @@ class TestReductions:
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_tracked_max_matches_argmax_bitwise(self, axis):
-        # Ties, ties between -0.0 and +0.0, and (checks off) NaN: the tracked
-        # max picks argmax's index and returns the value stored there.
+        # Ties, and ties between -0.0 and +0.0: the tracked max picks
+        # argmax's index and returns the value stored there.
         g = rng(72)
         x = g.integers(-2, 3, size=(5, 6, 7)).astype(np.float64)
         x[x == 0] = -0.0
         x[g.random(x.shape) < 0.3] = 0.0
-        x[1, 2, 3] = np.nan
         x[3, :, :] = -0.0
-        old = ad.set_finite_checks(False)
-        try:
-            for v in (x, np.nan_to_num(x, nan=-1.0)):
-                p = ad.parameter(v)
-                out = ad.max_reduce(p, axis=axis)
-                am = np.expand_dims(v.argmax(axis=axis), axis)
-                want = np.squeeze(np.take_along_axis(v, am, axis), axis=axis)
-                assert np.array_equal(out.values, want, equal_nan=True)
-                assert np.array_equal(np.signbit(out.values), np.signbit(want))
-                ad.backward(ref.sum_reduce(out))
-                routed = np.zeros_like(v)
-                np.put_along_axis(routed, am, 1.0, axis)
-                assert np.array_equal(p.grad, routed)
-        finally:
-            ad.set_finite_checks(old)
+        p = ad.parameter(x)
+        out = ad.max_reduce(p, axis=axis)
+        am = np.expand_dims(x.argmax(axis=axis), axis)
+        want = np.squeeze(np.take_along_axis(x, am, axis), axis=axis)
+        assert np.array_equal(out.values, want)
+        assert np.array_equal(np.signbit(out.values), np.signbit(want))
+        ad.backward(ref.sum_reduce(out))
+        routed = np.zeros_like(x)
+        np.put_along_axis(routed, am, 1.0, axis)
+        assert np.array_equal(p.grad, routed)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
@@ -450,39 +444,6 @@ class TestPrefixGatherWeightedSum:
             ad.weighted_sum(x, w)
 
 
-class TestStandardize:
-    def test_forward_statistics(self):
-        g = rng(74)
-        x = g.normal(size=(2, 7, 5)) * 3 + 1
-        out = ad.standardize(
-            ad.constant(x), ad.constant(np.ones(5)), ad.constant(np.zeros(5)),
-            axes=(1,),
-        )
-        assert np.allclose(out.values.mean(axis=1), 0.0, atol=1e-9)
-        assert np.allclose(out.values.std(axis=1), 1.0, atol=1e-3)
-
-    def test_gradients(self):
-        g = rng(75)
-        check_grads(
-            lambda x, ga, be: project(ad.standardize(x, ga, be, axes=(1,))),
-            [g.normal(size=(2, 6, 3)), g.uniform(0.5, 2.0, size=3), g.normal(size=3)],
-            tol=5e-4,
-        )
-
-    def test_two_set_axes(self):
-        g = rng(76)
-        check_grads(
-            lambda x, ga, be: project(ad.standardize(x, ga, be, axes=(1, 2))),
-            [g.normal(size=(2, 3, 4, 2)), g.uniform(0.5, 2.0, size=2), g.normal(size=2)],
-            tol=5e-4,
-        )
-
-    def test_feature_axis_rejected(self):
-        with pytest.raises(ValueError):
-            ad.standardize(ad.constant(np.zeros((2, 3, 4))), ad.constant(np.ones(4)),
-                           ad.constant(np.zeros(4)), axes=(-1,))
-
-
 class TestCrossEntropy:
     def test_uniform_logits_give_log_c(self):
         loss = ad.cross_entropy(ad.constant(np.zeros(4)), 2)
@@ -577,35 +538,8 @@ class TestGraphMechanics:
         assert np.allclose(x.grad, [2.0 * 2.0 + 3.0])
 
     def test_finite_check_raises(self):
-        old = ad.set_finite_checks(True)
-        try:
-            with pytest.raises(FloatingPointError):
-                ad.Tensor(np.array([np.nan]))
-        finally:
-            ad.set_finite_checks(old)
-
-    def test_finite_check_can_be_disabled(self):
-        old = ad.set_finite_checks(False)
-        try:
-            t = ad.Tensor(np.array([np.inf]))
-            assert np.isinf(t.values).all()
-        finally:
-            ad.set_finite_checks(old)
-
-    def test_nan_propagates_when_checks_are_off(self):
-        # relu keeps a NaN (np.maximum), and both max_reduce paths, the
-        # forward-only max and the tracked argmax, pool it into the output.
-        old = ad.set_finite_checks(False)
-        try:
-            x = np.array([[np.nan, -1.0, 2.0], [0.5, -3.0, 1.0]])
-            assert np.array_equal(ref.relu(ad.constant(x)).values,
-                                  [[np.nan, 0.0, 2.0], [0.5, 0.0, 1.0]],
-                                  equal_nan=True)
-            for leaf in (ad.constant(x), ad.parameter(x)):
-                pooled = ad.max_reduce(ref.relu(leaf), axis=1).values
-                assert np.array_equal(pooled, [np.nan, 1.0], equal_nan=True)
-        finally:
-            ad.set_finite_checks(old)
+        with pytest.raises(FloatingPointError):
+            ad.Tensor(np.array([np.nan]))
 
 
 def tracked_ops(g):
@@ -625,7 +559,6 @@ def tracked_ops(g):
         ("concat", lambda: ad.concat([x, x])),
         ("edge_features", lambda: ad.edge_features(ad.max_reduce(x, axis=1), x)),
         ("gather_rows", lambda: ad.gather_rows(x, idx, prefix=np.ones((2, 4, 1)))),
-        ("standardize", lambda: ad.standardize(x, np.ones(3), np.zeros(3), axes=(1,))),
         ("cross_entropy", lambda: ad.cross_entropy(x, np.zeros((2, 5), dtype=int))),
         ("edge_matvec", lambda: ad.edge_matvec(m, x)),
         ("orthogonality_penalty", lambda: ad.orthogonality_penalty(m)),
@@ -710,8 +643,7 @@ def uncalled_public_functions(module, roots, entry_points=()) -> list:
 
 def test_every_public_op_has_a_package_caller():
     """An op only the tests call belongs in tests/reference_ops.py."""
-    entry_points = {"parameter", "constant", "as_tensor", "backward",
-                    "set_finite_checks"}
+    entry_points = {"parameter", "constant", "as_tensor", "backward"}
     assert uncalled_public_functions(ad, [PACKAGE], entry_points) == []
 
 
@@ -794,21 +726,6 @@ class TestGradientOwnership:
         x._add_grad(np.float64(2.0))
         x._add_grad(np.float64(0.5))
         assert x.grad.shape == () and float(x.grad) == 2.5
-
-    def test_selection_ops_do_not_rescreen(self):
-        # Values made while screening was off are not screened again by ops
-        # that only select or copy them; the next arithmetic op raises.
-        old = ad.set_finite_checks(False)
-        try:
-            x = ad.constant(np.array([[np.nan, 1.0]]))
-        finally:
-            ad.set_finite_checks(True)
-        try:
-            assert np.isnan(ref.relu(x).values[0, 0])
-            with pytest.raises(FloatingPointError):
-                ad.linear(x, ad.constant(np.ones((2, 1))))
-        finally:
-            ad.set_finite_checks(old)
 
 
 class TestCompositeProbe:

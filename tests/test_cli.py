@@ -187,6 +187,20 @@ class TestTrain:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_wrong_point_count_refused_before_writing(self, tmp_path, capsys):
+        data_path = tmp_path / "train.aeds"
+        save_dataset_bin(data_path, synth_classification(2, 20, np.random.default_rng(0)))
+        cfg = write_cfg(tmp_path / "c.ini", tiny_cfg())
+        out = tmp_path / "run"
+        code = main(["train", cfg, str(out), "--epochs", "1", "--dataset",
+                     str(data_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert ("sample 0 of the dataset has 20 points but the model expects 24"
+                in captured.err)
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("damage", ["truncated", "no-meta", "old-head-layout"])
     def test_unloadable_checkpoint_refused(self, tmp_path, capsys, damage):
         cfg = write_cfg(tmp_path / "c.ini", tiny_seg_cfg())
@@ -294,6 +308,31 @@ class TestEval:
         assert message in captured.err
         assert captured.out == ""
 
+    def test_wrong_point_count_exits_2(self, tmp_path, capsys):
+        ckpt = self.make_run(tmp_path, capsys)
+        path = tmp_path / "small.aeds"
+        save_dataset_bin(path, synth_classification(1, 20, np.random.default_rng(1)))
+        code = main(["eval", str(ckpt), str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "has 20 points but the model expects 24" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command,args", [
+        ("eval", ["synth-classification", "--n-per-class", "1"]),
+        ("invariance-audit", ["--clouds", "1"]),
+    ], ids=["eval", "invariance-audit"])
+    def test_non_finite_weight_exits_2(self, tmp_path, capsys, command, args):
+        ckpt = self.make_run(tmp_path, capsys)
+        arrays = load_checkpoint(ckpt)
+        arrays["param.head.w0"][0, 0] = np.nan
+        save_checkpoint(ckpt, arrays)
+        code = main([command, str(ckpt), *args])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "'param.head.w0' holds non-finite values" in captured.err
+        assert captured.out == ""
+
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         ckpt = self.make_run(tmp_path, capsys)
         code = main(["eval", str(tmp_path / "ghost.ckpt"),
@@ -373,6 +412,45 @@ class TestInvarianceAudit:
             "invariance-audit", str(ckpt), "--rotations", "0"])
         assert code == 0
         assert "warning" in lines[0]
+
+
+class TestRunDirectoryWithNormalize:
+    """A run directory whose config.ini holds `normalize = false`, as every
+    config.ini written while per-set standardization was an option does."""
+
+    LEGACY_INI = Path(__file__).parent / "data" / "desk_config_with_normalize.ini"
+
+    def make_run(self, tmp_path, capsys, value="false"):
+        out = tmp_path / "run"
+        train = ["train", str(self.LEGACY_INI), str(out), "--n-per-class", "1"]
+        assert main(train + ["--epochs", "1"]) == 0
+        legacy = self.LEGACY_INI.read_text()
+        (out / "config.ini").write_text(
+            legacy.replace("normalize = false", f"normalize = {value}"))
+        capsys.readouterr()
+        return out, train
+
+    def test_evaluates_audits_and_resumes(self, tmp_path, capsys):
+        out, train = self.make_run(tmp_path, capsys)
+        ckpt = str(out / "model.ckpt")
+        assert main(["eval", ckpt, "synth-classification", "--n-per-class", "1"]) == 0
+        assert main(["invariance-audit", ckpt, "--clouds", "1",
+                     "--rotations", "2"]) == 0
+        assert main(train + ["--epochs", "2"]) == 0
+        recorded = [json.loads(l) for l in
+                    (out / "run.jsonl").read_text().splitlines()]
+        assert [r["epoch"] for r in recorded if r["type"] == "epoch"] == [0, 1]
+
+    def test_normalize_true_exits_2(self, tmp_path, capsys):
+        out, train = self.make_run(tmp_path, capsys, value="true")
+        ckpt = str(out / "model.ckpt")
+        for argv in (train + ["--epochs", "2"],
+                     ["eval", ckpt, "synth-classification", "--n-per-class", "1"],
+                     ["invariance-audit", ckpt, "--clouds", "1"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert "normalize" in captured.err
+            assert captured.out == ""
 
 
 class TestAblate:

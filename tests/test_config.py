@@ -1,5 +1,6 @@
 """Config validation and INI round-trip behavior."""
 import configparser
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from aecnn.config import (
     paper_scale_config,
     save_config,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestValidation:
@@ -57,14 +60,6 @@ class TestValidation:
         probs = cfg.validate()
         assert len(probs) >= 3
 
-    def test_per_block_variant_checked(self):
-        cfg = NetworkConfig(sa_next=(
-            SaNextConfig(16, (128, 256), variant="bogus"),
-            SaNextConfig(16, (256, 512)),
-        ))
-        with pytest.raises(ConfigError, match="bogus"):
-            cfg.validated()
-
     def test_train_config_setting_checked(self):
         with pytest.raises(ConfigError):
             TrainConfig(setting="sideways").validated()
@@ -97,10 +92,9 @@ class TestIniRoundTrip:
             n_points=64,
             features="absolute",
             variant="aeconv1",
-            normalize=True,
             sa_first=SaFirstConfig(n_ref=32, k=12, search="ball", radius=0.35,
                                    anchor="max_projection", widths=(16, 24)),
-            sa_next=(SaNextConfig(5, (24, 40), variant="edgeconv"),),
+            sa_next=(SaNextConfig(5, (24, 40)),),
             head_widths=(48, 16),
         )
         save_config(path, cfg)
@@ -171,8 +165,7 @@ class TestIniRoundTrip:
         path = tmp_path / "all.ini"
         cfg = desk_segmentation_config(
             n_parts=4, variant="aeconv2", aeconv1_hidden=17, fp_align_hidden=19,
-            sa_next=(SaNextConfig(11, (24, 40), variant="edgeconv"),
-                     SaNextConfig(10, (40, 56), variant="aeconv1")),
+            sa_next=(SaNextConfig(11, (24, 40)), SaNextConfig(10, (40, 56))),
         )
         train = TrainConfig(epochs=7, batch_size=5, base_lr=3.3e-4, lr_decay=0.5,
                             lr_boundaries=(2, 5, 6), setting="YY", seed=42,
@@ -194,7 +187,7 @@ class TestIniRoundTrip:
         path = tmp_path / "bad.ini"
         save_config(path, NetworkConfig(), TrainConfig())
         text = (path.read_text()
-                .replace("normalize = false", "normalize = maybe")
+                .replace("variant = aeconv3", "variant = aeconv3\nnormalize = maybe")
                 .replace("radius = 0.2", "radius = wide")
                 .replace("widths = 64, 128", "widths = 64, x")
                 .replace("votes = 1", "votes = 1.5"))
@@ -202,11 +195,19 @@ class TestIniRoundTrip:
         with pytest.raises(ConfigError) as exc:
             load_config(path)
         assert exc.value.problems == [
-            "[network] normalize: expected a boolean",
+            "[network] normalize: per-set standardization was removed; only "
+            "normalize = false is accepted",
             "[sa_first] radius: cannot parse 'wide'",
             "[sa_next_1] widths: cannot parse '64, x'",
             "[training] votes: cannot parse '1.5'",
         ]
+
+    def test_reads_config_written_with_normalize_false(self):
+        # Every config.ini written while per-set standardization was an
+        # option holds `normalize = false`; such run directories stay usable.
+        back, train = load_config(DATA / "desk_config_with_normalize.ini")
+        assert back == desk_classification_config()
+        assert train == TrainConfig()
 
     def test_saved_desk_text(self, tmp_path):
         # cmd_train compares this text with config.ini files already on disk,
@@ -222,7 +223,6 @@ n_points = 256
 n_classes = 4
 features = rir
 variant = aeconv3
-normalize = false
 
 [sa_first]
 n_ref = 64

@@ -162,6 +162,18 @@ class TestDatasetBin:
             with pytest.raises(FileFormatError, match="byte"):
                 load_dataset_bin(short)
 
+    def test_name_that_is_not_utf8_named_by_byte(self, tmp_path):
+        ds = Dataset([geo.PointCloud(np.ones((2, 3)), class_label=0)], ("ab",))
+        path = tmp_path / "n.bin"
+        save_dataset_bin(path, ds)
+        blob = path.read_bytes()
+        # Magic (5 bytes), sample count, class name count and the name's
+        # length (4 each) come before the name.
+        path.write_bytes(blob[:18] + b"\xff" + blob[19:])
+        with pytest.raises(FileFormatError,
+                           match=r"n\.bin: class name is not utf-8 at byte 18"):
+            load_dataset_bin(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         rng = np.random.default_rng(5)
         ds = synth_classification(1, 8, rng)

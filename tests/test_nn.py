@@ -38,22 +38,12 @@ class TestMlp:
         out = mlp(ad.constant(x)).values
         assert (out < 0).any()  # a relu'd output could never be negative
 
-    def test_normalization_layers(self):
-        store = {}
-        mlp = nn.Mlp((3, 6, 4), rng(4), store, "m", normalize=True)
-        assert "m.gamma0" in store and "m.beta0" in store
-        assert "m.gamma1" not in store  # never on the output layer
-        x = rng(5).normal(size=(2, 10, 3))
-        out = mlp(ad.constant(x), set_axes=(1,))
-        assert out.shape == (2, 10, 4)
-
-    @pytest.mark.parametrize("set_axes", [None, (1,), (1, 2)])
-    def test_in_place_relu_gives_relu_bits(self, set_axes):
+    def test_in_place_relu_gives_relu_bits(self):
         # The same MLP written out with the out-of-place relu: equal output,
         # input gradient and parameter gradients, bit for bit, and the input
         # itself is left as it was.
         store = {}
-        mlp = nn.Mlp((5, 7, 6, 3), rng(8), store, "m", normalize=True)
+        mlp = nn.Mlp((5, 7, 6, 3), rng(8), store, "m")
         x0 = rng(9).normal(size=(2, 4, 6, 5))
         x0[0, 0, 0] = 0.0
         runs = []
@@ -63,15 +53,13 @@ class TestMlp:
             x = ad.parameter(x0.copy())
             if manual:
                 h = x
-                for w, b, gamma, beta, last in mlp.layers:
+                for w, b, last in mlp.layers:
                     h = ad.linear(h, w, b)
                     if not last:
-                        if set_axes:
-                            h = ad.standardize(h, gamma, beta, set_axes)
                         h = ref.relu(h)
                 out = h
             else:
-                out = mlp(x, set_axes=set_axes)
+                out = mlp(x)
             assert np.array_equal(x.values, x0)
             ad.backward(ref.sum_reduce(ref.mul(out, ad.constant(np.cos(out.values)))))
             runs.append([out.values, x.grad] + [p.grad for p in store.values()])
@@ -196,6 +184,23 @@ class TestCheckpoint:
             with pytest.raises(nn.CheckpointError) as err:
                 nn.load_checkpoint(short)
             assert "byte" in str(err.value)
+
+    def test_non_finite_array_named(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint(path, {"a": np.ones(2), "b": np.array([1.0, np.nan])})
+        with pytest.raises(nn.CheckpointError,
+                           match=r"model\.ckpt: array 'b' holds non-finite"):
+            nn.load_checkpoint(path)
+
+    def test_name_that_is_not_utf8_named_by_byte(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        nn.save_checkpoint(path, {"ab": np.ones(2)})
+        blob = path.read_bytes()
+        # Magic (6 bytes) and the name length (4) come before the name.
+        path.write_bytes(blob[:11] + b"\xff" + blob[12:])
+        with pytest.raises(nn.CheckpointError,
+                           match=r"model\.ckpt: name is not utf-8 at byte 11"):
+            nn.load_checkpoint(path)
 
     def test_save_load_save_is_stable(self, tmp_path):
         g = rng(10)
