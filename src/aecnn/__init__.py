@@ -43,13 +43,8 @@ from aecnn.data import (
     synth_segmentation,
 )
 from aecnn.geometry import PointCloud, normalize, rodrigues, sample_arbitrary_rotation
-from aecnn.lrf import AnchorStrategy, compute_lrf_batch, rir_batch
-from aecnn.network import (
-    AlignVariant,
-    Model,
-    count_operations,
-    count_parameters,
-)
+from aecnn.lrf import compute_lrf_batch, rir_batch
+from aecnn.network import Model, count_operations, count_parameters
 from aecnn.nn import Mlp, load_checkpoint, save_checkpoint
 from aecnn.training import (
     EpochStats,
@@ -62,8 +57,6 @@ from aecnn.training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignVariant",
-    "AnchorStrategy",
     "ConfigError",
     "Dataset",
     "EpochStats",

@@ -88,12 +88,6 @@ class Dataset:
     def __iter__(self):
         return iter(self.samples)
 
-    def class_counts(self) -> np.ndarray:
-        counts = np.zeros(len(self.class_names), dtype=int)
-        for s in self.samples:
-            counts[s.class_label] += 1
-        return counts
-
 
 @dataclass
 class Metrics:
@@ -504,8 +498,9 @@ def evaluate_classification(model, dataset: Dataset, setting: str, rng,
     of that many independently rotated copies are averaged before the argmax
     (prediction voting).
     """
+    if votes < 1:
+        raise ValueError(f"votes must be >= 1, got {votes}")
     predict = _predict_fn(model)
-    votes = max(1, int(votes))
     clouds = []
     labels = []
     for s in dataset:

@@ -1,9 +1,10 @@
 """Local reference frames and rotation-invariant relative coordinates.
 
-A frame at reference point p with cloud origin o has rows (x, y, z):
+A frame at reference point p of a cloud centred at the origin has rows
+(x, y, z):
 
-    z = (p - o) / |p - o|
-    x = unit projection of (m - o) onto the plane normal to z,
+    z = p / |p|
+    x = unit projection of m onto the plane normal to z,
         with m an anchor point summarizing the neighborhood
     y = z cross x
 
@@ -14,34 +15,14 @@ of the package is built on and is tested to 1e-7.
 """
 from __future__ import annotations
 
-import enum
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
+from .config import ANCHOR_MODES
+
 # Degeneracy threshold on intermediate vector norms, in model units.
 EPS = 1e-8
-
-ORIGIN = np.zeros(3)
-
-
-class AnchorStrategy(enum.Enum):
-    """How the in-plane anchor point is chosen from the neighborhood."""
-
-    MEAN = "mean"
-    MAX_PROJECTION = "max_projection"
-
-    @classmethod
-    def from_name(cls, name: Union[str, "AnchorStrategy"]) -> "AnchorStrategy":
-        if isinstance(name, cls):
-            return name
-        try:
-            return cls(str(name).lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown anchor strategy {name!r}; expected one of "
-                f"{[s.value for s in cls]}"
-            ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -65,27 +46,29 @@ def _check_frame_shapes(points, references, bases=None):
 
 
 def compute_lrf_batch(references: np.ndarray, neighborhoods: np.ndarray,
-                      origin=ORIGIN,
-                      strategy: Union[str, AnchorStrategy] = AnchorStrategy.MEAN,
+                      strategy: str = "mean",
                       counts: Optional[dict] = None) -> np.ndarray:
     """Frames for references (..., 3) with neighborhoods (..., k, 3).
 
-    Returns bases of shape (..., 3, 3), rows (x, y, z). Degenerate rows do
-    not raise; they take fixed fallback axes (z -> +z; x -> projected +x,
-    then projected +y) and are counted in `counts`, because a training
-    batch cannot abort on one bad neighborhood mid-epoch.
+    The anchor `strategy` is one of `ANCHOR_MODES`: the neighborhood mean,
+    or the first neighbor farthest from the z axis. Returns bases of shape
+    (..., 3, 3), rows (x, y, z). Degenerate rows do not raise; they take
+    fixed fallback axes (z -> +z; x -> projected +x, then projected +y) and
+    are counted in `counts`, because a training batch cannot abort on one
+    bad neighborhood mid-epoch.
     """
     references = np.asarray(references, dtype=np.float64)
     neighborhoods = np.asarray(neighborhoods, dtype=np.float64)
     _check_frame_shapes(neighborhoods, references)
-    origin = np.asarray(origin, dtype=np.float64)
-    z, bad_ref = _z_axes(references, origin)
-    if AnchorStrategy.from_name(strategy) is AnchorStrategy.MEAN:
+    if strategy not in ANCHOR_MODES:
+        raise ValueError(f"unknown anchor strategy {strategy!r}; expected one of "
+                         f"{ANCHOR_MODES}")
+    z, bad_ref = _z_axes(references)
+    if strategy == "mean":
         m = neighborhoods.mean(axis=-2)
     else:
-        m = _farthest_from_axis(neighborhoods, z, origin)
-    om = m - origin
-    x_dir = om - np.einsum("...d,...d->...", om, z)[..., None] * z
+        m = _farthest_from_axis(neighborhoods, z)
+    x_dir = m - np.einsum("...d,...d->...", m, z)[..., None] * z
     xn = np.linalg.norm(x_dir, axis=-1, keepdims=True)
     bad_x = xn[..., 0] <= EPS
     x = x_dir / np.where(xn <= EPS, 1.0, xn)
@@ -98,23 +81,22 @@ def compute_lrf_batch(references: np.ndarray, neighborhoods: np.ndarray,
     return np.stack([x, np.cross(z, x), z], axis=-2)
 
 
-def _z_axes(references: np.ndarray, origin: np.ndarray):
-    """Unit axes (..., 3) from origin to references, +z where a reference
-    lies within EPS of the origin, and the mask (...) of those references."""
-    z_vec = references - origin
-    zn = np.linalg.norm(z_vec, axis=-1, keepdims=True)
+def _z_axes(references: np.ndarray):
+    """Unit axes (..., 3) from the origin to references, +z where a
+    reference lies within EPS of the origin, and the mask (...) of those
+    references."""
+    zn = np.linalg.norm(references, axis=-1, keepdims=True)
     bad_ref = zn[..., 0] <= EPS
-    z = np.where(bad_ref[..., None], _FALLBACK_Z, z_vec / np.where(zn <= EPS, 1.0, zn))
+    z = np.where(bad_ref[..., None], _FALLBACK_Z,
+                 references / np.where(zn <= EPS, 1.0, zn))
     return z, bad_ref
 
 
-def _farthest_from_axis(neighborhoods: np.ndarray, z: np.ndarray,
-                        origin: np.ndarray) -> np.ndarray:
+def _farthest_from_axis(neighborhoods: np.ndarray, z: np.ndarray) -> np.ndarray:
     """The first neighbor (..., 3) of each neighborhood farthest from its
-    z axis through origin, by perpendicular distance."""
-    rel = neighborhoods - origin
-    proj = np.einsum("...kd,...d->...k", rel, z)
-    perp = rel - proj[..., None] * z[..., None, :]
+    z axis through the origin, by perpendicular distance."""
+    proj = np.einsum("...kd,...d->...k", neighborhoods, z)
+    perp = neighborhoods - proj[..., None] * z[..., None, :]
     dist2 = np.einsum("...kd,...kd->...k", perp, perp)
     pick = dist2.argmax(axis=-1)
     return np.take_along_axis(
@@ -145,7 +127,6 @@ def rir_batch(points: np.ndarray, references: np.ndarray,
 
 
 def relative_rotation_batch(bases_i: np.ndarray, bases_j: np.ndarray) -> np.ndarray:
-    """E_i @ E_j^T for stacked bases; bases_j may carry an extra neighbor axis."""
-    if bases_j.ndim == bases_i.ndim + 1:
-        return np.einsum("...ij,...kmj->...kim", bases_i, bases_j)
-    return np.einsum("...ij,...mj->...im", bases_i, bases_j)
+    """E_i @ E_j^T of each frame (..., 3, 3) against each of its neighbor
+    frames (..., k, 3, 3): shape (..., k, 3, 3)."""
+    return np.einsum("...ij,...kmj->...kim", bases_i, bases_j)

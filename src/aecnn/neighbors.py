@@ -5,13 +5,12 @@ All selection rules are exact and deterministic. Candidates are ordered by
 smaller point index; farthest point sampling breaks max-distance ties by
 lexicographically smallest coordinate triple, then smallest index. These
 tie-breaks are part of the contract (tests compare against brute-force
-oracles for equality, not closeness). No rule can order a NaN or an
-infinity, so every FPS, kNN and ball search rejects non-finite points
-with a ValueError.
+oracles for equality, not closeness).
 
-Every search is a flat vectorized scan over a batch of clouds, and each
-search checks its corpus and queries the same way: both of rank 3, the
-same batch size and width, and at least one corpus point.
+Every search is a flat vectorized scan over a batch of clouds, and FPS and
+every search check their input through one gate: corpus and queries both of
+rank 3, the same batch size and width, at least one corpus point, and no
+NaN or infinity, which no selection rule can order.
 
 Distances come from one of two scans. Points in 3-D go through
 `_point_sq_distances`, which works on coordinate-major (3, B, n) copies with
@@ -28,16 +27,16 @@ clouds, keeps every candidate whose screen value is within a proven
 rounding bound of the row's k-th smallest, and re-scores only those
 survivors from explicit differences with the same einsum, so the
 neighbours are exactly the full scan's (the proof is in
-`_screened_nearest_k`). When k >= n, or a norm is NaN, infinite or too large
-for the bound, it scans in full.
+`_screened_nearest_k`). When k >= n, or a norm is too large for the bound,
+it scans in full.
 
 `_nearest_k` then selects without sorting whole rows: `np.partition` finds
-each row's k-th smallest distance and every candidate not above it is kept.
-A row that keeps exactly k candidates (no tie at the k-th distance) lists
-them in ascending index order already, so a stable sort of their k distances
-orders them; rows with ties at the k-th distance, or with NaN, lexsort
-every kept candidate by (distance, index). Either way the result equals the
-first k columns of a stable argsort, bit for bit.
+each row's k-th smallest distance and every candidate up to it is kept. A
+row that keeps exactly k candidates (no tie at the k-th distance) lists them
+in ascending index order already, so a stable sort of their k distances
+orders them; rows with ties at the k-th distance lexsort every kept
+candidate by (distance, index). Either way the result equals the first k
+columns of a stable argsort, bit for bit.
 """
 from __future__ import annotations
 
@@ -54,11 +53,11 @@ def _nearest_k(d2: np.ndarray, k: int) -> np.ndarray:
     """Column indices of the k smallest entries of each row of d2 (..., n).
 
     Equal to `np.argsort(d2, axis=-1, kind="stable")[..., :k]`: ordered by
-    (distance, index) with NaN last. When n < k the tail repeats the nearest
-    column. Only the entries not above a row's k-th smallest value can make
-    the cut, so only those are sorted: a stable sort of the k distances when
-    a row keeps exactly k, a (distance, index) lexsort when a tie at the k-th
-    distance or a NaN makes it keep more.
+    (distance, index). When n < k the tail repeats the nearest column. Only
+    the entries up to a row's k-th smallest value can make the cut, so only
+    those are sorted: a stable sort of the k distances when a row keeps
+    exactly k, a (distance, index) lexsort when a tie at the k-th distance
+    makes it keep more.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -71,9 +70,7 @@ def _nearest_k(d2: np.ndarray, k: int) -> np.ndarray:
                               axis=-1)
     flat = d2.reshape(-1, n)
     kth = np.partition(flat, k - 1, axis=1)[:, k - 1:k]
-    # "not above" rather than "<=": a row whose k-th value is NaN keeps every
-    # entry, and NaN candidates sort after all numbers, as argsort puts them.
-    return _first_k_kept(flat, ~(flat > kth), k).reshape(*d2.shape[:-1], k)
+    return _first_k_kept(flat, flat <= kth, k).reshape(*d2.shape[:-1], k)
 
 
 def _first_k_kept(flat: np.ndarray, keep: np.ndarray, k: int) -> np.ndarray:
@@ -112,13 +109,6 @@ def _lexsort_kept(flat: np.ndarray, keep: np.ndarray, k: int) -> np.ndarray:
 # farthest point sampling
 # ---------------------------------------------------------------------------
 
-def _require_finite(*arrays: np.ndarray):
-    """Reject NaN/Inf coordinates, which no selection rule can order."""
-    for a in arrays:
-        if not np.isfinite(a).all():
-            raise ValueError("points must be finite")
-
-
 def _argmax_tied(values: np.ndarray, points: np.ndarray) -> int:
     """Argmax with ties resolved by smallest (x, y, z) triple, then index."""
     m = values.max()
@@ -143,9 +133,7 @@ def fps_batch(points: np.ndarray, n_samples: int) -> np.ndarray:
     buffers.
     """
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 3 or points.shape[2] != 3:
-        raise ValueError(f"expected (B, n, 3) points, got {points.shape}")
-    _require_finite(points)
+    _check_search_inputs(points, points, width=3)
     b, n, _ = points.shape
     if not 1 <= n_samples <= n:
         raise ValueError(f"n_samples must be in [1, {n}], got {n_samples}")
@@ -188,9 +176,7 @@ def _argmax_tied_batch(values: np.ndarray, points: np.ndarray) -> np.ndarray:
     # A row's maximum is tied exactly when its first and last argmax differ.
     last = values.shape[1] - 1 - values[:, ::-1].argmax(axis=1)
     for row in np.flatnonzero(last != out):
-        # NaN equals nothing, so a NaN maximum is no tie: the first one stands.
-        if not np.isnan(values[row, out[row]]):
-            out[row] = _argmax_tied(values[row], points[row])
+        out[row] = _argmax_tied(values[row], points[row])
     return out
 
 
@@ -225,16 +211,15 @@ def knn_features_batch(corpus: np.ndarray, queries: np.ndarray, k: int) -> np.nd
     """Batched feature kNN: corpus (B, n, f), queries (B, q, f) -> (B, q, k).
 
     Equal, bit for bit, to `_nearest_k` over `feature_sq_distances` of each
-    cloud. When k < n and every norm is finite, `_screened_nearest_k` finds
-    the same neighbours from a GEMM screen; otherwise (k >= n, or a NaN,
-    infinity or overflowing norm) the explicit differences are scanned in
-    full.
+    cloud. When k < n, `_screened_nearest_k` finds the same neighbours from a
+    GEMM screen; otherwise (k >= n, or an overflowing norm) the explicit
+    differences are scanned in full.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     corpus = np.asarray(corpus, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
-    _check_search_shapes(corpus, queries)
+    _check_search_inputs(corpus, queries)
     if k < corpus.shape[1]:
         found = _screened_nearest_k(corpus, queries, k)
         if found is not None:
@@ -283,9 +268,8 @@ def _screened_nearest_k(corpus: np.ndarray, queries: np.ndarray,
         so this is the same order as g_{f+3} (|q| + |c|)^2.
       - Underflow adds at most 2^-1075 to each rounded product, about 5f of
         them in all; B adds 4 (f + 1) 2^-1074.
-      - Overflow: when 8 (|q|^2 + max |c|^2) is not finite (a NaN, an
-        infinity, or norms near the float64 range) the screen returns None
-        and the caller scans in full.
+      - Overflow: when 8 (|q|^2 + max |c|^2) is not finite (norms near the
+        float64 range) the screen returns None and the caller scans in full.
     """
     b, n, f = corpus.shape
     q = queries.shape[1]
@@ -323,11 +307,11 @@ def _screened_nearest_k(corpus: np.ndarray, queries: np.ndarray,
     return _first_k_kept(flat, keep, k).reshape(b, q, k)
 
 
-def _check_search_shapes(corpus: np.ndarray, queries: np.ndarray,
+def _check_search_inputs(corpus: np.ndarray, queries: np.ndarray,
                          width: Optional[int] = None):
     """Reject a corpus (B, n, f) and queries (B, q, f) no search can answer:
     another rank, batch size or width, a width other than `width` when one
-    is given, or an empty corpus."""
+    is given, an empty corpus, or a NaN or infinity."""
     if not (corpus.ndim == 3 and queries.ndim == 3 and corpus.shape[1] >= 1
             and corpus.shape[0] == queries.shape[0]
             and corpus.shape[2] == queries.shape[2]
@@ -337,6 +321,8 @@ def _check_search_shapes(corpus: np.ndarray, queries: np.ndarray,
             f"(B, q, {width or 'f'}) queries, got {corpus.shape} and "
             f"{queries.shape}"
         )
+    if not (np.isfinite(corpus).all() and np.isfinite(queries).all()):
+        raise ValueError("points must be finite")
 
 
 def _point_sq_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -348,8 +334,7 @@ def _point_sq_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     contiguous reduction of length three, so the result equals
     `feature_sq_distances` bit for bit.
     """
-    _check_search_shapes(points, queries, width=3)
-    _require_finite(points, queries)
+    _check_search_inputs(points, queries, width=3)
     b, n, _ = points.shape
     q = queries.shape[1]
     pc = np.ascontiguousarray(points.transpose(2, 0, 1))

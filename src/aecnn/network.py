@@ -15,7 +15,6 @@ invariant to float precision.
 """
 from __future__ import annotations
 
-import enum
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -36,27 +35,6 @@ FP_DISTANCE_FLOOR = 1e-10
 SA_FIRST_BLOCK_ELEMS = 500_000
 
 
-class AlignVariant(enum.Enum):
-    """How a neighbor's feature is brought into the reference's frame."""
-
-    PLAIN_EDGECONV = "edgeconv"
-    AECONV1 = "aeconv1"   # predicted FxF matrix applied to x_j
-    AECONV2 = "aeconv2"   # MLP on raw frame pair + offset + feature
-    AECONV3 = "aeconv3"   # MLP on relative rotation + offset + feature
-
-    @classmethod
-    def from_name(cls, name) -> "AlignVariant":
-        if isinstance(name, cls):
-            return name
-        try:
-            return cls(str(name).lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown align variant {name!r}; expected one of "
-                f"{[v.value for v in cls]}"
-            ) from None
-
-
 @dataclass
 class _Level:
     """Batched per-level state flowing through the encoder."""
@@ -70,38 +48,6 @@ def _bidx(b: int, idx: np.ndarray) -> np.ndarray:
     return np.broadcast_to(
         np.arange(b).reshape((b,) + (1,) * (idx.ndim - 1)), idx.shape
     )
-
-
-def _align_edge_features(variant: AlignVariant, align_mlp, src, idx: np.ndarray,
-                         bases_i: np.ndarray, bases_j: np.ndarray,
-                         t: np.ndarray, penalties: list):
-    """Neighbor features src[idx] (.., k, f) aligned into the reference frames.
-
-    src: Tensor (b, n, f) of source rows; idx: (b, .., k) the neighbors' rows
-    in it; bases_i: (.., 3, 3) reference frames; bases_j: (.., k, 3, 3)
-    neighbor frames; t: (.., k, 3) neighbor offsets expressed in the
-    reference frame. Geometry enters as constants; gradient flows through the
-    gathered rows and the MLP. AEConv2 and AEConv3 gather the rows behind
-    their geometry code, straight into the align MLP's input buffer. AEConv1
-    appends its orthogonality penalty Tensor to `penalties`.
-    """
-    if variant is AlignVariant.AECONV2:
-        ei = np.broadcast_to(
-            bases_i[..., None, :, :], bases_j.shape
-        ).reshape(bases_j.shape[:-2] + (9,))
-        ej = bases_j.reshape(bases_j.shape[:-2] + (9,))
-        code = np.concatenate([ei, ej, t], axis=-1)
-        return align_mlp(ad.gather_rows(src, idx, prefix=code))
-    if variant is AlignVariant.PLAIN_EDGECONV:
-        return ad.gather_rows(src, idx)
-    rel = lrf.relative_rotation_batch(bases_i, bases_j)
-    code = np.concatenate([rel.reshape(rel.shape[:-2] + (9,)), t], axis=-1)
-    if variant is AlignVariant.AECONV3:
-        return align_mlp(ad.gather_rows(src, idx, prefix=code))
-    f = src.values.shape[-1]
-    m = ad.reshape(align_mlp(ad.constant(code)), code.shape[:-1] + (f, f))
-    penalties.append(ad.orthogonality_penalty(m))
-    return ad.edge_matvec(m, ad.gather_rows(src, idx))
 
 
 class Model:
@@ -123,16 +69,15 @@ class Model:
         in_dim = 3 if c.features == "rir" else 6
         self.h_mlp = Mlp((in_dim, *c.sa_first.widths), rng, self.params, "sa_first.h")
 
-        variant = AlignVariant.from_name(c.variant)
+        self.variant = c.variant
         self.block_mlps = []
         f_in = c.sa_first.widths[-1]
         for i, blk in enumerate(c.sa_next, start=1):
-            hidden = c.aeconv1_hidden if variant is AlignVariant.AECONV1 else f_in
-            align = self._build_align_mlp(variant, f_in, hidden, rng,
-                                          f"sa_next{i}.align")
-            q_in = 2 * f_in if variant is AlignVariant.PLAIN_EDGECONV else 2 * f_in + 3
+            hidden = c.aeconv1_hidden if self.variant == "aeconv1" else f_in
+            align = self._build_align_mlp(f_in, hidden, rng, f"sa_next{i}.align")
+            q_in = 2 * f_in if self.variant == "edgeconv" else 2 * f_in + 3
             q = Mlp((q_in, *blk.widths), rng, self.params, f"sa_next{i}.q")
-            self.block_mlps.append((variant, align, q, blk.k))
+            self.block_mlps.append((align, q, blk.k))
             f_in = blk.widths[-1]
 
         self.head_mlp = None if c.n_parts else Mlp(
@@ -149,22 +94,21 @@ class Model:
                 (c.fp_widths[0], 0, c.fp_widths[1]),
             ]
             for si, (f_coarse, f_skip, f_out) in enumerate(specs, start=1):
-                align = self._build_align_mlp(variant, f_coarse, c.fp_align_hidden,
-                                              rng, f"fp{si}.align")
+                align = self._build_align_mlp(f_coarse, c.fp_align_hidden, rng,
+                                              f"fp{si}.align")
                 mlp = Mlp((f_coarse + f_skip, f_out, f_out), rng, self.params,
                           f"fp{si}.mlp")
-                self.fp_stages.append((variant, align, mlp))
+                self.fp_stages.append((align, mlp))
             self.point_head = Mlp(
                 (c.fp_widths[1] + c.n_classes, *c.point_head, c.n_parts),
                 rng, self.params, "point_head")
 
-    def _build_align_mlp(self, variant: AlignVariant, f: int, hidden: int,
-                         rng, name: str):
-        if variant is AlignVariant.PLAIN_EDGECONV:
+    def _build_align_mlp(self, f: int, hidden: int, rng, name: str):
+        if self.variant == "edgeconv":
             return None
-        if variant is AlignVariant.AECONV1:
+        if self.variant == "aeconv1":
             return Mlp((12, hidden, f * f), rng, self.params, name)
-        if variant is AlignVariant.AECONV2:
+        if self.variant == "aeconv2":
             return Mlp((21 + f, hidden, f), rng, self.params, name)
         return Mlp((12 + f, hidden, f), rng, self.params, name)
 
@@ -206,6 +150,16 @@ class Model:
 
     def parameter_count(self) -> int:
         return sum(int(p.values.size) for p in self.params.values())
+
+    def _align_macs(self, align_mlp) -> int:
+        """MACs to align one neighbor feature: the align MLP, plus the FxF
+        matrix application for AEConv1 (out_width == F*F)."""
+        if align_mlp is None:
+            return 0
+        macs = _mlp_macs(align_mlp.widths)
+        if self.variant == "aeconv1":
+            macs += align_mlp.out_width
+        return macs
 
     # -- geometry plumbing ---------------------------------------------------
 
@@ -281,7 +235,7 @@ class Model:
 
     def _sa_next_batch(self, level: _Level, block_index: int,
                        penalties: list) -> _Level:
-        k = self.block_mlps[block_index][3]
+        k = self.block_mlps[block_index][2]
         b, r_in = level.pts.shape[:2]
         sub = nb.fps_batch(level.pts, r_in // 4)                  # (b, r_out)
         corpus = level.feat.values
@@ -293,7 +247,7 @@ class Model:
                    block_index: int, penalties: list) -> _Level:
         """Block `block_index`'s aligned edge convolution over level's rows:
         sub (b, r) picks the references, graph (b, r, k) their neighbors."""
-        variant, align_mlp, q_mlp, _ = self.block_mlps[block_index]
+        align_mlp, q_mlp, _ = self.block_mlps[block_index]
         b = graph.shape[0]
         new_pts = level.pts[_bidx(b, sub), sub]
         new_bases = level.bases[_bidx(b, sub), sub]
@@ -301,12 +255,47 @@ class Model:
         nb_pos = level.pts[_bidx(b, graph), graph]
         nb_bases = level.bases[_bidx(b, graph), graph]
         t = lrf.rir_batch(nb_pos, new_pts, new_bases)             # (b, r, k, 3)
-        xhat = _align_edge_features(variant, align_mlp, level.feat, graph,
-                                    new_bases, nb_bases, t, penalties)
-        geometry = None if variant is AlignVariant.PLAIN_EDGECONV else t
+        xhat = self._align_edge_features(align_mlp, level.feat, graph,
+                                         new_bases, nb_bases, t, penalties)
+        geometry = None if self.variant == "edgeconv" else t
         edge = q_mlp(ad.edge_features(x_i, xhat, geometry))
         feat = ad.max_reduce(edge, axis=2)
         return _Level(pts=new_pts, bases=new_bases, feat=feat)
+
+    def _align_edge_features(self, align_mlp, src, idx: np.ndarray,
+                             bases_i: np.ndarray, bases_j: np.ndarray,
+                             t: np.ndarray, penalties: list):
+        """Neighbor features src[idx] (.., k, f) aligned into the reference
+        frames: as they are (edgeconv), by a predicted FxF matrix (aeconv1), or
+        by an MLP on the raw frame pair (aeconv2) or the relative rotation
+        (aeconv3), each with the offset and the feature.
+
+        src: Tensor (b, n, f) of source rows; idx: (b, .., k) the neighbors'
+        rows in it; bases_i: (.., 3, 3) reference frames; bases_j:
+        (.., k, 3, 3) neighbor frames; t: (.., k, 3) neighbor offsets
+        expressed in the reference frame. Geometry enters as constants;
+        gradient flows through the gathered rows and the MLP. AEConv2 and
+        AEConv3 gather the rows behind their geometry code, straight into the
+        align MLP's input buffer. AEConv1 appends its orthogonality penalty
+        Tensor to `penalties`.
+        """
+        if self.variant == "aeconv2":
+            ei = np.broadcast_to(
+                bases_i[..., None, :, :], bases_j.shape
+            ).reshape(bases_j.shape[:-2] + (9,))
+            ej = bases_j.reshape(bases_j.shape[:-2] + (9,))
+            code = np.concatenate([ei, ej, t], axis=-1)
+            return align_mlp(ad.gather_rows(src, idx, prefix=code))
+        if self.variant == "edgeconv":
+            return ad.gather_rows(src, idx)
+        rel = lrf.relative_rotation_batch(bases_i, bases_j)
+        code = np.concatenate([rel.reshape(rel.shape[:-2] + (9,)), t], axis=-1)
+        if self.variant == "aeconv3":
+            return align_mlp(ad.gather_rows(src, idx, prefix=code))
+        f = src.values.shape[-1]
+        m = ad.reshape(align_mlp(ad.constant(code)), code.shape[:-1] + (f, f))
+        penalties.append(ad.orthogonality_penalty(m))
+        return ad.edge_matvec(m, ad.gather_rows(src, idx))
 
     # -- forward passes --------------------------------------------------------
 
@@ -349,14 +338,13 @@ class Model:
         levels = self._encode(self._first_level(pts, nb_idx, bases_ref, ref_idx),
                               penalties)
         fine_mid, coarse = levels[0], levels[-1]
-        variant1, align1, mlp1 = self.fp_stages[0]
+        align1, mlp1 = self.fp_stages[0]
         g1 = self._propagate(coarse, fine_mid.pts, fine_mid.bases,
-                             fine_mid.feat, variant1, align1, mlp1, penalties)
+                             fine_mid.feat, align1, mlp1, penalties)
         mid = _Level(pts=fine_mid.pts, bases=fine_mid.bases, feat=g1)
 
-        variant2, align2, mlp2 = self.fp_stages[1]
-        g2 = self._propagate(mid, pts, bases_all, None, variant2, align2, mlp2,
-                             penalties)
+        align2, mlp2 = self.fp_stages[1]
+        g2 = self._propagate(mid, pts, bases_all, None, align2, mlp2, penalties)
 
         hot = np.repeat(onehot[:, None, :], n, axis=1)
         logits = self.point_head(ad.concat([g2, ad.constant(hot)]))
@@ -367,8 +355,8 @@ class Model:
         return ad.gather_rows(logits, inv), penalties
 
     def _propagate(self, coarse: _Level, fine_pts: np.ndarray,
-                   fine_bases: np.ndarray, skip, variant: AlignVariant,
-                   align_mlp, mlp: Mlp, penalties: list):
+                   fine_bases: np.ndarray, skip, align_mlp, mlp: Mlp,
+                   penalties: list):
         """Interpolate aligned coarse features onto fine points (3-NN, 1/d)."""
         b = fine_pts.shape[0]
         nn3 = nb.knn_points_batch(coarse.pts, fine_pts, FP_NEIGHBORS)
@@ -379,8 +367,8 @@ class Model:
         w = 1.0 / d
         w /= w.sum(axis=-1, keepdims=True)
         t = lrf.rir_batch(cpos, fine_pts, fine_bases)
-        xhat = _align_edge_features(variant, align_mlp, coarse.feat, nn3,
-                                    fine_bases, cbases, t, penalties)  # (b, nf, 3, fc)
+        xhat = self._align_edge_features(align_mlp, coarse.feat, nn3, fine_bases,
+                                         cbases, t, penalties)  # (b, nf, 3, fc)
         interp = ad.weighted_sum(xhat, w)
         mixed = interp if skip is None else ad.concat([interp, skip])
         return mlp(mixed)
@@ -431,17 +419,6 @@ def _mlp_macs(widths) -> int:
     return sum(a * b for a, b in zip(widths[:-1], widths[1:]))
 
 
-def _align_macs(variant: AlignVariant, align_mlp) -> int:
-    """MACs to align one neighbor feature: the align MLP, plus the FxF
-    matrix application for AEConv1 (out_width == F*F)."""
-    if align_mlp is None:
-        return 0
-    macs = _mlp_macs(align_mlp.widths)
-    if variant is AlignVariant.AECONV1:
-        macs += align_mlp.out_width
-    return macs
-
-
 def count_operations(config: NetworkConfig) -> dict:
     """Analytic per-sample multiply-accumulate counts, by section.
 
@@ -454,16 +431,16 @@ def count_operations(config: NetworkConfig) -> dict:
     model = Model(c)
     refs = c.ref_counts()
     out: dict = {"sa_first": refs[0] * c.sa_first.k * _mlp_macs(model.h_mlp.widths)}
-    for i, (variant, align, q, k) in enumerate(model.block_mlps, start=1):
-        out[f"sa_next{i}"] = refs[i] * k * (_align_macs(variant, align)
+    for i, (align, q, k) in enumerate(model.block_mlps, start=1):
+        out[f"sa_next{i}"] = refs[i] * k * (model._align_macs(align)
                                             + _mlp_macs(q.widths))
     if not c.n_parts:
         out["head"] = _mlp_macs(model.head_mlp.widths)
     else:
         fine_counts = (refs[0], c.n_points)
-        for si, ((variant, align, mlp), nf) in enumerate(
+        for si, ((align, mlp), nf) in enumerate(
                 zip(model.fp_stages, fine_counts), start=1):
-            out[f"fp{si}"] = nf * (FP_NEIGHBORS * _align_macs(variant, align)
+            out[f"fp{si}"] = nf * (FP_NEIGHBORS * model._align_macs(align)
                                    + _mlp_macs(mlp.widths))
         out["point_head"] = c.n_points * _mlp_macs(model.point_head.widths)
     out["total_macs"] = sum(out.values())

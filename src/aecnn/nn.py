@@ -52,10 +52,6 @@ class Mlp:
         return [t for w, b, _ in self.layers for t in (w, b)]
 
     @property
-    def in_width(self) -> int:
-        return self.widths[0]
-
-    @property
     def out_width(self) -> int:
         return self.widths[-1]
 
@@ -103,8 +99,8 @@ def adam_step(params: dict, state: AdamState, lr: float):
         p.values -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
-def lr_schedule(epoch: int, base_lr: float = 1e-3, decay: float = 0.2,
-                boundaries: tuple = (100, 200)) -> float:
+def lr_schedule(epoch: int, base_lr: float, decay: float,
+                boundaries: tuple) -> float:
     """Step schedule: multiply by `decay` at each boundary epoch."""
     if epoch < 0:
         raise ValueError(f"epoch must be >= 0, got {epoch}")

@@ -186,14 +186,12 @@ def brute_miou(predictions, truths, class_labels, n_parts_per_class):
 # misc
 # ---------------------------------------------------------------------------
 
-def max_projection_anchor(neighbors, reference, origin):
+def max_projection_anchor(neighbors, reference):
     """The first neighbor farthest from the z axis, found by a loop."""
-    z = reference - origin
-    z = z / np.linalg.norm(z)
+    z = reference / np.linalg.norm(reference)
     best, best_dist = None, -1.0
     for q in neighbors:
-        rel = q - origin
-        dist = np.linalg.norm(rel - (rel @ z) * z)
+        dist = np.linalg.norm(q - (q @ z) * z)
         if dist > best_dist:
             best, best_dist = q, dist
     return best
@@ -210,12 +208,10 @@ def is_rotation_matrix(r, tol=1e-9):
     )
 
 
-def gram_schmidt_frame(reference, anchor, origin):
+def gram_schmidt_frame(reference, anchor):
     """Frame construction routed through np.linalg instead of hand algebra."""
-    z = reference - origin
-    z = z / np.linalg.norm(z)
-    om = anchor - origin
-    x = om - (om @ z) * z
+    z = reference / np.linalg.norm(reference)
+    x = anchor - (anchor @ z) * z
     x = x / np.linalg.norm(x)
     y = np.cross(z, x)
     return np.stack([x, y, z])

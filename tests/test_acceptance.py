@@ -105,13 +105,13 @@ def test_frame_equivariance():
 
     bases = lrf.compute_lrf_batch(refs, nbh)
     rirs = lrf.rir_batch(nbh, refs, bases)
-    rel = lrf.relative_rotation_batch(bases[:, 0], bases[:, 1])
+    rel = lrf.relative_rotation_batch(bases[:, 0], bases[:, 1:])
 
     refs_r = np.einsum("bij,bcj->bci", rots, refs)
     nbh_r = np.einsum("bij,bckj->bcki", rots, nbh)
     bases_r = lrf.compute_lrf_batch(refs_r, nbh_r)
     rirs_r = lrf.rir_batch(nbh_r, refs_r, bases_r)
-    rel_r = lrf.relative_rotation_batch(bases_r[:, 0], bases_r[:, 1])
+    rel_r = lrf.relative_rotation_batch(bases_r[:, 0], bases_r[:, 1:])
 
     rir_dev = float(np.abs(rirs - rirs_r).max())
     rel_dev = float(np.abs(rel - rel_r).max())

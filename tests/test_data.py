@@ -293,7 +293,7 @@ class TestGenerators:
         rng = np.random.default_rng(15)
         ds = synth_classification(3, 64, rng)
         assert len(ds) == 12
-        assert np.array_equal(ds.class_counts(), [3, 3, 3, 3])
+        assert np.array_equal(np.bincount([s.class_label for s in ds]), [3, 3, 3, 3])
         for s in ds:
             assert s.points.shape == (64, 3)
             c = s.points.mean(axis=0)
@@ -422,6 +422,14 @@ class TestEvaluateClassification:
                                     batch_size=64)
         assert sum(calls) == 4 * 5
         assert m.per_class_accuracy["sphere"] == 1.0
+
+    @pytest.mark.parametrize("votes", [0, -2])
+    def test_votes_below_one_rejected(self, votes):
+        # As TrainConfig.validate refuses them, rather than scoring one vote.
+        ds = synth_classification(1, 8, np.random.default_rng(32))
+        with pytest.raises(ValueError, match="votes must be >= 1"):
+            evaluate_classification(lambda b: np.zeros((b.shape[0], 4)), ds, "ARAR",
+                                    np.random.default_rng(2), votes=votes)
 
     def test_rotations_actually_applied(self):
         rng = np.random.default_rng(33)

@@ -1,10 +1,13 @@
 """Local reference frames: construction, equivariance, degeneracy handling."""
+import re
+
 import numpy as np
 import pytest
 
 from aecnn import geometry as geo
 from aecnn import lrf
 from aecnn import neighbors as nb
+from aecnn.config import ANCHOR_MODES
 
 from oracles import gram_schmidt_frame, is_rotation_matrix, max_projection_anchor
 
@@ -14,7 +17,7 @@ def rng(seed=0):
 
 
 def make_neighborhood(g, k=12):
-    """A reference, its neighbors, and the cloud origin, nothing degenerate."""
+    """A reference and its neighbors, nothing degenerate."""
     reference = g.normal(size=3)
     while np.linalg.norm(reference) < 0.3:
         reference = g.normal(size=3)
@@ -22,16 +25,16 @@ def make_neighborhood(g, k=12):
     return reference, neighbors
 
 
-def frame(reference, neighbors, origin=lrf.ORIGIN, strategy="mean"):
+def frame(reference, neighbors, strategy="mean"):
     """compute_lrf_batch for one reference: the (3, 3) basis."""
-    return lrf.compute_lrf_batch(reference[None], neighbors[None], origin=origin,
+    return lrf.compute_lrf_batch(reference[None], neighbors[None],
                                  strategy=strategy)[0]
 
 
-def frame_at_anchor(reference, anchor, origin=lrf.ORIGIN):
+def frame_at_anchor(reference, anchor):
     """The frame whose anchor is `anchor`: a one-point neighborhood's mean is
     that point exactly, so a strategy that picks `anchor` gives these bits."""
-    return frame(reference, anchor[None], origin)
+    return frame(reference, anchor[None])
 
 
 class TestAnchors:
@@ -69,17 +72,18 @@ class TestAnchors:
         g = rng(55)
         for _ in range(50):
             reference, neighbors = make_neighborhood(g)
-            origin = g.normal(size=3) * 0.1
-            got = frame(reference, neighbors, origin, "max_projection")
-            want = max_projection_anchor(neighbors, reference, origin)
-            assert np.array_equal(got, frame_at_anchor(reference, want, origin))
+            shift = g.normal(size=3) * 0.1
+            reference, neighbors = reference - shift, neighbors - shift
+            got = frame(reference, neighbors, "max_projection")
+            want = max_projection_anchor(neighbors, reference)
+            assert np.array_equal(got, frame_at_anchor(reference, want))
 
-    def test_strategy_parse(self):
-        assert lrf.AnchorStrategy.from_name("mean") is lrf.AnchorStrategy.MEAN
-        assert (lrf.AnchorStrategy.from_name("MAX_PROJECTION")
-                is lrf.AnchorStrategy.MAX_PROJECTION)
-        with pytest.raises(ValueError):
-            lrf.AnchorStrategy.from_name("median")
+    def test_unknown_strategy_rejected(self):
+        # Only the config strings name a strategy, spelled exactly.
+        reference, neighbors = make_neighborhood(rng(56))
+        for name in ("median", "MEAN"):
+            with pytest.raises(ValueError, match=re.escape(str(ANCHOR_MODES))):
+                frame(reference, neighbors, name)
 
 
 class TestComputeLrf:
@@ -102,9 +106,10 @@ class TestComputeLrf:
         g = rng(43)
         for _ in range(100):
             reference, neighbors = make_neighborhood(g)
-            origin = g.normal(size=3) * 0.1
-            oracle = gram_schmidt_frame(reference, neighbors.mean(axis=0), origin)
-            assert np.allclose(frame(reference, neighbors, origin), oracle, atol=1e-12)
+            shift = g.normal(size=3) * 0.1
+            reference, neighbors = reference - shift, neighbors - shift
+            oracle = gram_schmidt_frame(reference, neighbors.mean(axis=0))
+            assert np.allclose(frame(reference, neighbors), oracle, atol=1e-12)
 
     def test_x_orthogonal_to_z(self):
         g = rng(44)
@@ -127,14 +132,15 @@ class TestRirOps:
     def test_relative_rotation_identity_for_same_frame(self):
         g = rng(47)
         basis = frame(*make_neighborhood(g))
-        assert np.allclose(lrf.relative_rotation_batch(basis, basis), np.eye(3),
+        assert np.allclose(lrf.relative_rotation_batch(basis, basis[None]), np.eye(3),
                            atol=1e-12)
 
     def test_relative_rotation_is_rotation(self):
         g = rng(48)
         fa = frame(*make_neighborhood(g))
         fb = frame(*make_neighborhood(g))
-        assert is_rotation_matrix(lrf.relative_rotation_batch(fa, fb), tol=1e-10)
+        assert is_rotation_matrix(lrf.relative_rotation_batch(fa, fb[None])[0],
+                                  tol=1e-10)
 
 
 class TestEquivariance:
@@ -212,17 +218,17 @@ class TestBatchKernels:
         g = rng(52)
         refs = np.stack([make_neighborhood(g)[0] for _ in range(15)])
         hoods = np.stack([g.normal(size=(7, 3)) + refs[i] for i in range(15)])
-        origin = g.normal(size=3) * 0.1
+        shift = g.normal(size=3) * 0.1
+        refs, hoods = refs - shift, hoods - shift
         anchors = {
             "mean": [h.mean(axis=0) for h in hoods],
-            "max_projection": [max_projection_anchor(h, r, origin)
+            "max_projection": [max_projection_anchor(h, r)
                                for r, h in zip(refs, hoods)],
         }
         for strategy, picks in anchors.items():
-            bases = lrf.compute_lrf_batch(refs, hoods, origin=origin,
-                                          strategy=strategy)
+            bases = lrf.compute_lrf_batch(refs, hoods, strategy=strategy)
             for i in range(15):
-                oracle = gram_schmidt_frame(refs[i], picks[i], origin)
+                oracle = gram_schmidt_frame(refs[i], picks[i])
                 assert np.allclose(bases[i], oracle, atol=1e-14)
 
     def test_rir_batch_matches_scalar(self):
@@ -274,6 +280,9 @@ class TestBatchKernels:
         refs = np.stack([make_neighborhood(g)[0] for _ in range(4)])
         hoods = np.stack([g.normal(size=(5, 3)) + refs[i] for i in range(4)])
         bases = lrf.compute_lrf_batch(refs, hoods)
-        rel = lrf.relative_rotation_batch(bases[:2], bases[2:])
+        # Two frames, each against two neighbor frames.
+        rel = lrf.relative_rotation_batch(bases[:2], np.stack([bases[2:], bases[:2]], 1))
+        assert rel.shape == (2, 2, 3, 3)
         for i in range(2):
-            assert np.allclose(rel[i], bases[i] @ bases[i + 2].T, atol=1e-14)
+            assert np.allclose(rel[i, 0], bases[i] @ bases[i + 2].T, atol=1e-14)
+            assert np.allclose(rel[i, 1], bases[i] @ bases[i].T, atol=1e-14)

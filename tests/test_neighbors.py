@@ -307,15 +307,16 @@ class TestSelectionMatchesStableArgsort:
         assert queries.shape[0] > 3 * 500_000 // (300 * 64)
         assert np.array_equal(got, want)
 
-    def test_rows_with_and_without_ties_and_nan_in_one_batch(self):
+    def test_ties_and_overflow_rows_in_one_batch(self):
         # One call mixes the two selection paths: distinct rows take the
-        # stable sort of exactly k kept values, the rest the lexsort.
+        # stable sort of exactly k kept values, the rest the lexsort. Finite
+        # coordinates near the float64 range square to +inf distances.
         g = rng(81)
         d2 = g.random((6, 40))
         d2[1] = np.round(d2[1] * 4)          # many ties at the k-th value
         d2[2, :] = 0.5                       # every entry equal
-        d2[3, [2, 9, 30]] = np.nan           # NaN sorts after all numbers
-        d2[4, :37] = np.nan                  # the k-th value is NaN
+        d2[3, [2, 9, 30]] = np.inf           # overflowed distances sort last
+        d2[4, :37] = np.inf                  # the k-th value overflowed
         for k in (1, 5, 6):
             assert np.array_equal(nb._nearest_k(d2, k), stable_topk(d2, k))
             assert np.array_equal(nb._nearest_k(d2[[0, 5]], k), stable_topk(d2[[0, 5]], k))
@@ -395,17 +396,6 @@ class TestScreenedFeatureKnn:
         corpus = g.normal(size=(2, 12, 9))
         self.check(corpus, corpus[:, :5], 12 + extra, screened=False)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_features_scan_in_full(self, bad):
-        # Reachable from the network with autodiff's finite checks off.
-        g = rng(150)
-        corpus = g.normal(size=(2, 30, 10))
-        corpus[1, 4, 2] = bad
-        queries = corpus[:, :8].copy()
-        assert nb._screened_nearest_k(corpus, queries, 5) is None
-        with np.errstate(invalid="ignore"):     # inf - inf in the full scan
-            self.check(corpus, queries, 5, screened=False)
-
     def test_no_queries(self):
         corpus = rng(160).normal(size=(2, 10, 4))
         assert nb.knn_features_batch(corpus, corpus[:, :0], 3).shape == (2, 0, 3)
@@ -438,7 +428,7 @@ class TestPointScan:
 
 
 class TestNonFinitePoints:
-    """Every FPS, kNN and ball entry point rejects NaN/Inf coordinates."""
+    """FPS and every search, feature kNN included, reject NaN/Inf inputs."""
 
     @staticmethod
     def cloud(bad):
@@ -459,6 +449,11 @@ class TestNonFinitePoints:
             p[None], p[None, :2], 0.5, 3),
         "ball_points_batch_query": lambda p: nb.ball_points_batch(
             np.zeros((1, 5, 3)), p[None], 0.5, 3),
+        "knn_features_batch": lambda p: nb.knn_features_batch(p[None], p[None, :2], 3),
+        "knn_features_batch_query": lambda p: nb.knn_features_batch(
+            np.zeros((1, 5, 3)), p[None], 3),
+        "knn_features_batch_second_cloud": lambda p: nb.knn_features_batch(
+            np.stack([np.ones_like(p), p]), np.zeros((2, 2, 3)), 3),
     }
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -18,9 +18,7 @@ from aecnn.config import (
 )
 from aecnn.network import (
     SA_FIRST_BLOCK_ELEMS,
-    AlignVariant,
     Model,
-    _align_edge_features,
     _Level,
     count_operations,
     count_parameters,
@@ -97,7 +95,7 @@ class TestShapes:
             model.predict_logits(np.zeros((16, 3)))
 
     def test_nonfinite_points_rejected(self):
-        # Two NaN points: FPS must not take them for a tie at the maximum.
+        # Two NaN points: refused on entry, before FPS or any search runs.
         model = Model(tiny_config(), seed=0)
         pts = random_cloud(np.random.default_rng(3))
         pts[[3, 7]] = np.nan
@@ -399,9 +397,8 @@ class TestFunctionalOps:
 
 def align_one(model, x, basis_i, basis_j, t):
     """Block 0's alignment of one neighbor feature x into frame basis_i."""
-    variant, align_mlp = model.block_mlps[0][:2]
-    out = _align_edge_features(
-        variant, align_mlp, ad.constant(np.reshape(x, (1, 1, -1))),
+    out = model._align_edge_features(
+        model.block_mlps[0][0], ad.constant(np.reshape(x, (1, 1, -1))),
         np.zeros((1, 1, 1), dtype=np.intp), basis_i.reshape(1, 1, 3, 3),
         basis_j.reshape(1, 1, 1, 3, 3), np.reshape(t, (1, 1, 1, 3)), [],
     )
@@ -444,12 +441,12 @@ class TestAlignFeature:
 
 def propagate(model, coarse_pts, coarse_feat, fine_pts, skip):
     """FP stage 1 of coarse rows onto fine points, all frames the identity."""
-    variant, align_mlp, mlp = model.fp_stages[0]
+    align_mlp, mlp = model.fp_stages[0]
     coarse = _Level(pts=coarse_pts[None], bases=identity_frames(1, len(coarse_pts)),
                     feat=ad.constant(coarse_feat[None]))
     with model._inference():
         out = model._propagate(coarse, fine_pts[None], identity_frames(1, len(fine_pts)),
-                               ad.constant(skip[None]), variant, align_mlp, mlp, [])
+                               ad.constant(skip[None]), align_mlp, mlp, [])
     return out.values[0]
 
 
@@ -662,10 +659,3 @@ class TestLrfFallbackSurfacing:
         logits = model.predict_logits(pts)
         assert np.isfinite(logits).all()
         assert sum(model.lrf_fallbacks.values()) > 0
-
-
-def test_variant_parse():
-    assert AlignVariant.from_name("EdgeConv") is AlignVariant.PLAIN_EDGECONV
-    assert AlignVariant.from_name(AlignVariant.AECONV2) is AlignVariant.AECONV2
-    with pytest.raises(ValueError, match="unknown align variant"):
-        AlignVariant.from_name("conv9000")

@@ -20,7 +20,7 @@ class TestMlp:
         mlp = nn.Mlp((3, 8, 5), rng(), store, "probe")
         assert set(store) == {"probe.w0", "probe.b0", "probe.w1", "probe.b1"}
         assert store["probe.w0"].values.shape == (3, 8)
-        assert mlp.in_width == 3 and mlp.out_width == 5
+        assert mlp.widths[0] == 3 and mlp.out_width == 5
 
     def test_forward_matches_manual(self):
         store = {}
@@ -132,22 +132,23 @@ class TestAdam:
 
 class TestSchedule:
     def test_paper_scale_boundaries(self):
-        assert nn.lr_schedule(0) == pytest.approx(1e-3)
-        assert nn.lr_schedule(99) == pytest.approx(1e-3)
-        assert nn.lr_schedule(100) == pytest.approx(2e-4)
-        assert nn.lr_schedule(199) == pytest.approx(2e-4)
-        assert nn.lr_schedule(200) == pytest.approx(4e-5)
-        assert nn.lr_schedule(249) == pytest.approx(4e-5)
+        lr = lambda e: nn.lr_schedule(e, 1e-3, 0.2, (100, 200))
+        assert lr(0) == pytest.approx(1e-3)
+        assert lr(99) == pytest.approx(1e-3)
+        assert lr(100) == pytest.approx(2e-4)
+        assert lr(199) == pytest.approx(2e-4)
+        assert lr(200) == pytest.approx(4e-5)
+        assert lr(249) == pytest.approx(4e-5)
 
     def test_desk_scale_boundaries(self):
-        lr = lambda e: nn.lr_schedule(e, boundaries=(24, 48))
+        lr = lambda e: nn.lr_schedule(e, 1e-3, 0.2, (24, 48))
         assert lr(23) == pytest.approx(1e-3)
         assert lr(24) == pytest.approx(2e-4)
         assert lr(48) == pytest.approx(4e-5)
 
     def test_rejects_negative_epoch(self):
         with pytest.raises(ValueError):
-            nn.lr_schedule(-1)
+            nn.lr_schedule(-1, 1e-3, 0.2, (24, 48))
 
 
 class TestCheckpoint:
