@@ -2,12 +2,12 @@
 
 Tensors wrap ndarrays and remember how they were produced; `backward` walks
 the graph once in reverse topological order. The module holds only the ops
-the network runs: affine maps, addition and scaling of losses, in-place
-relu, max reduction, last-axis concatenation, reshapes, batched row gathers
-(optionally behind a constant prefix), inverse-distance weighted sums,
-stable softmax cross entropy, and three fused edge kernels (the DGCNN edge
-feature [x_i, xhat - x_i, t], matrix-vector alignment and the orthogonality
-penalty) whose gradients are hand derived.
+the network runs: affine maps, row blocks of a weight, addition and scaling
+of losses, in-place relu, max reduction, last-axis concatenation, reshapes,
+batched row gathers, inverse-distance weighted sums, stable softmax cross
+entropy, and the fused edge kernels (the edge feature [xhat - x_i, t],
+in-place adds of per-row terms onto edges, matrix-vector alignment and the
+orthogonality penalty) whose gradients are hand derived.
 The unfused ops the tests compare them against (`sub`, `mul`, `square`,
 `relu`, `sum_reduce`, `mean_reduce`, `expand_set`) live in
 tests/reference_ops.py, built on `_make` and `Tensor._add_grad`.
@@ -18,18 +18,23 @@ upstream gradient. `bwd` closes over the op's inputs, never its output, so
 no output refers to itself and a graph dropped without `backward` is freed
 by reference counting at once.
 
-Four ops save a buffer and keep the bits of the op chain they replace.
-`relu_inplace` overwrites its input's values, so it may only take a tensor
-nobody else reads: `Mlp` applies it to the output of its own hidden
-`linear`, whose backward reads its inputs, never its output.
+A first layer that reads a concatenation is affine in each of its blocks,
+so the network multiplies a block that repeats across edges once per row
+that holds it: `row_block` hands `linear` the rows of a weight as a weight
+of their own shape (so every multiply is still a `linear` call), and
+`gather_add` and `expand_add` add the per-row products onto the per-edge
+term in its own buffer, gathered by neighbor index or broadcast over k.
+
+Several ops save a buffer and keep the bits of the op chain they replace.
+`relu_inplace`, `gather_add` and `expand_add` overwrite their first input's
+values, so they may only take a tensor that nobody else reads and whose
+op's backward never reads its output values: the output of a `linear`, or
+of `gather_add` or `expand_add` on one.
 `edge_features` writes the edge feature into one buffer and lists its
 parents as (xhat, x_i), the order in which the backward sweep reached them
 through expand_set, sub and concat; another order sums the contributions
 to a shared source tensor in another order and moves bits.
-`gather_rows(x, idx, prefix=p)` writes a constant prefix and the gathered
-rows into one buffer, equal to concat([constant(p), gather_rows(x, idx)]),
-and scatters its gradient straight from the rows' slice of the output
-gradient. `weighted_sum(x, w)` is sum_reduce(mul(x, constant(w[..., None])),
+`weighted_sum(x, w)` is sum_reduce(mul(x, constant(w[..., None])),
 axis=-2) without keeping the product or broadcasting the gradient first.
 The signed zeros these skip (the chains store 0.0 + g before passing a
 gradient on) can only move the sign of a zero partial sum, and every
@@ -271,7 +276,8 @@ def relu_inplace(x: Tensor) -> Tensor:
 
     Only for an x that nothing else reads: the output of an affine map,
     whose backward does not read its output's values, held by the caller
-    alone (`Mlp` hidden layers). The values and gradients are the reference
+    alone (`Mlp` hidden layers), or that output with per-row terms added in
+    place (`gather_add`, `expand_add`). The values and gradients are the reference
     `relu`'s bit for bit (negative zeros come out as +0.0), without a second
     buffer of x's size. The gradient mask is built from the output: out > 0
     exactly where x > 0.
@@ -388,18 +394,16 @@ def concat(tensors: Sequence, axis: int = -1) -> Tensor:
 
 
 def edge_features(x_i, xhat, t: Optional[np.ndarray] = None) -> Tensor:
-    """The DGCNN edge feature [x_i, xhat - x_i, t] in one buffer.
+    """The edge feature [xhat - x_i, t] in one buffer.
 
     x_i: (..., f) reference features; xhat: (..., k, f) their (aligned)
     neighbor features; t: optional constant (..., k, c) edge geometry.
-    Output (..., k, 2f [+ c]): x_i repeated over k, then xhat - x_i, then t.
-    The values equal concat([expand_set(x_i, k), sub(xhat, expand_set(x_i,
-    k)), t]) and so do the gradients: xhat gets its slice of the output
-    gradient g once, and x_i gets (g_a - g_b).sum over k, where g_a and g_b
-    are its own and xhat's slices, with the same bits as that op chain.
-    The parents are (xhat, x_i), in that order; the backward sweep then
-    visits the graph as it did for the chain, so contributions to a tensor
-    both come from are summed in the same order.
+    Output (..., k, f [+ c]): xhat - x_i, then t. The DGCNN edge function
+    also reads x_i itself; the network applies that block of the edge MLP's
+    first layer once per reference (`expand_add`), so it is not repeated
+    here. The values and gradients equal concat([sub(xhat, expand_set(x_i,
+    k)), t]): xhat gets its slice of the output gradient g, and x_i gets
+    -g.sum over k.
     """
     x_i, xhat = as_tensor(x_i), as_tensor(xhat)
     f = x_i.values.shape[-1]
@@ -408,23 +412,46 @@ def edge_features(x_i, xhat, t: Optional[np.ndarray] = None) -> Tensor:
             f"edge_features: x_i {x_i.values.shape} does not match xhat "
             f"{xhat.values.shape}"
         )
-    width = 2 * f + (0 if t is None else t.shape[-1])
+    width = f + (0 if t is None else t.shape[-1])
     out_vals = np.empty(xhat.values.shape[:-1] + (width,))
-    xi_rep = x_i.values[..., None, :]
-    out_vals[..., :f] = xi_rep
-    np.subtract(xhat.values, xi_rep, out=out_vals[..., f:2 * f])
+    np.subtract(xhat.values, x_i.values[..., None, :], out=out_vals[..., :f])
     if t is not None:
-        out_vals[..., 2 * f:] = t
+        out_vals[..., f:] = t
+
+    def bwd(out):
+        g = out.grad[..., :f]
+        if x_i.needs_grad:
+            x_i._add_grad(np.negative(g.sum(axis=-2)), owned=True)
+        if xhat.needs_grad:
+            # Without t the slice is the whole of out.grad, which xhat may own.
+            xhat._add_grad(g, owned=t is None)
+
+    return _make(out_vals, (xhat, x_i), bwd)
+
+
+def expand_add(y: Tensor, x) -> Tensor:
+    """y + x[..., None, :], written over y's values, which y gives up.
+
+    y: (..., k, f), the fresh output of an affine map that nothing else
+    reads, as for `relu_inplace`; x: (..., f), one row per set, added to each
+    of its k rows. So a per-reference term is computed once and broadcast
+    over the reference's edges without an edge-sized copy. x's gradient is
+    the output gradient summed over k; y takes the output gradient itself.
+    """
+    x = as_tensor(x)
+    if y.values.shape[:-2] + y.values.shape[-1:] != x.values.shape:
+        raise ValueError(
+            f"expand_add: x {x.values.shape} does not match y {y.values.shape}"
+        )
 
     def bwd(out):
         g = out.grad
-        if xhat.needs_grad:
-            xhat._add_grad(g[..., f:2 * f])
-        if x_i.needs_grad:
-            x_i._add_grad(np.subtract(g[..., :f], g[..., f:2 * f]).sum(axis=-2),
-                          owned=True)
+        if x.needs_grad:
+            x._add_grad(g.sum(axis=-2), owned=True)
+        y._add_grad(g, owned=True)
 
-    return _make(out_vals, (xhat, x_i), bwd)
+    return _make(np.add(y.values, x.values[..., None, :], out=y.values),
+                 (y, x), bwd)
 
 
 # Rows per block that _scatter_add_rows copies into its column buffer.
@@ -458,52 +485,95 @@ def _scatter_add_rows(n_rows: int, flat_idx: np.ndarray, rows: np.ndarray) -> np
     return out
 
 
-def gather_rows(x, indices: np.ndarray, prefix: Optional[np.ndarray] = None) -> Tensor:
-    """Batched row lookup: x (b, n, f) indexed by integer indices (b, ...).
-
-    Output shape is indices.shape + (f,). The backward pass scatter-adds into
-    the source rows, so repeated indices accumulate.
-
-    A constant `prefix` of shape indices.shape + (c,) goes ahead of the rows
-    in the same buffer: the output (..., c + f) equals
-    concat([constant(prefix), gather_rows(x, indices)]) in values and
-    gradient, without a second edge-sized buffer. The prefix is screened as
-    `constant` screens it, and the backward scatters straight from the
-    gradient's row slice.
-    """
-    x = as_tensor(x)
+def _row_lookup(x: Tensor, idx: np.ndarray):
+    """Validate a batched row lookup of x (b, n, f) by indices (b, ...) and
+    return the batch index broadcast to the indices' shape."""
     if x.values.ndim != 3:
-        raise ValueError(f"gather_rows expects (b, n, f) input, got {x.values.shape}")
-    b, n, f = x.values.shape
-    idx = np.asarray(indices)
+        raise ValueError(f"row lookup expects (b, n, f) input, got {x.values.shape}")
+    b, n, _ = x.values.shape
     if idx.shape[0] != b:
         raise ValueError(f"indices lead with {idx.shape[0]}, batch is {b}")
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError("gather index out of range")
-    bidx = np.arange(b).reshape((b,) + (1,) * (idx.ndim - 1))
-    bfull = np.broadcast_to(bidx, idx.shape)
-    if prefix is None:
-        c = 0
-        out_vals = x.values[bfull, idx]
-    else:
-        prefix = np.asarray(prefix, dtype=np.float64)
-        if prefix.shape[:-1] != idx.shape:
-            raise ValueError(
-                f"gather_rows prefix {prefix.shape} does not match indices {idx.shape}"
-            )
-        _screen(prefix, "the gather_rows prefix")
-        c = prefix.shape[-1]
-        out_vals = np.empty(idx.shape + (c + f,))
-        out_vals[..., :c] = prefix
-        out_vals[..., c:] = x.values[bfull, idx]
+    return np.broadcast_to(np.arange(b).reshape((b,) + (1,) * (idx.ndim - 1)),
+                           idx.shape)
+
+
+def _scatter_rows_grad(x: Tensor, bfull: np.ndarray, idx: np.ndarray,
+                       g: np.ndarray):
+    """Hand x (b, n, f) the gradient g (idx.shape + (f,)) of its rows idx."""
+    b, n, f = x.values.shape
+    flat = (bfull * n + idx).ravel()
+    x._add_grad(_scatter_add_rows(b * n, flat, g.reshape(-1, f)).reshape(b, n, f),
+                owned=True)
+
+
+def gather_rows(x, indices: np.ndarray) -> Tensor:
+    """Batched row lookup: x (b, n, f) indexed by integer indices (b, ...).
+
+    Output shape is indices.shape + (f,). The backward pass scatter-adds into
+    the source rows, so repeated indices accumulate.
+    """
+    x = as_tensor(x)
+    idx = np.asarray(indices)
+    bfull = _row_lookup(x, idx)
 
     def bwd(out):
-        flat = (bfull * n + idx).ravel()
-        rows = out.grad[..., c:].reshape(-1, f)
-        x._add_grad(_scatter_add_rows(b * n, flat, rows).reshape(b, n, f),
-                    owned=True)
+        _scatter_rows_grad(x, bfull, idx, out.grad)
 
-    return _make(out_vals, (x,), bwd, screened=True)
+    return _make(x.values[bfull, idx], (x,), bwd, screened=True)
+
+
+def gather_add(y: Tensor, x, indices: np.ndarray) -> Tensor:
+    """y + gather_rows(x, indices), written over y's values, which y gives up.
+
+    y: (b, ..., f), the fresh output of an affine map that nothing else
+    reads, as for `relu_inplace`; x: (b, n, f); indices: y's leading shape.
+    So a term computed once per source row is added to every edge that
+    reads that row, one cloud at a time, without an edge-sized copy of the
+    gathered rows. x's gradient is scattered from the output gradient as
+    `gather_rows` scatters it; y takes the output gradient itself.
+    """
+    x = as_tensor(x)
+    idx = np.asarray(indices)
+    bfull = _row_lookup(x, idx)
+    if y.values.shape != idx.shape + x.values.shape[-1:]:
+        raise ValueError(
+            f"gather_add: y {y.values.shape} does not match indices {idx.shape} "
+            f"into rows of width {x.values.shape[-1]}"
+        )
+    out_vals = y.values
+    for bi in range(idx.shape[0]):
+        out_vals[bi] += x.values[bi][idx[bi]]
+
+    def bwd(out):
+        if x.needs_grad:
+            _scatter_rows_grad(x, bfull, idx, out.grad)
+        y._add_grad(out.grad, owned=True)
+
+    return _make(out_vals, (y, x), bwd)
+
+
+def row_block(w, start: int, stop: int) -> Tensor:
+    """Rows start:stop of a 2-d weight w, as a weight of the block's shape.
+
+    A layer whose input is a concatenation applies each block of its weight
+    to its own part of the input, so a part that repeats across edges can
+    be multiplied once. The values are a view of w's; the gradient lands in
+    those rows of a zero (fin, fout) array.
+    """
+    w = as_tensor(w)
+    if w.values.ndim != 2 or not 0 <= start < stop <= w.values.shape[0]:
+        raise ValueError(
+            f"row_block: rows {start}:{stop} of a weight of shape {w.values.shape}"
+        )
+
+    def bwd(out):
+        g = np.zeros_like(w.values)
+        g[start:stop] = out.grad
+        w._add_grad(g, owned=True)
+
+    return _make(w.values[start:stop], (w,), bwd, screened=True)
 
 
 # ---------------------------------------------------------------------------

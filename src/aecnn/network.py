@@ -8,6 +8,15 @@ whose neighbor features are first aligned into the reference's frame. A
 model has one head: a max pool plus head MLP for class logits, or two aligned
 interpolation stages that propagate features back to every point's part logits.
 
+The first layers of the edge MLP and the align MLP read concatenations in
+which one block repeats across edges: x_i over a reference's k edges, and
+x_j over every edge that picks source row j. Each first layer is affine, so
+it is applied in parts (`_first_layer_rows`): the repeated block once per
+reference or source row, the rest per edge, summed in place. In feature
+propagation the interpolation weights sum to one, so AEConv2/3 interpolate
+the align MLP's hidden layer and apply its affine output layer once per
+fine point. `count_operations` counts the multiplies as they run.
+
 Every input cloud is canonically reordered (lexicographic point sort) on
 entry, which makes the full pipeline bitwise permutation invariant, and all
 geometry consumed by the MLPs is frame-relative, which makes it rotation
@@ -48,6 +57,14 @@ def _bidx(b: int, idx: np.ndarray) -> np.ndarray:
     return np.broadcast_to(
         np.arange(b).reshape((b,) + (1,) * (idx.ndim - 1)), idx.shape
     )
+
+
+def _first_layer_rows(mlp: Mlp, x, start: int, stop: int, bias: bool = False):
+    """The part of mlp's first affine map that reads input features
+    start:stop: x @ w0[start:stop], plus b0 with `bias`. The bias goes with
+    the part computed once per row, so it too is added once."""
+    w, b, _ = mlp.layers[0]
+    return ad.linear(x, ad.row_block(w, start, stop), b if bias else None)
 
 
 class Model:
@@ -151,15 +168,19 @@ class Model:
     def parameter_count(self) -> int:
         return sum(int(p.values.size) for p in self.params.values())
 
-    def _align_macs(self, align_mlp) -> int:
-        """MACs to align one neighbor feature: the align MLP, plus the FxF
-        matrix application for AEConv1 (out_width == F*F)."""
+    def _align_macs(self, align_mlp, sources: int, edges: int, outputs: int) -> int:
+        """MACs to align `edges` neighbor features gathered from `sources`
+        rows, as `_align_edge_features` runs them: the align MLP and, for
+        AEConv1, the FxF matrix application (out_width == F*F) per edge; for
+        AEConv2/3 the x_j rows of the first weight per source row, its code
+        rows per edge, and the output layer `outputs` times."""
         if align_mlp is None:
             return 0
-        macs = _mlp_macs(align_mlp.widths)
         if self.variant == "aeconv1":
-            macs += align_mlp.out_width
-        return macs
+            return edges * (_mlp_macs(align_mlp.widths) + align_mlp.out_width)
+        fin, hidden, f = align_mlp.widths
+        return (sources * f * hidden + edges * (fin - f) * hidden
+                + outputs * hidden * f)
 
     # -- geometry plumbing ---------------------------------------------------
 
@@ -246,7 +267,12 @@ class Model:
     def _edge_conv(self, level: _Level, sub: np.ndarray, graph: np.ndarray,
                    block_index: int, penalties: list) -> _Level:
         """Block `block_index`'s aligned edge convolution over level's rows:
-        sub (b, r) picks the references, graph (b, r, k) their neighbors."""
+        sub (b, r) picks the references, graph (b, r, k) their neighbors.
+
+        The edge MLP reads [x_i, xhat - x_i, t]; the x_i rows of its first
+        weight and its bias apply once per reference and broadcast over the k
+        edges.
+        """
         align_mlp, q_mlp, _ = self.block_mlps[block_index]
         b = graph.shape[0]
         new_pts = level.pts[_bidx(b, sub), sub]
@@ -258,13 +284,16 @@ class Model:
         xhat = self._align_edge_features(align_mlp, level.feat, graph,
                                          new_bases, nb_bases, t, penalties)
         geometry = None if self.variant == "edgeconv" else t
-        edge = q_mlp(ad.edge_features(x_i, xhat, geometry))
-        feat = ad.max_reduce(edge, axis=2)
+        f = x_i.values.shape[-1]
+        per_edge = _first_layer_rows(q_mlp, ad.edge_features(x_i, xhat, geometry),
+                                     f, q_mlp.widths[0])
+        h = ad.expand_add(per_edge, _first_layer_rows(q_mlp, x_i, 0, f, bias=True))
+        feat = ad.max_reduce(q_mlp.after_first(h), axis=2)
         return _Level(pts=new_pts, bases=new_bases, feat=feat)
 
     def _align_edge_features(self, align_mlp, src, idx: np.ndarray,
                              bases_i: np.ndarray, bases_j: np.ndarray,
-                             t: np.ndarray, penalties: list):
+                             t: np.ndarray, penalties: list, weights=None):
         """Neighbor features src[idx] (.., k, f) aligned into the reference
         frames: as they are (edgeconv), by a predicted FxF matrix (aeconv1), or
         by an MLP on the raw frame pair (aeconv2) or the relative rotation
@@ -274,28 +303,50 @@ class Model:
         rows in it; bases_i: (.., 3, 3) reference frames; bases_j:
         (.., k, 3, 3) neighbor frames; t: (.., k, 3) neighbor offsets
         expressed in the reference frame. Geometry enters as constants;
-        gradient flows through the gathered rows and the MLP. AEConv2 and
-        AEConv3 gather the rows behind their geometry code, straight into the
-        align MLP's input buffer. AEConv1 appends its orthogonality penalty
-        Tensor to `penalties`.
+        gradient flows through the gathered rows and the MLP. AEConv1 appends
+        its orthogonality penalty Tensor to `penalties`.
+
+        The AEConv2/3 align MLP reads [code, x_j]: the x_j rows of its first
+        weight and its bias apply once per source row, and the products are
+        gathered onto the edges. With `weights` (.., k), the result is the
+        weighted sum over k of the aligned features (feature propagation).
+        Those weights sum to one and the align MLP's output layer is affine,
+        so AEConv2/3 take the weighted sum of the hidden layer and apply the
+        output layer once per fine point.
         """
+        if self.variant == "edgeconv":
+            xhat = ad.gather_rows(src, idx)
+        elif self.variant == "aeconv1":
+            code = self._align_code(bases_i, bases_j, t)
+            f = src.values.shape[-1]
+            m = ad.reshape(align_mlp(ad.constant(code)), code.shape[:-1] + (f, f))
+            penalties.append(ad.orthogonality_penalty(m))
+            xhat = ad.edge_matvec(m, ad.gather_rows(src, idx))
+        else:
+            code = self._align_code(bases_i, bases_j, t)
+            c, f = code.shape[-1], src.values.shape[-1]
+            per_edge = _first_layer_rows(align_mlp, ad.constant(code), 0, c)
+            per_row = _first_layer_rows(align_mlp, src, c, c + f, bias=True)
+            h = ad.gather_add(per_edge, per_row, idx)
+            if weights is None:
+                return align_mlp.after_first(h)
+            w1, b1, _ = align_mlp.layers[1]
+            return ad.linear(ad.weighted_sum(ad.relu_inplace(h), weights), w1, b1)
+        return xhat if weights is None else ad.weighted_sum(xhat, weights)
+
+    def _align_code(self, bases_i: np.ndarray, bases_j: np.ndarray,
+                    t: np.ndarray) -> np.ndarray:
+        """The align MLP's geometry input per edge: the raw frame pair
+        (aeconv2) or the relative rotation (aeconv1/3), then the offset."""
         if self.variant == "aeconv2":
             ei = np.broadcast_to(
                 bases_i[..., None, :, :], bases_j.shape
             ).reshape(bases_j.shape[:-2] + (9,))
-            ej = bases_j.reshape(bases_j.shape[:-2] + (9,))
-            code = np.concatenate([ei, ej, t], axis=-1)
-            return align_mlp(ad.gather_rows(src, idx, prefix=code))
-        if self.variant == "edgeconv":
-            return ad.gather_rows(src, idx)
-        rel = lrf.relative_rotation_batch(bases_i, bases_j)
-        code = np.concatenate([rel.reshape(rel.shape[:-2] + (9,)), t], axis=-1)
-        if self.variant == "aeconv3":
-            return align_mlp(ad.gather_rows(src, idx, prefix=code))
-        f = src.values.shape[-1]
-        m = ad.reshape(align_mlp(ad.constant(code)), code.shape[:-1] + (f, f))
-        penalties.append(ad.orthogonality_penalty(m))
-        return ad.edge_matvec(m, ad.gather_rows(src, idx))
+            frames = [ei, bases_j.reshape(bases_j.shape[:-2] + (9,))]
+        else:
+            rel = lrf.relative_rotation_batch(bases_i, bases_j)
+            frames = [rel.reshape(rel.shape[:-2] + (9,))]
+        return np.concatenate(frames + [t], axis=-1)
 
     # -- forward passes --------------------------------------------------------
 
@@ -367,9 +418,8 @@ class Model:
         w = 1.0 / d
         w /= w.sum(axis=-1, keepdims=True)
         t = lrf.rir_batch(cpos, fine_pts, fine_bases)
-        xhat = self._align_edge_features(align_mlp, coarse.feat, nn3, fine_bases,
-                                         cbases, t, penalties)  # (b, nf, 3, fc)
-        interp = ad.weighted_sum(xhat, w)
+        interp = self._align_edge_features(align_mlp, coarse.feat, nn3, fine_bases,
+                                           cbases, t, penalties, w)  # (b, nf, fc)
         mixed = interp if skip is None else ad.concat([interp, skip])
         return mlp(mixed)
 
@@ -423,7 +473,9 @@ def count_operations(config: NetworkConfig) -> dict:
     """Analytic per-sample multiply-accumulate counts, by section.
 
     Read from the MLP widths of a built Model, as count_parameters reads its
-    weight shapes. Only MAC-bearing work (MLPs and the AEConv1 matrix
+    weight shapes, and counted as the forward pass runs them: a first-layer
+    block that repeats across edges once per source row, reference or fine
+    point that holds it. Only MAC-bearing work (MLPs and the AEConv1 matrix
     application) is counted; distance computations and sorting are excluded.
     flops = 2*macs.
     """
@@ -431,17 +483,25 @@ def count_operations(config: NetworkConfig) -> dict:
     model = Model(c)
     refs = c.ref_counts()
     out: dict = {"sa_first": refs[0] * c.sa_first.k * _mlp_macs(model.h_mlp.widths)}
-    for i, (align, q, k) in enumerate(model.block_mlps, start=1):
-        out[f"sa_next{i}"] = refs[i] * k * (model._align_macs(align)
-                                            + _mlp_macs(q.widths))
+    for i, ((align, q, k), f) in enumerate(
+            zip(model.block_mlps, c.feature_widths()), start=1):
+        edges = refs[i] * k
+        q_in, hidden = q.widths[:2]
+        # The x_i rows of q's first weight run once per reference.
+        out[f"sa_next{i}"] = (model._align_macs(align, refs[i - 1], edges, edges)
+                              + refs[i] * f * hidden
+                              + edges * ((q_in - f) * hidden
+                                         + _mlp_macs(q.widths[1:])))
     if not c.n_parts:
         out["head"] = _mlp_macs(model.head_mlp.widths)
     else:
+        coarse_counts = (refs[-1], refs[0])
         fine_counts = (refs[0], c.n_points)
-        for si, ((align, mlp), nf) in enumerate(
-                zip(model.fp_stages, fine_counts), start=1):
-            out[f"fp{si}"] = nf * (FP_NEIGHBORS * model._align_macs(align)
-                                   + _mlp_macs(mlp.widths))
+        for si, ((align, mlp), nc, nf) in enumerate(
+                zip(model.fp_stages, coarse_counts, fine_counts), start=1):
+            out[f"fp{si}"] = (
+                model._align_macs(align, nc, nf * FP_NEIGHBORS, nf)
+                + nf * _mlp_macs(mlp.widths))
         out["point_head"] = c.n_points * _mlp_macs(model.point_head.widths)
     out["total_macs"] = sum(out.values())
     out["flops"] = 2 * out["total_macs"]

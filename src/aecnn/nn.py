@@ -40,12 +40,19 @@ class Mlp:
             self.layers.append((w, b, last))
 
     def __call__(self, x):
-        for w, b, last in self.layers:
-            x = ad.linear(x, w, b)
-            if not last:
-                # x is this MLP's own fresh output, so relu may overwrite it.
-                x = ad.relu_inplace(x)
-        return x
+        w, b, _ = self.layers[0]
+        return self.after_first(ad.linear(x, w, b))
+
+    def after_first(self, y):
+        """The layers after the first, from the first affine map's output y.
+
+        y must be a fresh tensor that nothing else reads: the relu of each
+        hidden layer overwrites its input. A caller that computes the first
+        affine map in parts (`network`) hands its sum here.
+        """
+        for w, b, _ in self.layers[1:]:
+            y = ad.linear(ad.relu_inplace(y), w, b)
+        return y
 
     def parameters(self) -> list:
         """Every trainable Tensor of this MLP, layer by layer."""

@@ -5,13 +5,21 @@ library: quaternions instead of the axis-angle matrix formula, python sorted()
 on (distance, index) pairs instead of vectorized argsorts, O(n^2) greedy loops
 instead of incremental minima, per-cloud loops instead of batched
 coordinate-major scans, central finite differences instead of
-backpropagation. Slow and obvious beats fast and shared-bug.
+backpropagation, and each edge's whole concatenated input multiplied by the
+first-layer weights instead of the package's per-row factoring. Slow and
+obvious beats fast and shared-bug.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from aecnn import autodiff as ad
+from aecnn import lrf
+from aecnn.network import Model, _bidx, _Level
+
+import reference_ops as ref
 
 
 # ---------------------------------------------------------------------------
@@ -215,3 +223,63 @@ def gram_schmidt_frame(reference, anchor):
     x = x / np.linalg.norm(x)
     y = np.cross(z, x)
     return np.stack([x, y, z])
+
+
+# ---------------------------------------------------------------------------
+# the network's edge layers, unfactored
+# ---------------------------------------------------------------------------
+
+def unfactored_model(config, seed=0):
+    """A Model whose edge convolutions and feature propagation multiply each
+    edge's whole concatenated input by each first-layer weight.
+
+    The package applies the x_j rows of the align MLP's first weight once per
+    source row, the x_i rows of the edge MLP's once per reference, and
+    AEConv2/3 feature propagation interpolates the align MLP's hidden layer
+    before its output layer. Here every edge builds [code, x_j] and
+    [x_i, xhat - x_i, t] by concatenation, runs the whole MLPs on them, and
+    propagation interpolates the aligned features, with the same weights,
+    selections and frames. The two agree up to rounding.
+    """
+    class Unfactored(Model):
+        def _edge_conv(self, level, sub, graph, block_index, penalties):
+            align_mlp, q_mlp, _ = self.block_mlps[block_index]
+            b, _, k = graph.shape
+            new_pts = level.pts[_bidx(b, sub), sub]
+            new_bases = level.bases[_bidx(b, sub), sub]
+            x_i = ad.gather_rows(level.feat, sub)
+            t = lrf.rir_batch(level.pts[_bidx(b, graph), graph], new_pts, new_bases)
+            xhat = self._align_edge_features(
+                align_mlp, level.feat, graph, new_bases,
+                level.bases[_bidx(b, graph), graph], t, penalties)
+            rep = ref.expand_set(x_i, k)
+            parts = [rep, ref.sub(xhat, rep)]
+            if self.variant != "edgeconv":
+                parts.append(ad.constant(t))
+            feat = ad.max_reduce(q_mlp(ad.concat(parts)), axis=2)
+            return _Level(pts=new_pts, bases=new_bases, feat=feat)
+
+        def _align_edge_features(self, align_mlp, src, idx, bases_i, bases_j,
+                                 t, penalties, weights=None):
+            rows = ad.gather_rows(src, idx)
+            if self.variant == "edgeconv":
+                xhat = rows
+            else:
+                if self.variant == "aeconv2":
+                    ei = np.broadcast_to(bases_i[..., None, :, :], bases_j.shape)
+                    frames = [ei.reshape(ei.shape[:-2] + (9,)),
+                              bases_j.reshape(bases_j.shape[:-2] + (9,))]
+                else:
+                    rel = lrf.relative_rotation_batch(bases_i, bases_j)
+                    frames = [rel.reshape(rel.shape[:-2] + (9,))]
+                code = ad.constant(np.concatenate(frames + [t], axis=-1))
+                if self.variant == "aeconv1":
+                    f = src.values.shape[-1]
+                    m = ad.reshape(align_mlp(code), code.values.shape[:-1] + (f, f))
+                    penalties.append(ad.orthogonality_penalty(m))
+                    xhat = ad.edge_matvec(m, rows)
+                else:
+                    xhat = align_mlp(ad.concat([code, rows]))
+            return xhat if weights is None else ad.weighted_sum(xhat, weights)
+
+    return Unfactored(config, seed=seed)

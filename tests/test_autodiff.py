@@ -277,8 +277,7 @@ class TestConcatGather:
         # Segment lengths 1 to 300 cover numpy's 8-way unrolled pairwise sum
         # and its split into 128-element blocks; the values span many orders
         # of magnitude so that any other summation order shows. rows is a
-        # strided view, as the prefix gather hands it over, and 40 of the
-        # 340 targets receive nothing.
+        # strided view, and 40 of the 340 targets receive nothing.
         g = rng(74)
         idx = np.repeat(g.permutation(340)[:300], np.arange(1, 301))
         g.shuffle(idx)
@@ -297,8 +296,7 @@ class TestConcatGather:
 
 def edge_chain(x_i, xhat, t):
     """The edge feature built from expand_set, sub and concat."""
-    rep = ref.expand_set(x_i, xhat.values.shape[-2])
-    parts = [rep, ref.sub(xhat, rep)]
+    parts = [ref.sub(xhat, ref.expand_set(x_i, xhat.values.shape[-2]))]
     if t is not None:
         parts.append(ad.constant(t))
     return ad.concat(parts)
@@ -327,6 +325,7 @@ class TestEdgeFeatures:
             x_i = ad.gather_rows(src, sub)
             xhat = ad.linear(ad.gather_rows(src, graph), w)
             out = build(x_i, xhat, t)
+            assert out.shape == (2, 3, 5, 7 if with_t else 4)
             ad.backward(project(ref.relu(out)))
             got.append((out.values, src.grad, w.grad))
         for a, b in zip(*got):
@@ -334,18 +333,21 @@ class TestEdgeFeatures:
             assert np.array_equal(np.signbit(a), np.signbit(b))
 
     def test_x_i_and_xhat_of_one_tensor(self):
-        # xhat repeats x_i itself: both contributions reach one tensor, and
-        # neither may alias a buffer the other writes.
+        # xhat repeats x_i itself, so every edge feature is zero and the two
+        # contributions to the one tensor cancel; neither may alias a buffer
+        # the other writes.
         g = rng(92)
         x0 = g.normal(size=(2, 3, 4))
         grads = []
         for build in (ad.edge_features, edge_chain):
             x = ad.parameter(x0)
-            ad.backward(project(build(x, ref.expand_set(x, 5), None)))
+            out = build(x, ref.expand_set(x, 5), None)
+            assert not out.values.any()
+            ad.backward(project(out))
             grads.append(x.grad)
         assert np.array_equal(grads[0], grads[1])
-        w = np.random.default_rng(99).normal(size=(2, 3, 5, 8))
-        assert np.allclose(grads[0], w[..., :4].sum(axis=2), atol=1e-12)
+        assert np.array_equal(grads[0], np.zeros_like(x0))
+        assert not np.signbit(grads[0]).any()
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="edge_features"):
@@ -353,52 +355,15 @@ class TestEdgeFeatures:
                              ad.constant(np.zeros((2, 3, 5, 6))))
 
 
-def prefix_chain(src, idx, prefix):
-    """The prefix gather built from constant, gather_rows and concat."""
-    return ad.concat([ad.constant(prefix), ad.gather_rows(src, idx)])
-
-
 def weighted_sum_chain(x, w):
     return ref.sum_reduce(ref.mul(x, ad.constant(w[..., None])), axis=2)
 
 
 class TestPrefixGatherWeightedSum:
-    """The fused ops against the op chains they replace, bit for bit."""
-
-    def test_prefix_gather_equals_concat_chain_bitwise(self):
-        # x_i and the prefixed rows come from one source, the neighbor
-        # indices repeat, and a relu right after the gather masks entries
-        # whose incoming gradient is negative, so -0.0 reaches its backward.
-        g = rng(93)
-        src0 = g.normal(size=(2, 9, 4))
-        w0 = g.normal(size=(7, 4))
-        sub = g.integers(0, 9, size=(2, 3))
-        graph = g.integers(0, 9, size=(2, 3, 5))
-        prefix = g.normal(size=(2, 3, 5, 3))
-        assert len(np.unique(graph[0])) < graph[0].size
-        got = []
-        for build in (lambda s, i, p: ad.gather_rows(s, i, prefix=p), prefix_chain):
-            src, w = ad.parameter(src0), ad.parameter(w0)
-            x_i = ad.gather_rows(src, sub)
-            a = build(src, graph, prefix)
-            out = ad.edge_features(x_i, ad.linear(ref.relu(a), w))
-            ad.backward(project(out))
-            got.append((a.values, out.values, src.grad, w.grad))
-        a0 = got[0][0]
-        wp = np.random.default_rng(99).normal(size=(2, 3, 5, 8))
-        g_in = (wp[..., 4:] @ w0.T) * (a0 > 0.0)
-        assert (np.signbit(g_in) & (g_in == 0.0))[..., 3:].any()
-        assert np.array_equal(a0[..., :3], prefix)
-        for a, b in zip(*got):
-            assert np.array_equal(a, b)
-            assert np.array_equal(np.signbit(a), np.signbit(b))
-
-    def test_prefix_gather_matches_finite_differences(self):
-        g = rng(94)
-        idx = np.array([[[0, 2], [2, 2]], [[3, 1], [0, 3]]])
-        prefix = g.normal(size=(2, 2, 2, 3))
-        check_grads(lambda x: project(ad.gather_rows(x, idx, prefix=prefix)),
-                    [g.normal(size=(2, 4, 5))])
+    """The fused ops that feed the align MLP and the interpolation against
+    the op chains they replace, bit for bit: the gather into the first
+    layer (a constant prefix ahead of the rows until the per-source-row
+    factoring; `gather_add` since) and `weighted_sum`."""
 
     def test_weighted_sum_equals_mul_sum_chain_bitwise(self):
         # Zero and negative weights, and relus on both sides, so signed
@@ -427,22 +392,114 @@ class TestPrefixGatherWeightedSum:
 
     def test_shape_mismatch_rejected(self):
         x = ad.constant(np.zeros((1, 4, 2)))
-        with pytest.raises(ValueError, match="prefix"):
-            ad.gather_rows(x, np.zeros((1, 3), dtype=int), prefix=np.zeros((1, 2, 1)))
+        with pytest.raises(ValueError, match="gather_add"):
+            ad.gather_add(ad.constant(np.zeros((1, 2, 2))), x,
+                          np.zeros((1, 3), dtype=int))
         with pytest.raises(ValueError, match="weighted_sum"):
             ad.weighted_sum(x, np.zeros((1, 3)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_constants_raise(self, bad):
         x = ad.parameter(np.zeros((1, 4, 2)))
-        prefix = np.zeros((1, 3, 2))
-        prefix[0, 1, 0] = bad
-        with pytest.raises(FloatingPointError):
-            ad.gather_rows(x, np.zeros((1, 3), dtype=int), prefix=prefix)
         w = np.ones((1, 4))
         w[0, 2] = bad
         with pytest.raises(FloatingPointError):
             ad.weighted_sum(x, w)
+
+
+class TestFactoredFirstLayer:
+    """The ops that let a first layer multiply a repeated block once:
+    `row_block`, `gather_add` and `expand_add`, each against finite
+    differences and, bit for bit, against the unfused ops it replaces."""
+
+    def test_row_block_matches_finite_differences(self):
+        g = rng(100)
+        x = g.normal(size=(2, 3, 2))
+        check_grads(lambda w: project(ad.linear(x, ad.row_block(w, 1, 3))),
+                    [g.normal(size=(5, 4))])
+
+    def test_row_block_gradient_fills_its_rows(self):
+        # Two blocks of one weight: each hands back x^T g in its own rows,
+        # exactly, and the rows no block reads get +0.0.
+        g = rng(101)
+        w = ad.parameter(g.normal(size=(6, 3)))
+        x1, x2 = g.normal(size=(4, 2)), g.normal(size=(4, 3))
+        a = ad.linear(x1, ad.row_block(w, 0, 2))
+        c = ad.linear(x2, ad.row_block(w, 3, 6))
+        assert np.array_equal(a.values, x1 @ w.values[:2])
+        ad.backward(project(ad.add(a, c)))
+        gp = np.random.default_rng(99).normal(size=(4, 3))
+        assert np.array_equal(w.grad[:2], x1.T @ gp)
+        assert np.array_equal(w.grad[3:], x2.T @ gp)
+        assert np.array_equal(w.grad[2], np.zeros(3))
+        assert not np.signbit(w.grad[2]).any()
+
+    def test_row_block_range_checked(self):
+        w = ad.parameter(np.zeros((4, 2)))
+        for start, stop in ((2, 2), (-1, 2), (0, 5)):
+            with pytest.raises(ValueError, match="row_block"):
+                ad.row_block(w, start, stop)
+
+    def test_gather_add_matches_finite_differences(self):
+        g = rng(102)
+        idx = np.array([[[0, 2], [2, 2]], [[3, 1], [0, 3]]])
+        w = g.normal(size=(3, 5))
+        check_grads(
+            lambda y, x: project(ad.gather_add(ad.linear(y, w), x, idx)),
+            [g.normal(size=(2, 2, 2, 3)), g.normal(size=(2, 4, 5))])
+
+    def test_gather_add_equals_add_of_gather_bitwise(self):
+        # The rows repeat, and a relu after the sum masks entries whose
+        # gradient is negative, so -0.0 reaches the scatter.
+        g = rng(103)
+        src0 = g.normal(size=(2, 9, 4))
+        code = g.normal(size=(2, 3, 5, 3))
+        w0 = g.normal(size=(3, 4))
+        graph = g.integers(0, 9, size=(2, 3, 5))
+        assert len(np.unique(graph[0])) < graph[0].size
+        got = []
+        for fused in (True, False):
+            src, w = ad.parameter(src0), ad.parameter(w0)
+            y = ad.linear(code, w)
+            out = (ad.gather_add(y, src, graph) if fused
+                   else ad.add(y, ad.gather_rows(src, graph)))
+            ad.backward(project(ref.relu(out)))
+            got.append((out.values, src.grad, w.grad))
+        for a, b in zip(*got):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    def test_expand_add_matches_finite_differences(self):
+        g = rng(104)
+        w = g.normal(size=(3, 4))
+        check_grads(
+            lambda y, x: project(ad.expand_add(ad.linear(y, w), x)),
+            [g.normal(size=(2, 3, 5, 3)), g.normal(size=(2, 3, 4))])
+
+    def test_expand_add_equals_add_of_expand_set_bitwise(self):
+        g = rng(105)
+        e0 = g.normal(size=(2, 3, 5, 3))
+        x0 = g.normal(size=(2, 3, 4))
+        w0 = g.normal(size=(3, 4))
+        got = []
+        for fused in (True, False):
+            x, w = ad.parameter(x0), ad.parameter(w0)
+            y = ad.linear(e0, w)
+            out = (ad.expand_add(y, x) if fused
+                   else ad.add(y, ref.expand_set(x, 5)))
+            ad.backward(project(ref.relu(out)))
+            got.append((out.values, x.grad, w.grad))
+        for a, b in zip(*got):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    def test_shapes_checked(self):
+        y = ad.constant(np.zeros((2, 3, 5, 4)))
+        with pytest.raises(ValueError, match="expand_add"):
+            ad.expand_add(y, ad.constant(np.zeros((2, 3, 3))))
+        with pytest.raises(IndexError):
+            ad.gather_add(y, ad.constant(np.zeros((2, 4, 4))),
+                          np.full((2, 3, 5), 4))
 
 
 class TestCrossEntropy:
@@ -559,7 +616,12 @@ def tracked_ops(g):
         ("reshape", lambda: ad.reshape(x, (10, 3))),
         ("concat", lambda: ad.concat([x, x])),
         ("edge_features", lambda: ad.edge_features(ad.max_reduce(x, axis=1), x)),
-        ("gather_rows", lambda: ad.gather_rows(x, idx, prefix=np.ones((2, 4, 1)))),
+        ("expand_add", lambda: ad.expand_add(ad.linear(x, np.eye(3)),
+                                             ad.max_reduce(x, axis=1))),
+        ("gather_rows", lambda: ad.gather_rows(x, idx)),
+        ("gather_add", lambda: ad.gather_add(ad.linear(np.ones((2, 4, 3)), np.eye(3)),
+                                             x, idx)),
+        ("row_block", lambda: ad.row_block(ad.parameter(w), 1, 3)),
         ("cross_entropy", lambda: ad.cross_entropy(x, np.zeros((2, 5), dtype=int))),
         ("edge_matvec", lambda: ad.edge_matvec(m, x)),
         ("orthogonality_penalty", lambda: ad.orthogonality_penalty(m)),

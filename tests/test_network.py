@@ -24,7 +24,7 @@ from aecnn.network import (
     count_parameters,
 )
 
-from oracles import rotation_from_axis_angle
+from oracles import rotation_from_axis_angle, unfactored_model
 
 
 def tiny_config(**kw) -> NetworkConfig:
@@ -593,6 +593,42 @@ class TestForwardOnlyMatchesTracked:
         assert np.array_equal(model.predict_logits_batch(pts), tracked.values)
 
 
+def loss_and_grads(model, seed):
+    """Tracked logits and every parameter gradient of one loss on 3 clouds."""
+    cfg = model.config
+    rng = np.random.default_rng(seed + 200)
+    pts = np.stack([random_cloud(rng, cfg.n_points) for _ in range(3)])
+    labels = np.array([0, 1, 2])
+    if cfg.n_parts:
+        logits, pens = model.segment_batch(pts, np.eye(cfg.n_classes)[labels])
+        targets = rng.integers(0, cfg.n_parts, size=(3, cfg.n_points))
+    else:
+        logits, pens = model.classify_batch(pts)
+        targets = labels
+    ad.backward(model.loss_terms(logits, targets, pens))
+    return logits.values, {name: p.grad for name, p in model.params.items()}
+
+
+class TestFactoredMatchesUnfactored:
+    """The first layers factored per source row, per reference and, in
+    propagation, per fine point, against every edge multiplying its whole
+    concatenated input (oracles.unfactored_model): same logits and
+    parameter gradients up to rounding."""
+
+    @pytest.mark.parametrize("variant", ["edgeconv", "aeconv1", "aeconv2", "aeconv3"])
+    @pytest.mark.parametrize("seg", [False, True])
+    def test_logits_and_gradients_agree(self, seg, variant):
+        cfg = (tiny_seg_config if seg else tiny_config)(variant=variant)
+        logits, grads = loss_and_grads(Model(cfg, seed=5), 5)
+        want, want_grads = loss_and_grads(unfactored_model(cfg, seed=5), 5)
+        assert np.abs(logits - want).max() <= 1e-12 * np.abs(want).max()
+        assert grads.keys() == want_grads.keys()
+        for name, g in grads.items():
+            assert g is not None and want_grads[name] is not None, name
+            scale = np.abs(want_grads[name]).max()
+            assert np.abs(g - want_grads[name]).max() <= 1e-12 * scale, name
+
+
 class TestGoldenOutputs:
     """SHA-256 of float64 logits and of one step's gradients at fixed seeds.
 
@@ -607,7 +643,30 @@ class TestGoldenOutputs:
     digests moved again when segmenters stopped drawing that head's weights
     from the seed at all: the FP stages and the point head, drawn after it,
     now start from other values. The classification digests did not move.
+
+    All four digests moved once more when the first layers of the edge MLP
+    and the align MLP were factored (the x_j rows of the align weight and
+    its bias per source row, the x_i rows of the edge weight and its bias
+    per reference, and AEConv2/3 propagation interpolating the align MLP's
+    hidden layer). Only the summation order of those layers changed. The new
+    digests were derived by running this same code on the factored network,
+    at one and at two BLAS threads, after TestFactoredMatchesUnfactored had
+    shown logits and every gradient within 1e-12 (measured: about 1e-15) of
+    the unfactored forward. That forward, oracles.unfactored_model, still
+    gives the old digests bit for bit, and
+    test_unfactored_oracle_keeps_old_digests pins them there.
     """
+
+    OLD = {
+        "classification": (
+            "cc3d364cd8955ba03bd92ce6859478bc7ce84dcf605ced24cd4a47764238b8fc",
+            "67d244e42ae24321f71f000491b9dfd5df350816aee9103078873f4c593546b8",
+        ),
+        "segmentation": (
+            "c0a4d33d1b19927617547a84038cb276232e0efdb65291e540b657ae24e532aa",
+            "17a07adb847e5aa5746f492246924e1afb436ff58be54e7798a5f48f3d890266",
+        ),
+    }
 
     @staticmethod
     def digest(arrays) -> str:
@@ -616,8 +675,8 @@ class TestGoldenOutputs:
             h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
         return h.hexdigest()
 
-    def run(self, cfg, seed):
-        model = Model(cfg, seed=seed)
+    def run(self, cfg, seed, build=Model):
+        model = build(cfg, seed=seed)
         rng = np.random.default_rng(seed + 100)
         pts = np.stack([random_cloud(rng) for _ in range(3)])
         labels = np.array([0, 1, 2])
@@ -636,15 +695,19 @@ class TestGoldenOutputs:
 
     def test_classification(self):
         assert self.run(tiny_config(), 3) == (
-            "cc3d364cd8955ba03bd92ce6859478bc7ce84dcf605ced24cd4a47764238b8fc",
-            "67d244e42ae24321f71f000491b9dfd5df350816aee9103078873f4c593546b8",
+            "694ffead7bdd8c1e2a03b0b292b443cd60156c191bd8dd0df880238b6496abb1",
+            "8d1a56718bce881d1a957d0cb9266e00f82db9c0d759674303ec526e16392c4a",
         )
 
     def test_segmentation(self):
         assert self.run(tiny_seg_config(), 4) == (
-            "c0a4d33d1b19927617547a84038cb276232e0efdb65291e540b657ae24e532aa",
-            "17a07adb847e5aa5746f492246924e1afb436ff58be54e7798a5f48f3d890266",
+            "fa168337eed8aae2d9c46dde40eec8f2814afa112a0490bb3d898576806fa139",
+            "027756b1a2d8d2bb0f901d3910ac1d9b16a92025e25f324eac4ca66ddde8c5a9",
         )
+
+    def test_unfactored_oracle_keeps_old_digests(self):
+        assert self.run(tiny_config(), 3, unfactored_model) == self.OLD["classification"]
+        assert self.run(tiny_seg_config(), 4, unfactored_model) == self.OLD["segmentation"]
 
 
 class TestLrfFallbackSurfacing:
