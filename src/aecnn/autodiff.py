@@ -3,10 +3,10 @@
 Tensors wrap ndarrays and remember how they were produced; `backward` walks
 the graph once in reverse topological order. The module holds only the ops
 the network runs: affine maps, row blocks of a weight, addition and scaling
-of losses, in-place relu, max reduction, last-axis concatenation, reshapes,
-batched row gathers, inverse-distance weighted sums, stable softmax cross
-entropy, and the fused edge kernels (the edge feature [xhat - x_i, t],
-in-place adds of per-row terms onto edges, matrix-vector alignment and the
+(of losses and of weight blocks), in-place relu, max reduction, last-axis
+concatenation, reshapes, batched row gathers, inverse-distance weighted
+sums, stable softmax cross entropy, and the fused edge kernels (in-place
+adds of per-row terms onto edges, matrix-vector alignment and the
 orthogonality penalty) whose gradients are hand derived.
 The unfused ops the tests compare them against (`sub`, `mul`, `square`,
 `relu`, `sum_reduce`, `mean_reduce`, `expand_set`) live in
@@ -30,10 +30,6 @@ Several ops save a buffer and keep the bits of the op chain they replace.
 values, so they may only take a tensor that nobody else reads and whose
 op's backward never reads its output values: the output of a `linear`, or
 of `gather_add` or `expand_add` on one.
-`edge_features` writes the edge feature into one buffer and lists its
-parents as (xhat, x_i), the order in which the backward sweep reached them
-through expand_set, sub and concat; another order sums the contributions
-to a shared source tensor in another order and moves bits.
 `weighted_sum(x, w)` is sum_reduce(mul(x, constant(w[..., None])),
 axis=-2) without keeping the product or broadcasting the gradient first.
 The signed zeros these skip (the chains store 0.0 + g before passing a
@@ -391,42 +387,6 @@ def concat(tensors: Sequence, axis: int = -1) -> Tensor:
                 t._add_grad(out.grad[tuple(sl)])
 
     return _make(out_vals, ts, bwd, screened=True)
-
-
-def edge_features(x_i, xhat, t: Optional[np.ndarray] = None) -> Tensor:
-    """The edge feature [xhat - x_i, t] in one buffer.
-
-    x_i: (..., f) reference features; xhat: (..., k, f) their (aligned)
-    neighbor features; t: optional constant (..., k, c) edge geometry.
-    Output (..., k, f [+ c]): xhat - x_i, then t. The DGCNN edge function
-    also reads x_i itself; the network applies that block of the edge MLP's
-    first layer once per reference (`expand_add`), so it is not repeated
-    here. The values and gradients equal concat([sub(xhat, expand_set(x_i,
-    k)), t]): xhat gets its slice of the output gradient g, and x_i gets
-    -g.sum over k.
-    """
-    x_i, xhat = as_tensor(x_i), as_tensor(xhat)
-    f = x_i.values.shape[-1]
-    if xhat.values.shape[:-2] + xhat.values.shape[-1:] != x_i.values.shape:
-        raise ValueError(
-            f"edge_features: x_i {x_i.values.shape} does not match xhat "
-            f"{xhat.values.shape}"
-        )
-    width = f + (0 if t is None else t.shape[-1])
-    out_vals = np.empty(xhat.values.shape[:-1] + (width,))
-    np.subtract(xhat.values, x_i.values[..., None, :], out=out_vals[..., :f])
-    if t is not None:
-        out_vals[..., f:] = t
-
-    def bwd(out):
-        g = out.grad[..., :f]
-        if x_i.needs_grad:
-            x_i._add_grad(np.negative(g.sum(axis=-2)), owned=True)
-        if xhat.needs_grad:
-            # Without t the slice is the whole of out.grad, which xhat may own.
-            xhat._add_grad(g, owned=t is None)
-
-    return _make(out_vals, (xhat, x_i), bwd)
 
 
 def expand_add(y: Tensor, x) -> Tensor:

@@ -13,7 +13,6 @@ command run twice with the same arguments produces identical bytes.
 from __future__ import annotations
 
 import argparse
-import configparser
 import itertools
 import json
 import os
@@ -161,22 +160,18 @@ def _resolve_dataset(token: str, n_per_class: int, n_points: int, seed: int,
 def _resume_conflicts(config_path, network, training) -> list:
     """Where the config a checkpoint was trained under differs from this run's.
 
-    Compares the INI text save_config writes, so a field it leaves out (the
-    segmentation widths of a classifier) cannot differ; a resume may change
-    the epoch count. A file written before per-set standardization was
-    removed holds `normalize = false`, which every network now does.
+    Compares the INI text save_config writes for each, as load_config reads
+    the old file, so a field it leaves out (the segmentation widths of a
+    classifier) cannot differ; a resume may change the epoch count.
     """
-    parser = configparser.ConfigParser()
+    if not os.path.exists(config_path):
+        return [f"{config_path} is missing"]
     try:
-        if not parser.read(config_path):
-            return [f"{config_path} is missing"]
-    except configparser.Error as e:
-        return [f"cannot parse {config_path}: {e}"]
-    old = {(s, k): v for s in parser.sections() for k, v in parser[s].items()}
-    if old.get(("network", "normalize")) == "false":
-        del old[("network", "normalize")]
-    new = {(s, k): v for s, values in config_sections(network, training).items()
-           for k, v in values.items()}
+        old_sections = config_sections(*load_config(config_path))
+    except ConfigError as e:
+        return [f"{config_path}: {p}" for p in e.problems]
+    old, new = ({(s, k): v for s, values in sections.items() for k, v in values.items()}
+                for sections in (old_sections, config_sections(network, training)))
     keys = sorted((old.keys() | new.keys()) - {("training", "epochs")})
     return [f"[{s}] {k}: {old.get((s, k))} -> {new.get((s, k))}"
             for s, k in keys if old.get((s, k)) != new.get((s, k))]

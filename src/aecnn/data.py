@@ -89,6 +89,14 @@ class Dataset:
         return iter(self.samples)
 
 
+def _refuse_empty(dataset: Dataset, what: str):
+    """Raise ValueError, naming the dataset by its split tag, if it holds no
+    samples: the mean loss, accuracy and mIoU over none are undefined."""
+    if not dataset.samples:
+        raise ValueError(f"cannot {what} the dataset "
+                         f"{dataset.split_tag or '(untagged)'!r}: it holds no samples")
+
+
 @dataclass
 class Metrics:
     """Evaluation summary; every populated fraction sits in [0, 1]."""
@@ -500,6 +508,7 @@ def evaluate_classification(model, dataset: Dataset, setting: str, rng,
     """
     if votes < 1:
         raise ValueError(f"votes must be >= 1, got {votes}")
+    _refuse_empty(dataset, "score")
     predict = _predict_fn(model)
     clouds = []
     labels = []
@@ -552,6 +561,7 @@ def evaluate_miou(predictions: Sequence[np.ndarray], dataset: Dataset) -> Metric
         raise ValueError(
             f"{len(predictions)} predictions for {len(dataset)} samples"
         )
+    _refuse_empty(dataset, "compute the mIoU of")
     n_parts = len(dataset.part_names)
     per_class_scores: dict = {}
     hits = 0

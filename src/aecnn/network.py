@@ -12,7 +12,9 @@ The first layers of the edge MLP and the align MLP read concatenations in
 which one block repeats across edges: x_i over a reference's k edges, and
 x_j over every edge that picks source row j. Each first layer is affine, so
 it is applied in parts (`_first_layer_rows`): the repeated block once per
-reference or source row, the rest per edge, summed in place. In feature
+reference or source row, the rest per edge, summed in place. The edge
+MLP's x_i rows also take over the -x_i of its xhat - x_i block, so the
+difference is never formed. In feature
 propagation the interpolation weights sum to one, so AEConv2/3 interpolate
 the align MLP's hidden layer and apply its affine output layer once per
 fine point. `count_operations` counts the multiplies as they run.
@@ -63,7 +65,7 @@ def _first_layer_rows(mlp: Mlp, x, start: int, stop: int, bias: bool = False):
     """The part of mlp's first affine map that reads input features
     start:stop: x @ w0[start:stop], plus b0 with `bias`. The bias goes with
     the part computed once per row, so it too is added once."""
-    w, b, _ = mlp.layers[0]
+    w, b = mlp.layers[0]
     return ad.linear(x, ad.row_block(w, start, stop), b if bias else None)
 
 
@@ -269,9 +271,10 @@ class Model:
         """Block `block_index`'s aligned edge convolution over level's rows:
         sub (b, r) picks the references, graph (b, r, k) their neighbors.
 
-        The edge MLP reads [x_i, xhat - x_i, t]; the x_i rows of its first
-        weight and its bias apply once per reference and broadcast over the k
-        edges.
+        The edge MLP reads [x_i, xhat - x_i, t]. Its first layer is affine,
+        so with w0 = [w_a; w_b; w_t] it is x_i (w_a - w_b) + b0, applied once
+        per reference and broadcast over the k edges, plus [xhat, t] [w_b; w_t]
+        per edge; the difference xhat - x_i is never formed.
         """
         align_mlp, q_mlp, _ = self.block_mlps[block_index]
         b = graph.shape[0]
@@ -283,11 +286,14 @@ class Model:
         t = lrf.rir_batch(nb_pos, new_pts, new_bases)             # (b, r, k, 3)
         xhat = self._align_edge_features(align_mlp, level.feat, graph,
                                          new_bases, nb_bases, t, penalties)
-        geometry = None if self.variant == "edgeconv" else t
         f = x_i.values.shape[-1]
-        per_edge = _first_layer_rows(q_mlp, ad.edge_features(x_i, xhat, geometry),
-                                     f, q_mlp.widths[0])
-        h = ad.expand_add(per_edge, _first_layer_rows(q_mlp, x_i, 0, f, bias=True))
+        if self.variant != "edgeconv":
+            xhat = ad.concat([xhat, ad.constant(t)])
+        w0, b0 = q_mlp.layers[0]
+        per_edge = ad.linear(xhat, ad.row_block(w0, f, w0.shape[0]))
+        w_i = ad.add(ad.row_block(w0, 0, f),
+                     ad.scale(ad.row_block(w0, f, 2 * f), -1.0))
+        h = ad.expand_add(per_edge, ad.linear(x_i, w_i, b0))
         feat = ad.max_reduce(q_mlp.after_first(h), axis=2)
         return _Level(pts=new_pts, bases=new_bases, feat=feat)
 
@@ -330,7 +336,7 @@ class Model:
             h = ad.gather_add(per_edge, per_row, idx)
             if weights is None:
                 return align_mlp.after_first(h)
-            w1, b1, _ = align_mlp.layers[1]
+            w1, b1 = align_mlp.layers[1]
             return ad.linear(ad.weighted_sum(ad.relu_inplace(h), weights), w1, b1)
         return xhat if weights is None else ad.weighted_sum(xhat, weights)
 

@@ -27,20 +27,18 @@ class Mlp:
         self.widths = widths
         self.name = name
         self.layers = []
-        n_layers = len(widths) - 1
         for li, (fin, fout) in enumerate(zip(widths[:-1], widths[1:])):
-            last = li == n_layers - 1
             # He for relu layers, smaller for the linear output.
-            std = np.sqrt(2.0 / fin) if not last else np.sqrt(1.0 / fin)
-            w = ad.parameter(rng.normal(0.0, std, size=(fin, fout)),
+            gain = 1.0 if li == len(widths) - 2 else 2.0
+            w = ad.parameter(rng.normal(0.0, np.sqrt(gain / fin), size=(fin, fout)),
                              name=f"{name}.w{li}")
             b = ad.parameter(np.zeros(fout), name=f"{name}.b{li}")
             store[w.name] = w
             store[b.name] = b
-            self.layers.append((w, b, last))
+            self.layers.append((w, b))
 
     def __call__(self, x):
-        w, b, _ = self.layers[0]
+        w, b = self.layers[0]
         return self.after_first(ad.linear(x, w, b))
 
     def after_first(self, y):
@@ -50,13 +48,13 @@ class Mlp:
         hidden layer overwrites its input. A caller that computes the first
         affine map in parts (`network`) hands its sum here.
         """
-        for w, b, _ in self.layers[1:]:
+        for w, b in self.layers[1:]:
             y = ad.linear(ad.relu_inplace(y), w, b)
         return y
 
     def parameters(self) -> list:
         """Every trainable Tensor of this MLP, layer by layer."""
-        return [t for w, b, _ in self.layers for t in (w, b)]
+        return [t for layer in self.layers for t in layer]
 
     @property
     def out_width(self) -> int:

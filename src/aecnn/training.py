@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from . import geometry as geo
 from .config import ConfigError, TrainConfig
-from .data import Dataset, Metrics, protocol_rotation
+from .data import Dataset, Metrics, _refuse_empty, protocol_rotation
 from .network import Model
 from .nn import (
     AdamState,
@@ -171,6 +171,7 @@ def _train(model: Model, dataset: Dataset, tc: TrainConfig, segment: bool,
     if segment != bool(model.config.n_parts):
         head = "segmentation" if segment else "classification"
         raise ConfigError([f"model has no {head} head"])
+    _refuse_empty(dataset, "train on")
     record = RunRecord(seed=tc.seed, setting=tc.setting,
                        config={"network": asdict(model.config),
                                "training": asdict(tc)})
@@ -245,10 +246,7 @@ def predict_parts(model: Model, dataset: Dataset, setting: str, rng,
     samples = dataset.samples
     for lo in range(0, len(samples), batch_size):
         chunk = samples[lo:lo + batch_size]
-        pts = np.stack([
-            geo.normalize(s).points @ protocol_rotation(setting, "test", rng).T
-            for s in chunk
-        ])
+        pts = np.stack([prepared_points(s, setting, "test", rng) for s in chunk])
         class_labels = np.array([s.class_label for s in chunk])
         logits = model.predict_part_logits_batch(pts, class_labels)
         preds.extend(list(logits.argmax(axis=-1)))

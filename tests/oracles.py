@@ -234,9 +234,10 @@ def unfactored_model(config, seed=0):
     edge's whole concatenated input by each first-layer weight.
 
     The package applies the x_j rows of the align MLP's first weight once per
-    source row, the x_i rows of the edge MLP's once per reference, and
-    AEConv2/3 feature propagation interpolates the align MLP's hidden layer
-    before its output layer. Here every edge builds [code, x_j] and
+    source row, the x_i rows of the edge MLP's, less its xhat rows, once per
+    reference (so it never forms xhat - x_i), and AEConv2/3 feature
+    propagation interpolates the align MLP's hidden layer before its output
+    layer. Here every edge builds [code, x_j] and
     [x_i, xhat - x_i, t] by concatenation, runs the whole MLPs on them, and
     propagation interpolates the aligned features, with the same weights,
     selections and frames. The two agree up to rounding.

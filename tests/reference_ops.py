@@ -1,8 +1,10 @@
 """Unfused autodiff ops that the network does not run.
 
 The tests use them as references for the package's fused and in-place ops
-(`edge_features` against expand_set, sub and concat; `weighted_sum` against
-mul and sum_reduce; `relu_inplace` against relu) and as gradient probes.
+(`expand_add` against add and expand_set; `weighted_sum` against mul and
+sum_reduce; `relu_inplace` against relu), to build the unfactored edge
+feature [x_i, xhat - x_i, t] in `oracles.unfactored_model`, and as gradient
+probes.
 They are built on the engine's `_make` and `Tensor._add_grad` exactly as the
 package's ops are, so their values and gradients are the bits the fused ops
 must reproduce.

@@ -294,67 +294,6 @@ class TestConcatGather:
         assert np.array_equal(got, np.zeros((4, 3)))
 
 
-def edge_chain(x_i, xhat, t):
-    """The edge feature built from expand_set, sub and concat."""
-    parts = [ref.sub(xhat, ref.expand_set(x_i, xhat.values.shape[-2]))]
-    if t is not None:
-        parts.append(ad.constant(t))
-    return ad.concat(parts)
-
-
-class TestEdgeFeatures:
-    def test_matches_finite_differences(self):
-        g = rng(90)
-        t = g.normal(size=(2, 3, 5, 3))
-        check_grads(lambda a, b: project(ad.edge_features(a, b, t)),
-                    [g.normal(size=(2, 3, 4)), g.normal(size=(2, 3, 5, 4))])
-
-    @pytest.mark.parametrize("with_t", [False, True])
-    def test_equals_concat_chain_bitwise(self, with_t):
-        # x_i and xhat are both gathered from one source, as in the network,
-        # and xhat also passes through an affine map.
-        g = rng(91)
-        src0 = g.normal(size=(2, 9, 4))
-        w0 = g.normal(size=(4, 4))
-        sub = g.integers(0, 9, size=(2, 3))
-        graph = g.integers(0, 9, size=(2, 3, 5))
-        t = g.normal(size=(2, 3, 5, 3)) if with_t else None
-        got = []
-        for build in (ad.edge_features, edge_chain):
-            src, w = ad.parameter(src0), ad.parameter(w0)
-            x_i = ad.gather_rows(src, sub)
-            xhat = ad.linear(ad.gather_rows(src, graph), w)
-            out = build(x_i, xhat, t)
-            assert out.shape == (2, 3, 5, 7 if with_t else 4)
-            ad.backward(project(ref.relu(out)))
-            got.append((out.values, src.grad, w.grad))
-        for a, b in zip(*got):
-            assert np.array_equal(a, b)
-            assert np.array_equal(np.signbit(a), np.signbit(b))
-
-    def test_x_i_and_xhat_of_one_tensor(self):
-        # xhat repeats x_i itself, so every edge feature is zero and the two
-        # contributions to the one tensor cancel; neither may alias a buffer
-        # the other writes.
-        g = rng(92)
-        x0 = g.normal(size=(2, 3, 4))
-        grads = []
-        for build in (ad.edge_features, edge_chain):
-            x = ad.parameter(x0)
-            out = build(x, ref.expand_set(x, 5), None)
-            assert not out.values.any()
-            ad.backward(project(out))
-            grads.append(x.grad)
-        assert np.array_equal(grads[0], grads[1])
-        assert np.array_equal(grads[0], np.zeros_like(x0))
-        assert not np.signbit(grads[0]).any()
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="edge_features"):
-            ad.edge_features(ad.constant(np.zeros((2, 3, 4))),
-                             ad.constant(np.zeros((2, 3, 5, 6))))
-
-
 def weighted_sum_chain(x, w):
     return ref.sum_reduce(ref.mul(x, ad.constant(w[..., None])), axis=2)
 
@@ -615,7 +554,6 @@ def tracked_ops(g):
         ("weighted_sum", lambda: ad.weighted_sum(x, np.ones((2, 5)))),
         ("reshape", lambda: ad.reshape(x, (10, 3))),
         ("concat", lambda: ad.concat([x, x])),
-        ("edge_features", lambda: ad.edge_features(ad.max_reduce(x, axis=1), x)),
         ("expand_add", lambda: ad.expand_add(ad.linear(x, np.eye(3)),
                                              ad.max_reduce(x, axis=1))),
         ("gather_rows", lambda: ad.gather_rows(x, idx)),

@@ -146,6 +146,21 @@ class TestTrain:
             assert field in captured.err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_resume_reports_invalid_config_ini_by_its_problems(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.ini", tiny_cfg())
+        out = tmp_path / "run"
+        argv = ["train", cfg, str(out), "--n-per-class", "2", "--epochs", "1"]
+        assert main(argv) == 0
+        ini = out / "config.ini"
+        ini.write_text(ini.read_text().replace("variant = aeconv3", "variant = bogus"))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(argv[:-1] + ["3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{ini}: variant must be one of" in captured.err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_trains_segmentation_models(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.ini", tiny_seg_cfg())
         out = tmp_path / "run"

@@ -431,6 +431,13 @@ class TestEvaluateClassification:
             evaluate_classification(lambda b: np.zeros((b.shape[0], 4)), ds, "ARAR",
                                     np.random.default_rng(2), votes=votes)
 
+    def test_empty_dataset_refused_by_name(self):
+        # Not numpy's "need at least one array to stack".
+        empty = Dataset([], ("a", "b"), split_tag="held-out")
+        with pytest.raises(ValueError, match="'held-out': it holds no samples"):
+            evaluate_classification(lambda b: np.zeros((b.shape[0], 2)), empty,
+                                    "ARAR", np.random.default_rng(2))
+
     def test_rotations_actually_applied(self):
         rng = np.random.default_rng(33)
         ds = synth_classification(1, 8, rng)
@@ -482,6 +489,11 @@ class TestEvaluateClassification:
 
 
 class TestMiou:
+    def test_empty_dataset_refused_by_name(self):
+        empty = Dataset([], ("a", "b"), ("p", "q"), split_tag="held-out")
+        with pytest.raises(ValueError, match="'held-out': it holds no samples"):
+            evaluate_miou([], empty)
+
     def test_ground_truth_scores_one(self):
         rng = np.random.default_rng(40)
         ds = small_seg_dataset(rng)

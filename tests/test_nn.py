@@ -53,9 +53,9 @@ class TestMlp:
             x = ad.parameter(x0.copy())
             if manual:
                 h = x
-                for w, b, last in mlp.layers:
+                for i, (w, b) in enumerate(mlp.layers):
                     h = ad.linear(h, w, b)
-                    if not last:
+                    if i < len(mlp.layers) - 1:
                         h = ref.relu(h)
                 out = h
             else:

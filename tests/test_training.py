@@ -12,7 +12,12 @@ from aecnn.config import (
     TrainConfig,
 )
 import aecnn.geometry as geo
-from aecnn.data import protocol_rotation, synth_classification, synth_segmentation
+from aecnn.data import (
+    Dataset,
+    protocol_rotation,
+    synth_classification,
+    synth_segmentation,
+)
 from aecnn.geometry import PointCloud
 from aecnn.network import Model
 from aecnn.nn import load_checkpoint
@@ -243,6 +248,16 @@ class TestLearning:
             train_classifier(model, ds, tiny_train(), checkpoint_path=str(ck))
         assert not ck.exists()
         assert all(np.array_equal(v, before[k]) for k, v in model.values().items())
+
+    @pytest.mark.parametrize("segment", [False, True])
+    def test_empty_dataset_refused_by_name(self, segment, tmp_path):
+        ds = Dataset([], ("a", "b"), ("p", "q"), split_tag="held-out")
+        model = Model(tiny_seg_cfg() if segment else tiny_cfg(), seed=0)
+        train = train_segmenter if segment else train_classifier
+        ck = tmp_path / "run.ckpt"
+        with pytest.raises(ValueError, match="'held-out': it holds no samples"):
+            train(model, ds, tiny_train(), checkpoint_path=str(ck))
+        assert not ck.exists()
 
     def test_segmenter_checkpoint_has_no_classification_head(self, tmp_path):
         ds = synth_segmentation(2, 24, np.random.default_rng(9))
