@@ -36,6 +36,23 @@ The signed zeros these skip (the chains store 0.0 + g before passing a
 gradient on) can only move the sign of a zero partial sum, and every
 gradient is stored as 0.0 + g in the end, so no stored bit moves.
 
+Who gives up what. Calling `relu_inplace`, `gather_add`, `expand_add`,
+`max_reduce`, `weighted_sum` or `concat` gives up the first tensor the op
+reads (for `concat`, the first of its list); none of these backwards reads
+that tensor's values. When the given-up input is an op output that no other
+op has consumed, the op takes its node over (`_give_up`): it is wired to
+the input's parents, the sweep runs the input's backward right after its
+own, as it ran before, and nothing in the graph holds the input's values.
+The outputs that can be taken over are those of `linear`, `gather_rows`,
+`gather_add`, `expand_add`, `weighted_sum` and `edge_matvec`, whose
+backwards read none of their output values, and of `relu_inplace`, which
+then keeps a bool mask instead of its output. So in a tracked pass each set
+MLP's (.., k, f) output before its max, each first input of a `concat` and
+the relu ahead of propagation's weighted sum are freed as the forward pass
+moves on; backward runs the same arithmetic in the same order. A tensor
+whose node was taken over is refused as a later op's input; an input that
+another op already consumed is wired as before.
+
 Everything is float64 and single threaded on purpose: gradient checks sit at
 1e-4 relative tolerance and training runs must be bit-reproducible.
 
@@ -63,7 +80,8 @@ def _screen(v: np.ndarray, what: str):
 class Tensor:
     """A float64 array plus the plumbing to backpropagate through it."""
 
-    __slots__ = ("values", "grad", "needs_grad", "name", "_parents", "_backward")
+    __slots__ = ("values", "grad", "needs_grad", "name", "_parents", "_backward",
+                 "_taken", "_spend", "_uses")
 
     def __init__(self, values, parents: tuple = (), needs_grad: bool = True,
                  name: Optional[str] = None, *, _screened: bool = False):
@@ -76,6 +94,9 @@ class Tensor:
         self.name = name
         self._parents = parents
         self._backward = None
+        self._taken = None    # the node this one took over (see `_give_up`)
+        self._spend = None    # set by `_make` for an output that may be given up
+        self._uses = 0        # ops wired to this tensor; -1 once given up
 
     @property
     def shape(self):
@@ -134,8 +155,69 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x)
 
 
-def _make(values, parents: Sequence[Tensor], bwd,
-          screened: bool = False) -> Tensor:
+class _Spent:
+    """An op output that was given up, less its values: the node that its one
+    consumer took over (see `_give_up`).
+
+    It keeps the output's shape, the backward to run once the values are
+    gone and the node that it took over in turn, and stores the one
+    gradient contribution its consumer hands it as `Tensor._add_grad` stores
+    a first one for C-contiguous values: an owned buffer is adopted and a
+    shared one copied, either way as 0.0 + g.
+    """
+
+    __slots__ = ("grad", "shape", "_parents", "_backward", "_taken")
+    needs_grad = True
+
+    def __init__(self, x: Tensor, bwd):
+        self.grad = None
+        self.shape = x.values.shape
+        self._parents = x._parents
+        self._backward = bwd
+        self._taken = x._taken
+
+    def _add_grad(self, g: np.ndarray, owned: bool = False):
+        if g.shape != self.shape:
+            raise ValueError(
+                f"gradient of shape {g.shape} for a given-up tensor of shape "
+                f"{self.shape}"
+            )
+        if owned and isinstance(g, np.ndarray) and g.flags.c_contiguous:
+            g += 0.0
+            self.grad = g
+        else:
+            self.grad = np.add(g, 0.0, out=np.empty(self.shape))
+
+
+def _reads_no_values(values):
+    """`spend` of an op whose backward reads none of its output's values."""
+    return None
+
+
+def _give_up(x: Tensor, *others: Tensor):
+    """x as the input that an op gives up: x itself, or a `_Spent` stand-in
+    that takes over x's node.
+
+    For an op whose backward reads none of x's values. The node is taken
+    over when x is an op output made with a `spend` (see `_make`), no op has
+    consumed it yet, it is not also among the op's `others`, and its values
+    are C-contiguous. `_make` then wires the op to x's parents and the sweep
+    runs x's backward right after the op's, where it ran before: x is the
+    op's first parent and has no other consumer. Nothing in the graph refers
+    to x any more, so its values are freed once the caller drops it. x is
+    marked given up, and `_make` refuses it as a later op's input. Any
+    other x is returned as it is and wired as before.
+    """
+    if (x._spend is None or x._backward is None or x._uses
+            or any(o is x for o in others) or not x.values.flags.c_contiguous):
+        return x
+    spent = _Spent(x, x._spend(x.values) or x._backward)
+    x._parents, x._backward, x._taken, x._spend, x._uses = (), None, None, None, -1
+    return spent
+
+
+def _make(values, parents: Sequence, bwd, screened: bool = False,
+          spend=None) -> Tensor:
     """Wire an op output to its parents and its backward function.
 
     `bwd` is stored as given; the sweep calls `bwd(out)` with this output.
@@ -144,13 +226,43 @@ def _make(values, parents: Sequence[Tensor], bwd,
 
     `screened=True` skips the finiteness scan, for ops whose values are only
     selected or copied from their (already screened) inputs.
+
+    `spend` lets a consumer take the output's node over (`_give_up`): called
+    with the output's values, it returns the backward to run once they are
+    gone, or None when `bwd` reads none of them (`_reads_no_values`).
+    Without it the node is never taken over. A `_Spent` first parent is the
+    node this op takes over: its parents are wired in its place.
     """
     parents = tuple(parents)
     if not any(p.needs_grad for p in parents):
         return Tensor(values, needs_grad=False, _screened=screened)
-    out = Tensor(values, parents=parents, needs_grad=True, _screened=screened)
-    out._backward = bwd
+    taken, inherited = None, ()
+    if isinstance(parents[0], _Spent):
+        taken, parents = parents[0], parents[1:]
+        inherited, taken._parents = taken._parents, ()
+    for p in parents:
+        if p.needs_grad:
+            if p._uses < 0:
+                raise ValueError(
+                    f"tensor {p.name or '<anon>'} was given up to an op that "
+                    "took over its node"
+                )
+            p._uses += 1
+    out = Tensor(values, parents=inherited + parents, needs_grad=True,
+                 _screened=screened)
+    out._backward, out._taken, out._spend = bwd, taken, spend
     return out
+
+
+def _sweep(node):
+    """Run node's backward, then that of each node it took over in turn,
+    dropping each one's gradient and backward as it passes."""
+    while node is not None:
+        if node.grad is not None:
+            node._backward(node)
+        taken = node._taken
+        node.grad = node._backward = node._taken = None
+        node = taken
 
 
 def backward(loss: Tensor):
@@ -159,8 +271,8 @@ def backward(loss: Tensor):
     The loss must be scalar. Visit order is a deterministic iterative
     post-order, so repeated runs accumulate in the same sequence bit for bit.
     Each interior node's `_backward(node)` runs once its gradient is
-    complete (see `_make`). Each node's `.grad` is its own buffer (see
-    `Tensor._add_grad`), so `_backward` may modify it in place or hand it on
+    complete (see `_make`), then those of the nodes it took over. Each
+    node's `.grad` is its own buffer (see `Tensor._add_grad`), so `_backward` may modify it in place or hand it on
     to one parent. Interior nodes are consumed as the sweep passes them:
     their grad buffer and `_backward` are dropped once propagated, so peak
     memory tracks the gradient frontier rather than the whole graph. A graph
@@ -187,10 +299,7 @@ def backward(loss: Tensor):
     for node in reversed(topo):
         if node._backward is None:
             continue
-        if node.grad is not None:
-            node._backward(node)
-        node.grad = None
-        node._backward = None
+        _sweep(node)
         node._parents = ()
 
 
@@ -264,7 +373,7 @@ def linear(x, w, b=None) -> Tensor:
         if b is not None and b.needs_grad:
             b._add_grad(g2.sum(axis=0), owned=True)
 
-    return _make(y2.reshape(*lead, fout), parents, bwd)
+    return _make(y2.reshape(*lead, fout), parents, bwd, spend=_reads_no_values)
 
 
 def relu_inplace(x: Tensor) -> Tensor:
@@ -276,16 +385,23 @@ def relu_inplace(x: Tensor) -> Tensor:
     place (`gather_add`, `expand_add`). The values and gradients are the reference
     `relu`'s bit for bit (negative zeros come out as +0.0), without a second
     buffer of x's size. The gradient mask is built from the output: out > 0
-    exactly where x > 0.
+    exactly where x > 0. An op that takes this output's node over keeps
+    that mask as a bool array instead of the output.
     """
+    values = np.maximum(x.values, 0.0, out=x.values)
+    x = _give_up(x)
 
-    def bwd(out):
+    def masked(out, positive):
         g = out.grad
-        np.multiply(g, out.values > 0.0, out=g)
+        np.multiply(g, positive, out=g)
         x._add_grad(g, owned=True)
 
-    return _make(np.maximum(x.values, 0.0, out=x.values), (x,), bwd,
-                 screened=True)
+    def spend(v):
+        positive = v > 0.0
+        return lambda out: masked(out, positive)
+
+    return _make(values, (x,), lambda out: masked(out, out.values > 0.0),
+                 screened=True, spend=spend)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +409,11 @@ def relu_inplace(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def max_reduce(x, axis: int) -> Tensor:
-    """Max along one axis; gradient flows to the first (lowest index) argmax."""
+    """Max along one axis; gradient flows to the first (lowest index) argmax.
+
+    x is given up: the backward reads only x's shape, so an affine map
+    pooled over k keeps no (.., k, f) output alive until backward.
+    """
     x = as_tensor(x)
     axis = axis if axis >= 0 else x.values.ndim + axis
     if x.values.shape[axis] < 1:
@@ -305,9 +425,10 @@ def max_reduce(x, axis: int) -> Tensor:
         return Tensor(x.values.max(axis=axis), needs_grad=False, _screened=True)
     am = _first_argmax(x.values, axis)
     out_vals = np.take_along_axis(x.values, np.expand_dims(am, axis), axis)
+    x = _give_up(x)
 
     def bwd(out):
-        g = np.zeros_like(x.values)
+        g = np.zeros(x.shape)
         np.put_along_axis(
             g, np.expand_dims(am, axis), np.expand_dims(out.grad, axis), axis
         )
@@ -341,7 +462,8 @@ def weighted_sum(x, w: np.ndarray) -> Tensor:
     x: (..., k, f); w: (..., k). Values and gradient equal
     sum_reduce(mul(x, constant(w[..., None])), axis=-2), but no product is
     kept and the gradient g[..., None, :] * w[..., None] is written once. w
-    is screened as `constant` screens it.
+    is screened as `constant` screens it. x is given up: the backward reads
+    only w.
     """
     x = as_tensor(x)
     w = np.asarray(w, dtype=np.float64)
@@ -351,11 +473,13 @@ def weighted_sum(x, w: np.ndarray) -> Tensor:
         )
     _screen(w, "the weighted_sum weights")
     wc = w[..., None]
+    values = (x.values * wc).sum(axis=-2)
+    x = _give_up(x)
 
     def bwd(out):
         x._add_grad(out.grad[..., None, :] * wc, owned=True)
 
-    return _make((x.values * wc).sum(axis=-2), (x,), bwd)
+    return _make(values, (x,), bwd, spend=_reads_no_values)
 
 
 def reshape(x, shape: tuple) -> Tensor:
@@ -369,7 +493,11 @@ def reshape(x, shape: tuple) -> Tensor:
 
 
 def concat(tensors: Sequence, axis: int = -1) -> Tensor:
-    """Concatenate along `axis` (default: the feature axis)."""
+    """Concatenate along `axis` (default: the feature axis).
+
+    The first input is given up: the backward reads none of the inputs'
+    values, so the first one's buffer need not outlive the forward pass.
+    """
     ts = [as_tensor(t) for t in tensors]
     if not ts:
         raise ValueError("concat of nothing")
@@ -378,6 +506,7 @@ def concat(tensors: Sequence, axis: int = -1) -> Tensor:
     ax = axis if axis >= 0 else out_vals.ndim + axis
     sizes = [v.shape[ax] for v in vals]
     offsets = np.cumsum([0] + sizes)
+    ts[0] = _give_up(ts[0], *ts[1:])
 
     def bwd(out):
         for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
@@ -396,7 +525,8 @@ def expand_add(y: Tensor, x) -> Tensor:
     reads, as for `relu_inplace`; x: (..., f), one row per set, added to each
     of its k rows. So a per-reference term is computed once and broadcast
     over the reference's edges without an edge-sized copy. x's gradient is
-    the output gradient summed over k; y takes the output gradient itself.
+    the output gradient summed over k; y takes the output gradient itself,
+    so this op takes y's node over.
     """
     x = as_tensor(x)
     if y.values.shape[:-2] + y.values.shape[-1:] != x.values.shape:
@@ -404,14 +534,16 @@ def expand_add(y: Tensor, x) -> Tensor:
             f"expand_add: x {x.values.shape} does not match y {y.values.shape}"
         )
 
+    values = np.add(y.values, x.values[..., None, :], out=y.values)
+    y = _give_up(y, x)
+
     def bwd(out):
         g = out.grad
         if x.needs_grad:
             x._add_grad(g.sum(axis=-2), owned=True)
         y._add_grad(g, owned=True)
 
-    return _make(np.add(y.values, x.values[..., None, :], out=y.values),
-                 (y, x), bwd)
+    return _make(values, (y, x), bwd, spend=_reads_no_values)
 
 
 # Rows per block that _scatter_add_rows copies into its column buffer.
@@ -481,7 +613,8 @@ def gather_rows(x, indices: np.ndarray) -> Tensor:
     def bwd(out):
         _scatter_rows_grad(x, bfull, idx, out.grad)
 
-    return _make(x.values[bfull, idx], (x,), bwd, screened=True)
+    return _make(x.values[bfull, idx], (x,), bwd, screened=True,
+                 spend=_reads_no_values)
 
 
 def gather_add(y: Tensor, x, indices: np.ndarray) -> Tensor:
@@ -492,7 +625,8 @@ def gather_add(y: Tensor, x, indices: np.ndarray) -> Tensor:
     So a term computed once per source row is added to every edge that
     reads that row, one cloud at a time, without an edge-sized copy of the
     gathered rows. x's gradient is scattered from the output gradient as
-    `gather_rows` scatters it; y takes the output gradient itself.
+    `gather_rows` scatters it; y takes the output gradient itself, so this
+    op takes y's node over.
     """
     x = as_tensor(x)
     idx = np.asarray(indices)
@@ -505,13 +639,14 @@ def gather_add(y: Tensor, x, indices: np.ndarray) -> Tensor:
     out_vals = y.values
     for bi in range(idx.shape[0]):
         out_vals[bi] += x.values[bi][idx[bi]]
+    y = _give_up(y, x)
 
     def bwd(out):
         if x.needs_grad:
             _scatter_rows_grad(x, bfull, idx, out.grad)
         y._add_grad(out.grad, owned=True)
 
-    return _make(out_vals, (y, x), bwd)
+    return _make(out_vals, (y, x), bwd, spend=_reads_no_values)
 
 
 def row_block(w, start: int, stop: int) -> Tensor:
@@ -585,7 +720,7 @@ def edge_matvec(m, x) -> Tensor:
             x._add_grad(np.einsum("...ij,...i->...j", m.values, out.grad),
                         owned=True)
 
-    return _make(out_vals, (m, x), bwd)
+    return _make(out_vals, (m, x), bwd, spend=_reads_no_values)
 
 
 def orthogonality_penalty(m) -> Tensor:

@@ -504,25 +504,27 @@ def evaluate_classification(model, dataset: Dataset, setting: str, rng,
     Each sample is normalized, as training and `predict_parts` see clouds,
     then scored on a freshly rotated copy; with votes > 1 the softmax outputs
     of that many independently rotated copies are averaged before the argmax
-    (prediction voting).
+    (prediction voting). Copies are rotated sample by sample and scored
+    `batch_size` at a time as they are drawn, so at most one batch of clouds
+    is held (a batch may split one sample's votes).
     """
     if votes < 1:
         raise ValueError(f"votes must be >= 1, got {votes}")
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     _refuse_empty(dataset, "score")
     predict = _predict_fn(model)
-    clouds = []
-    labels = []
+    batch, probs = [], []
     for s in dataset:
         pts = geo.normalize(s).points
         for _ in range(votes):
-            rot = protocol_rotation(setting, "test", rng)
-            clouds.append(pts @ rot.T)
-        labels.append(s.class_label)
-    labels = np.array(labels)
-    probs = []
-    stack = np.stack(clouds)
-    for lo in range(0, stack.shape[0], batch_size):
-        probs.append(_softmax(np.asarray(predict(stack[lo:lo + batch_size]))))
+            batch.append(pts @ protocol_rotation(setting, "test", rng).T)
+            if len(batch) == batch_size:
+                probs.append(_softmax(np.asarray(predict(np.stack(batch)))))
+                batch = []
+    if batch:
+        probs.append(_softmax(np.asarray(predict(np.stack(batch)))))
+    labels = np.array([s.class_label for s in dataset])
     probs = np.concatenate(probs).reshape(len(dataset), votes, -1).mean(axis=1)
     pred = probs.argmax(axis=1)
     correct = pred == labels

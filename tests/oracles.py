@@ -284,3 +284,39 @@ def unfactored_model(config, seed=0):
             return xhat if weights is None else ad.weighted_sum(xhat, weights)
 
     return Unfactored(config, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# graph memory
+# ---------------------------------------------------------------------------
+
+def graph_bytes(loss) -> int:
+    """Bytes of the distinct base buffers that loss's graph keeps alive.
+
+    Walks every object reachable from loss through tensors' values, parents
+    and taken-over nodes (`_taken`) and through the cells of backward
+    closures, into tuples, lists and dicts, and sums the nbytes of each
+    distinct array that owns its memory: a view counts as its base, once.
+    Parameters and constants count like any other buffer the graph holds.
+    """
+    seen, owners, stack = set(), {}, [loss]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            base = obj
+            while isinstance(base.base, np.ndarray):
+                base = base.base
+            owners[id(base)] = base.nbytes
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            stack.extend(c.cell_contents for c in obj.__closure__)
+        elif hasattr(obj, "_backward"):
+            stack.extend(getattr(obj, a, None) for a in
+                         ("values", "grad", "_parents", "_backward", "_taken"))
+    return sum(owners.values())

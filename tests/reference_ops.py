@@ -2,16 +2,19 @@
 
 The tests use them as references for the package's fused and in-place ops
 (`expand_add` against add and expand_set; `weighted_sum` against mul and
-sum_reduce; `relu_inplace` against relu), to build the unfactored edge
-feature [x_i, xhat - x_i, t] in `oracles.unfactored_model`, and as gradient
-probes.
+sum_reduce; `relu_inplace` against relu; `max_reduce` and `concat`, which
+take over the node of the input they are given, against the same ops
+wired to that input), to build the unfactored edge feature
+[x_i, xhat - x_i, t] in `oracles.unfactored_model`, and as gradient probes.
 They are built on the engine's `_make` and `Tensor._add_grad` exactly as the
 package's ops are, so their values and gradients are the bits the fused ops
-must reproduce.
+must reproduce. None of them gives an input up, so every input keeps its
+own node until the backward sweep reaches it.
 """
 import numpy as np
 
-from aecnn.autodiff import Tensor, _make, _unbroadcast, as_tensor, scale
+from aecnn.autodiff import (Tensor, _first_argmax, _make, _unbroadcast,
+                            as_tensor, scale)
 
 
 def sub(a, b) -> Tensor:
@@ -98,3 +101,39 @@ def expand_set(x, size: int, axis: int = -2) -> Tensor:
         x._add_grad(out.grad.sum(axis=ax), owned=True)
 
     return _make(out_vals, (x,), bwd, screened=True)
+
+
+def max_reduce(x, axis: int) -> Tensor:
+    """Max along one axis, the gradient to the first argmax, wired to x:
+    the backward keeps x and builds its zero gradient from x's values."""
+    x = as_tensor(x)
+    axis = axis if axis >= 0 else x.values.ndim + axis
+    am = _first_argmax(x.values, axis)
+    out_vals = np.take_along_axis(x.values, np.expand_dims(am, axis), axis)
+
+    def bwd(out):
+        g = np.zeros_like(x.values)
+        np.put_along_axis(
+            g, np.expand_dims(am, axis), np.expand_dims(out.grad, axis), axis
+        )
+        x._add_grad(g, owned=True)
+
+    return _make(np.squeeze(out_vals, axis=axis), (x,), bwd, screened=True)
+
+
+def concat(tensors, axis: int = -1) -> Tensor:
+    """Concatenation wired to every input; each takes its slice of the
+    output gradient as a shared view."""
+    ts = [as_tensor(t) for t in tensors]
+    out_vals = np.concatenate([t.values for t in ts], axis=axis)
+    ax = axis if axis >= 0 else out_vals.ndim + axis
+    offsets = np.cumsum([0] + [t.values.shape[ax] for t in ts])
+
+    def bwd(out):
+        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
+            if t.needs_grad:
+                sl = [slice(None)] * out.grad.ndim
+                sl[ax] = slice(lo, hi)
+                t._add_grad(out.grad[tuple(sl)])
+
+    return _make(out_vals, ts, bwd, screened=True)

@@ -752,3 +752,292 @@ class TestCompositeProbe:
             return ad.cross_entropy(ad.linear(h, w3, b3), labels)
 
         check_grads(build, arrays, tol=1e-3, h=1e-5)
+
+
+def wired_results(build, arrays):
+    """Values and every input gradient of project(build(*params))."""
+    params = [ad.parameter(a.copy()) for a in arrays]
+    out = build(*params)
+    ad.backward(project(out))
+    return [out.values] + [p.grad for p in params]
+
+
+def assert_same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a is not None and b is not None
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def mlp_pool(k, seed):
+    """A set MLP's input (2, 3, k, 4) with repeated edges, so the max over k
+    ties, and its weights."""
+    g = rng(seed)
+    c = g.normal(size=(2, 3, k, 4))
+    c[:, :, 1] = c[:, :, 0]
+    c[0, 1, k // 2:] = c[0, 1, :k - k // 2]
+    return c, [g.normal(size=(4, 6)), g.normal(size=(6,)),
+               g.normal(size=(6, 5)), g.normal(size=(5,))]
+
+
+def signed_zero_pool(k, seed):
+    """Source rows (2, 6, 3) and neighbor indices (2, 3, k): every row but
+    -0.0 and +0.0 is negative, and each set gathers both zeros, twice."""
+    g = rng(seed)
+    src = -np.abs(g.normal(size=(2, 6, 3))) - 0.5
+    src[:, 0], src[:, 1] = -0.0, 0.0
+    idx = g.integers(2, 6, size=(2, 3, k))
+    idx[..., [1, 4]] = 0
+    idx[..., [3, k - 1]] = 1
+    idx[1, 2, [1, 4]] = 1
+    return src, idx
+
+
+class TestTakeOver:
+    """Ops that take over the node of the input they are given against the
+    same chains wired to that input (reference_ops), bit for bit in values,
+    signed zeros and every gradient; and what happens when the input cannot
+    be given up."""
+
+    @pytest.mark.parametrize("k", [12, 16])
+    def test_max_over_set_mlp_equals_wired_chain(self, k):
+        c, weights = mlp_pool(k, 110 + k)
+        got = []
+        for pool, relu in ((ad.max_reduce, ad.relu_inplace),
+                           (ref.max_reduce, ref.relu)):
+            def build(w1, b1, w2, b2):
+                h = relu(ad.linear(c, w1, b1))
+                return pool(ad.linear(h, w2, b2), axis=2)
+            got.append(wired_results(build, weights))
+        assert_same_bits(*got)
+
+    @pytest.mark.parametrize("k", [12, 16])
+    def test_max_over_signed_zeros_and_ties(self, k):
+        # The max of each set is a zero that both -0.0 and +0.0 reach; the
+        # first of them takes the gradient, with its sign in the value.
+        src, idx = signed_zero_pool(k, 115 + k)
+        got = [wired_results(lambda s: pool(ad.gather_rows(s, idx), axis=2), [src])
+               for pool in (ad.max_reduce, ref.max_reduce)]
+        assert_same_bits(*got)
+        pooled = got[0][0]
+        assert (pooled == 0.0).all()
+        assert np.signbit(pooled[0]).all() and not np.signbit(pooled[1, 2]).any()
+
+    @pytest.mark.parametrize("k", [12, 16])
+    def test_edge_mlp_equals_wired_chain(self, k):
+        # The edge MLP of an edge convolution: per-edge rows, per-reference
+        # rows added over k, relu, output layer, max over k.
+        g = rng(120 + k)
+        e = g.normal(size=(2, 3, k, 4))
+        e[:, :, 3] = e[:, :, 7]
+        arrays = [g.normal(size=(2, 3, 5)), g.normal(size=(4, 6)),
+                  g.normal(size=(5, 6)), g.normal(size=(6,)),
+                  g.normal(size=(6, 5)), g.normal(size=(5,))]
+        got = []
+        for fused in (True, False):
+            def build(xi, wb, wa, b0, w1, b1):
+                y, per_ref = ad.linear(e, wb), ad.linear(xi, wa, b0)
+                if fused:
+                    h = ad.relu_inplace(ad.expand_add(y, per_ref))
+                    return ad.max_reduce(ad.linear(h, w1, b1), axis=2)
+                h = ref.relu(ad.add(y, ref.expand_set(per_ref, k)))
+                return ref.max_reduce(ad.linear(h, w1, b1), axis=2)
+            got.append(wired_results(build, arrays))
+        assert_same_bits(*got)
+
+    @pytest.mark.parametrize("k", [3, 12])
+    def test_propagation_relu_and_gather_add_equal_wired_chain(self, k):
+        # The align MLP of feature propagation: per-edge code rows, per-row
+        # source rows gathered onto the edges, relu, weighted sum over k,
+        # output layer. Zero weights and a relu after, so signed zeros reach
+        # the backward.
+        g = rng(130 + k)
+        code = g.normal(size=(2, 5, k, 3))
+        idx = g.integers(0, 4, size=(2, 5, k))
+        w = g.normal(size=(2, 5, k))
+        w[0, 0, 1] = 0.0
+        arrays = [g.normal(size=(2, 4, 3)), g.normal(size=(3, 6)),
+                  g.normal(size=(3, 6)), g.normal(size=(6,)),
+                  g.normal(size=(6, 4)), g.normal(size=(4,))]
+        got = []
+        for fused in (True, False):
+            def build(src, wc, ws, b0, w1, b1):
+                y, per_row = ad.linear(code, wc), ad.linear(src, ws, b0)
+                if fused:
+                    mixed = ad.weighted_sum(
+                        ad.relu_inplace(ad.gather_add(y, per_row, idx)), w)
+                else:
+                    mixed = weighted_sum_chain(
+                        ref.relu(ad.add(y, ad.gather_rows(per_row, idx))), w)
+                return ref.relu(ad.linear(mixed, w1, b1))
+            got.append(wired_results(build, arrays))
+        assert_same_bits(*got)
+
+    def test_concat_first_input_equals_wired_chain(self):
+        # The align output ahead of [xhat, t], and interpolated features
+        # ahead of a skip connection.
+        g = rng(140)
+        t = g.normal(size=(2, 3, 4, 3))
+        arrays = [g.normal(size=(2, 3, 4, 5)), g.normal(size=(5, 5)),
+                  g.normal(size=(2, 3, 4, 2)), g.normal(size=(20, 3))]
+        got = []
+        for cat in (ad.concat, ref.concat):
+            def build(x, w, skip, w2):
+                xhat = cat([ad.linear(x, w), ad.constant(t)])
+                mixed = cat([ad.weighted_sum(xhat, np.full((2, 3, 4), 0.25)),
+                             ad.max_reduce(skip, axis=2)])
+                return ad.linear(ref.relu(cat([mixed, mixed])), w2)
+            got.append(wired_results(build, arrays))
+        assert_same_bits(*got)
+
+    def test_taken_node_reads_its_gradient_as_a_wired_node_does(self):
+        # relu hands down -0.0 where it masks a negative gradient; the node
+        # it took over reads 0.0 + g, as Tensor._add_grad stores it.
+        seen = []
+
+        def copied(x):
+            def bwd(out):
+                seen.append(out.grad.copy())
+                x._add_grad(out.grad, owned=True)
+            return ad._make(x.values.copy(), (x,), bwd, spend=ad._reads_no_values)
+
+        for relu in (ad.relu_inplace, ref.relu):
+            x = ad.parameter(np.array([[-1.0, 2.0, -3.0, 4.0]]))
+            ad.backward(ref.sum_reduce(ad.scale(relu(copied(x)), -1.0)))
+        assert_same_bits(*seen)
+        assert np.array_equal(seen[0], [[0.0, -1.0, 0.0, -1.0]])
+        assert not np.signbit(seen[0][0, [0, 2]]).any()
+
+    @pytest.mark.parametrize("consumer", ["max_reduce", "concat", "weighted_sum"])
+    def test_given_up_buffer_freed_when_consumer_returns(self, consumer,
+                                                         no_cyclic_gc):
+        g = rng(150)
+        x = ad.parameter(g.normal(size=(2, 3, 4, 5)))
+        src = ad.parameter(g.normal(size=(2, 6, 5)))
+        idx = g.integers(0, 6, size=(2, 3, 4))
+        y = ad.linear(x, g.normal(size=(5, 5)))
+        probe = weakref.ref(y.values)
+        if consumer == "max_reduce":
+            out = ad.max_reduce(y, axis=2)
+        elif consumer == "concat":
+            out = ad.concat([y, x])
+        else:
+            # The buffer passes through gather_add and relu_inplace in place.
+            out = ad.weighted_sum(ad.relu_inplace(ad.gather_add(y, src, idx)),
+                                  np.full((2, 3, 4), 0.25))
+        del y
+        assert probe() is None
+        ad.backward(project(out))
+        assert x.grad is not None
+
+    def test_input_with_an_earlier_consumer_keeps_its_node(self):
+        g = rng(160)
+        arrays = [g.normal(size=(2, 5, 3)), g.normal(size=(3, 4))]
+        got = []
+        for pool in (ad.max_reduce, ref.max_reduce):
+            def build(x, w):
+                y = ad.linear(x, w)
+                doubled = ad.scale(y, 2.0)
+                return ad.add(pool(y, axis=1), ad.max_reduce(doubled, axis=1))
+            got.append(wired_results(build, arrays))
+        assert_same_bits(*got)
+        x = ad.parameter(arrays[0])
+        y = ad.linear(x, arrays[1])
+        ad.scale(y, 2.0)
+        ad.max_reduce(y, axis=1)
+        assert y._backward is not None
+
+    def test_later_consumer_of_a_given_up_input_refused(self):
+        x = ad.parameter(rng(161).normal(size=(2, 5, 3)))
+        y = ad.linear(x, np.eye(3))
+        ad.max_reduce(y, axis=1)
+        with pytest.raises(ValueError, match="given up"):
+            ad.scale(y, 2.0)
+
+    def test_input_passed_twice_keeps_its_node(self):
+        g = rng(162)
+        arrays = [g.normal(size=(2, 3)), g.normal(size=(3, 3))]
+        got = []
+        for cat in (ad.concat, ref.concat):
+            got.append(wired_results(lambda x, w: cat([ad.linear(x, w)] * 2),
+                                     arrays))
+        assert_same_bits(*got)
+        w = np.random.default_rng(99).normal(size=(2, 6))
+        assert np.array_equal(got[0][1], (w[:, :3] + w[:, 3:]) @ arrays[1].T)
+
+    def test_leaf_and_constant_inputs_stay_usable(self):
+        g = rng(163)
+        x = ad.parameter(g.normal(size=(2, 4, 3)))
+        c = ad.constant(g.normal(size=(2, 4, 3)))
+        pooled = ad.max_reduce(x, axis=1)
+        mixed = ad.concat([c, x])
+        summed = ad.weighted_sum(x, np.full((2, 4), 0.5))
+        loss = ad.add(ad.add(project(pooled), project(mixed)), project(summed))
+        loss = ad.add(loss, project(ad.scale(x, 3.0)))
+        ad.backward(loss)
+        want = ad.parameter(x.values)
+        ref_loss = ad.add(ad.add(project(ref.max_reduce(want, axis=1)),
+                                 project(ref.concat([c, want]))),
+                          project(ref.sum_reduce(ref.mul(
+                              want, ad.constant(np.full((2, 4, 1), 0.5))), axis=1)))
+        ad.backward(ad.add(ref_loss, project(ad.scale(want, 3.0))))
+        assert np.array_equal(x.grad, want.grad)
+        assert c.grad is None
+
+    def test_node_reading_its_own_values_keeps_its_node(self):
+        # exp's backward multiplies by its output, so its node cannot be
+        # taken over without its values.
+        def exp(x):
+            def bwd(out):
+                x._add_grad(out.grad * out.values, owned=True)
+            return ad._make(np.exp(x.values), (x,), bwd)
+
+        arrays = [rng(164).normal(size=(2, 5, 3))]
+        got = [wired_results(lambda x: pool(exp(x), axis=1), arrays)
+               for pool in (ad.max_reduce, ref.max_reduce)]
+        assert_same_bits(*got)
+        x = ad.parameter(arrays[0])
+        e = exp(x)
+        ad.max_reduce(e, axis=1)
+        assert e._backward is not None
+
+
+class TestTakeOverFiniteDifferences:
+    """The chains whose nodes are taken over, against central differences.
+    Kept apart from the acceptance gradient checks, whose shared draw stream
+    a new probe would shift."""
+
+    def test_max_over_set_mlp(self):
+        g = rng(170)
+        c = gapped(g, (2, 3, 12, 4), axis=2)
+        check_grads(
+            lambda w1, b1, w2: project(ad.max_reduce(
+                ad.linear(ad.relu_inplace(ad.linear(c, w1, b1)), w2), axis=2)),
+            [g.normal(size=(4, 6)), g.normal(size=(6,)), g.normal(size=(6, 5))])
+
+    def test_edge_mlp(self):
+        g = rng(171)
+        e = g.normal(size=(2, 3, 6, 4))
+        check_grads(
+            lambda xi, wb, wa: project(ad.max_reduce(ad.relu_inplace(
+                ad.expand_add(ad.linear(e, wb), ad.linear(xi, wa))), axis=2)),
+            [g.normal(size=(2, 3, 5)), g.normal(size=(4, 5)),
+             g.normal(size=(5, 5))])
+
+    def test_propagation_align(self):
+        g = rng(172)
+        code = g.normal(size=(2, 5, 3, 3))
+        idx = g.integers(0, 4, size=(2, 5, 3))
+        w = g.normal(size=(2, 5, 3))
+        check_grads(
+            lambda src, wc, ws: project(ad.weighted_sum(ad.relu_inplace(
+                ad.gather_add(ad.linear(code, wc), ad.linear(src, ws), idx)), w)),
+            [g.normal(size=(2, 4, 3)), g.normal(size=(3, 6)),
+             g.normal(size=(3, 6))])
+
+    def test_concat_first_input(self):
+        g = rng(173)
+        check_grads(
+            lambda x, w, skip: project(ad.concat([ad.linear(x, w), skip])),
+            [g.normal(size=(2, 3, 4)), g.normal(size=(4, 5)),
+             g.normal(size=(2, 3, 2))])

@@ -27,6 +27,7 @@ from aecnn.data import (
     synth_classification,
     synth_segmentation,
 )
+import aecnn.data as data
 from aecnn.network import Model
 
 from oracles import brute_miou
@@ -431,6 +432,12 @@ class TestEvaluateClassification:
             evaluate_classification(lambda b: np.zeros((b.shape[0], 4)), ds, "ARAR",
                                     np.random.default_rng(2), votes=votes)
 
+    def test_batch_size_below_one_rejected(self):
+        ds = synth_classification(1, 8, np.random.default_rng(32))
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            evaluate_classification(lambda b: np.zeros((b.shape[0], 4)), ds, "ARAR",
+                                    np.random.default_rng(2), batch_size=0)
+
     def test_empty_dataset_refused_by_name(self):
         # Not numpy's "need at least one array to stack".
         empty = Dataset([], ("a", "b"), split_tag="held-out")
@@ -454,6 +461,60 @@ class TestEvaluateClassification:
             d_orig = np.linalg.norm(s.points[0] - s.points[1])
             d_rot = np.linalg.norm(got[i][0] - got[i][1])
             assert abs(d_orig - d_rot) < 1e-9
+
+    def test_scores_each_batch_as_it_is_drawn(self, monkeypatch):
+        # Memory is O(batch): no more than batch_size rotated copies exist
+        # when the first batch is scored.
+        ds = synth_classification(3, 8, np.random.default_rng(35))
+        draws, seen = [], []
+        real = data.protocol_rotation
+
+        def counted(*args):
+            draws.append(1)
+            return real(*args)
+
+        def spy(batch):
+            seen.append(len(draws))
+            return np.zeros((batch.shape[0], 4))
+
+        monkeypatch.setattr(data, "protocol_rotation", counted)
+        evaluate_classification(spy, ds, "ARAR", np.random.default_rng(5),
+                                votes=3, batch_size=4)
+        assert seen[0] <= 4
+        assert len(draws) == len(ds) * 3
+
+    def test_matches_stack_then_score_bitwise(self):
+        # Batches of 4 split each sample's 3 votes; the rotations, the
+        # batches and the metrics are those of stacking every copy first.
+        cfg = NetworkConfig(n_points=32, n_classes=4,
+                            sa_first=SaFirstConfig(n_ref=16, k=8, widths=(8, 16)),
+                            sa_next=(SaNextConfig(k=4, widths=(16, 24)),),
+                            head_widths=(16,))
+        model = Model(cfg, seed=6)
+        ds = synth_classification(3, 32, np.random.default_rng(36))
+        seen = []
+
+        def spy(batch):
+            seen.append(batch.copy())
+            return model.predict_logits_batch(batch)
+
+        got = evaluate_classification(spy, ds, "ARAR", np.random.default_rng(7),
+                                      votes=3, batch_size=4)
+        rng = np.random.default_rng(7)
+        stack = np.stack([geo.normalize(s).points
+                          @ protocol_rotation("ARAR", "test", rng).T
+                          for s in ds for _ in range(3)])
+        batches = [stack[lo:lo + 4] for lo in range(0, len(stack), 4)]
+        logits = np.concatenate([model.predict_logits_batch(b) for b in batches])
+        z = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = (z / z.sum(axis=1, keepdims=True)).reshape(len(ds), 3, -1).mean(axis=1)
+        correct = probs.argmax(axis=1) == np.array([s.class_label for s in ds])
+        assert len(seen) == len(batches)
+        assert all(np.array_equal(a, b) for a, b in zip(seen, batches))
+        assert got.accuracy == float(correct.mean())
+        assert got.per_class_accuracy == {
+            name: float(correct[i * 3:(i + 1) * 3].mean())
+            for i, name in enumerate(ds.class_names)}
 
     def test_scale_and_shift_do_not_change_scores(self):
         # Training and predict_parts normalize every cloud; evaluation must

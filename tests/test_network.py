@@ -24,7 +24,7 @@ from aecnn.network import (
     count_parameters,
 )
 
-from oracles import rotation_from_axis_angle, unfactored_model
+from oracles import graph_bytes, rotation_from_axis_angle, unfactored_model
 
 
 def tiny_config(**kw) -> NetworkConfig:
@@ -740,3 +740,30 @@ class TestLrfFallbackSurfacing:
         logits = model.predict_logits(pts)
         assert np.isfinite(logits).all()
         assert sum(model.lrf_fallbacks.values()) > 0
+
+
+class TestGraphMemory:
+    """Bytes a tracked desk loss at batch 32 holds until backward, summed
+    over the distinct buffers its graph reaches (oracles.graph_bytes).
+
+    Each set MLP's output before its max over k, the first input of each
+    concat and the relu ahead of propagation's weighted sum are given up to
+    the op that reads them, which takes over their nodes. When every op
+    held its inputs, the same graphs held 62,177,880 and 122,739,832 bytes.
+    The totals depend on shapes alone, not on the clouds.
+    """
+
+    @pytest.mark.parametrize("seg, want", [(False, 32_031_320),
+                                           (True, 71_490_680)])
+    def test_desk_loss_graph_bytes(self, seg, want):
+        cfg = desk_segmentation_config() if seg else desk_classification_config()
+        model = Model(cfg, seed=0)
+        rng = np.random.default_rng(20)
+        pts = np.stack([random_cloud(rng, cfg.n_points) for _ in range(32)])
+        labels = rng.integers(0, cfg.n_classes, size=32)
+        if seg:
+            logits, pens = model.segment_batch(pts, np.eye(cfg.n_classes)[labels])
+            labels = rng.integers(0, cfg.n_parts, size=(32, cfg.n_points))
+        else:
+            logits, pens = model.classify_batch(pts)
+        assert graph_bytes(model.loss_terms(logits, labels, pens)) == want
