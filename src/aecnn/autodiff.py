@@ -39,19 +39,20 @@ gradient is stored as 0.0 + g in the end, so no stored bit moves.
 Who gives up what. Calling `relu_inplace`, `gather_add`, `expand_add`,
 `max_reduce`, `weighted_sum` or `concat` gives up the first tensor the op
 reads (for `concat`, the first of its list); none of these backwards reads
-that tensor's values. When the given-up input is an op output that no other
-op has consumed, the op takes its node over (`_give_up`): it is wired to
-the input's parents, the sweep runs the input's backward right after its
-own, as it ran before, and nothing in the graph holds the input's values.
-The outputs that can be taken over are those of `linear`, `gather_rows`,
-`gather_add`, `expand_add`, `weighted_sum` and `edge_matvec`, whose
-backwards read none of their output values, and of `relu_inplace`, which
-then keeps a bool mask instead of its output. So in a tracked pass each set
-MLP's (.., k, f) output before its max, each first input of a `concat` and
-the relu ahead of propagation's weighted sum are freed as the forward pass
-moves on; backward runs the same arithmetic in the same order. A tensor
-whose node was taken over is refused as a later op's input; an input that
-another op already consumed is wired as before.
+that tensor's values. The op wires its output as usual and then releases
+the input's values (`_release`) when the input is an op output made with a
+`spend` (see `_make`), this op is its one consumer and the values are
+C-contiguous. The input keeps its node, its shape and its backward, which
+the sweep runs right after the op's, as for any first parent with one
+consumer. The outputs that can be released are those of `linear`,
+`gather_rows`, `gather_add`, `expand_add`, `weighted_sum` and
+`edge_matvec`, whose backwards read none of their output values, and of
+`relu_inplace`, whose backward then reads a bool mask instead. So in a
+tracked pass each set MLP's (.., k, f) output before its max, each first
+input of a `concat` and the relu ahead of propagation's weighted sum are
+freed as the forward pass moves on; backward runs the same arithmetic in
+the same order. `as_tensor` refuses a released tensor as any op's input;
+an input that another op also consumes keeps its values.
 
 Everything is float64 and single threaded on purpose: gradient checks sit at
 1e-4 relative tolerance and training runs must be bit-reproducible.
@@ -80,8 +81,8 @@ def _screen(v: np.ndarray, what: str):
 class Tensor:
     """A float64 array plus the plumbing to backpropagate through it."""
 
-    __slots__ = ("values", "grad", "needs_grad", "name", "_parents", "_backward",
-                 "_taken", "_spend", "_uses")
+    __slots__ = ("values", "shape", "grad", "needs_grad", "name", "_parents",
+                 "_backward", "_spend", "_uses")
 
     def __init__(self, values, parents: tuple = (), needs_grad: bool = True,
                  name: Optional[str] = None, *, _screened: bool = False):
@@ -89,22 +90,14 @@ class Tensor:
         if not _screened:
             _screen(v, f"tensor {name or '<anon>'}")
         self.values = v
+        self.shape = v.shape  # kept when `_release` drops the values
         self.grad: Optional[np.ndarray] = None
         self.needs_grad = needs_grad
         self.name = name
         self._parents = parents
         self._backward = None
-        self._taken = None    # the node this one took over (see `_give_up`)
-        self._spend = None    # set by `_make` for an output that may be given up
-        self._uses = 0        # ops wired to this tensor; -1 once given up
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-    @property
-    def ndim(self):
-        return self.values.ndim
+        self._spend = None    # set by `_make` for an output that may be released
+        self._uses = 0        # ops wired to this tensor
 
     def _add_grad(self, g: np.ndarray, owned: bool = False):
         """Accumulate one gradient contribution of this tensor's shape.
@@ -113,32 +106,33 @@ class Tensor:
         writes it afterwards. The first contribution then adopts it in place,
         otherwise it is copied once, so `.grad` always belongs to this tensor
         alone. Either way the first write stores 0.0 + g. A buffer is adopted
-        only when it and the values are C-contiguous, so `.grad` keeps the
-        layout of `zeros_like(values)` and reductions over it sum in the same
-        order.
+        only when it and the values are C-contiguous (released values were),
+        so `.grad` keeps the layout of `zeros_like(values)` and reductions
+        over it sum in the same order.
         """
         if not self.needs_grad:
             return
-        if g.shape != self.values.shape:
+        if g.shape != self.shape:
             raise ValueError(
                 f"gradient of shape {g.shape} for tensor {self.name or '<anon>'} "
-                f"of shape {self.values.shape}"
+                f"of shape {self.shape}"
             )
         if self.grad is not None:
             self.grad += g
-        elif (owned and isinstance(g, np.ndarray) and g.flags.c_contiguous
-              and self.values.flags.c_contiguous):
+        elif self.values is not None and not self.values.flags.c_contiguous:
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.values))
+        elif owned and isinstance(g, np.ndarray) and g.flags.c_contiguous:
             g += 0.0
             self.grad = g
         else:
-            self.grad = np.add(g, 0.0, out=np.empty_like(self.values))
+            self.grad = np.add(g, 0.0, out=np.empty(self.shape))
 
     def zero_grad(self):
         self.grad = None
 
     def __repr__(self):
         tag = self.name or "tensor"
-        return f"Tensor({tag}, shape={self.values.shape})"
+        return f"Tensor({tag}, shape={self.shape})"
 
 
 def parameter(values, name: Optional[str] = None) -> Tensor:
@@ -152,68 +146,21 @@ def constant(values, name: Optional[str] = None) -> Tensor:
 
 
 def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else constant(x)
-
-
-class _Spent:
-    """An op output that was given up, less its values: the node that its one
-    consumer took over (see `_give_up`).
-
-    It keeps the output's shape, the backward to run once the values are
-    gone and the node that it took over in turn, and stores the one
-    gradient contribution its consumer hands it as `Tensor._add_grad` stores
-    a first one for C-contiguous values: an owned buffer is adopted and a
-    shared one copied, either way as 0.0 + g.
-    """
-
-    __slots__ = ("grad", "shape", "_parents", "_backward", "_taken")
-    needs_grad = True
-
-    def __init__(self, x: Tensor, bwd):
-        self.grad = None
-        self.shape = x.values.shape
-        self._parents = x._parents
-        self._backward = bwd
-        self._taken = x._taken
-
-    def _add_grad(self, g: np.ndarray, owned: bool = False):
-        if g.shape != self.shape:
-            raise ValueError(
-                f"gradient of shape {g.shape} for a given-up tensor of shape "
-                f"{self.shape}"
-            )
-        if owned and isinstance(g, np.ndarray) and g.flags.c_contiguous:
-            g += 0.0
-            self.grad = g
-        else:
-            self.grad = np.add(g, 0.0, out=np.empty(self.shape))
+    """x itself, or a constant holding it; a tensor whose values an op
+    released (`_release`) is refused."""
+    if not isinstance(x, Tensor):
+        return constant(x)
+    if x.values is None:
+        raise ValueError(
+            f"tensor {x.name or '<anon>'} was given up to an op that released "
+            "its values"
+        )
+    return x
 
 
 def _reads_no_values(values):
     """`spend` of an op whose backward reads none of its output's values."""
     return None
-
-
-def _give_up(x: Tensor, *others: Tensor):
-    """x as the input that an op gives up: x itself, or a `_Spent` stand-in
-    that takes over x's node.
-
-    For an op whose backward reads none of x's values. The node is taken
-    over when x is an op output made with a `spend` (see `_make`), no op has
-    consumed it yet, it is not also among the op's `others`, and its values
-    are C-contiguous. `_make` then wires the op to x's parents and the sweep
-    runs x's backward right after the op's, where it ran before: x is the
-    op's first parent and has no other consumer. Nothing in the graph refers
-    to x any more, so its values are freed once the caller drops it. x is
-    marked given up, and `_make` refuses it as a later op's input. Any
-    other x is returned as it is and wired as before.
-    """
-    if (x._spend is None or x._backward is None or x._uses
-            or any(o is x for o in others) or not x.values.flags.c_contiguous):
-        return x
-    spent = _Spent(x, x._spend(x.values) or x._backward)
-    x._parents, x._backward, x._taken, x._spend, x._uses = (), None, None, None, -1
-    return spent
 
 
 def _make(values, parents: Sequence, bwd, screened: bool = False,
@@ -223,60 +170,56 @@ def _make(values, parents: Sequence, bwd, screened: bool = False,
     `bwd` is stored as given; the sweep calls `bwd(out)` with this output.
     So `bwd` need not and must not refer to the output, and no output refers
     to itself. On a constant subgraph nothing is wired and `bwd` is dropped.
+    Each wired parent counts the ops that consume it (`_uses`).
 
     `screened=True` skips the finiteness scan, for ops whose values are only
     selected or copied from their (already screened) inputs.
 
-    `spend` lets a consumer take the output's node over (`_give_up`): called
-    with the output's values, it returns the backward to run once they are
-    gone, or None when `bwd` reads none of them (`_reads_no_values`).
-    Without it the node is never taken over. A `_Spent` first parent is the
-    node this op takes over: its parents are wired in its place.
+    `spend` lets the output's one consumer release its values (`_release`):
+    called with them, it returns the backward to run once they are gone, or
+    None when `bwd` reads none of them (`_reads_no_values`). Without it the
+    values stay as long as the output does.
     """
     parents = tuple(parents)
     if not any(p.needs_grad for p in parents):
         return Tensor(values, needs_grad=False, _screened=screened)
-    taken, inherited = None, ()
-    if isinstance(parents[0], _Spent):
-        taken, parents = parents[0], parents[1:]
-        inherited, taken._parents = taken._parents, ()
     for p in parents:
         if p.needs_grad:
-            if p._uses < 0:
-                raise ValueError(
-                    f"tensor {p.name or '<anon>'} was given up to an op that "
-                    "took over its node"
-                )
             p._uses += 1
-    out = Tensor(values, parents=inherited + parents, needs_grad=True,
-                 _screened=screened)
-    out._backward, out._taken, out._spend = bwd, taken, spend
+    out = Tensor(values, parents=parents, needs_grad=True, _screened=screened)
+    out._backward, out._spend = bwd, spend
     return out
 
 
-def _sweep(node):
-    """Run node's backward, then that of each node it took over in turn,
-    dropping each one's gradient and backward as it passes."""
-    while node is not None:
-        if node.grad is not None:
-            node._backward(node)
-        taken = node._taken
-        node.grad = node._backward = node._taken = None
-        node = taken
+def _release(x: Tensor, out: Tensor) -> Tensor:
+    """Drop the values of x, the input out's op gives up, and return out.
+
+    For an op whose backward reads none of x's values, after `_make` has
+    wired out. The values go only when x is an op output made with a
+    `spend`, out's op is its one consumer (an input passed twice counts
+    twice) and they are C-contiguous; x's backward then becomes the one
+    `spend` returns, if any. x is out's first parent with no other
+    consumer, so the sweep runs x's backward right after out's. `as_tensor`
+    refuses x from then on. Any other x keeps its values.
+    """
+    if x._spend is not None and x._uses == 1 and x.values.flags.c_contiguous:
+        x._backward = x._spend(x.values) or x._backward
+        x.values = x._spend = None
+    return out
 
 
 def backward(loss: Tensor):
     """Populate .grad on every reachable leaf tensor that needs one.
 
     The loss must be scalar. Visit order is a deterministic iterative
-    post-order, so repeated runs accumulate in the same sequence bit for bit.
-    Each interior node's `_backward(node)` runs once its gradient is
-    complete (see `_make`), then those of the nodes it took over. Each
-    node's `.grad` is its own buffer (see `Tensor._add_grad`), so `_backward` may modify it in place or hand it on
-    to one parent. Interior nodes are consumed as the sweep passes them:
-    their grad buffer and `_backward` are dropped once propagated, so peak
-    memory tracks the gradient frontier rather than the whole graph. A graph
-    can therefore be swept only once.
+    post-order, so repeated runs accumulate in the same sequence bit for
+    bit. Each interior node's `_backward(node)` runs once its gradient is
+    complete (see `_make`). Each node's `.grad` is its own buffer (see
+    `Tensor._add_grad`), so `_backward` may modify it in place or hand it
+    on to one parent. Interior nodes are consumed as the sweep passes them:
+    their grad buffer, `_backward` and parents are dropped once propagated,
+    so peak memory tracks the gradient frontier rather than the whole
+    graph. A graph can therefore be swept only once.
     """
     if loss.values.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -299,7 +242,9 @@ def backward(loss: Tensor):
     for node in reversed(topo):
         if node._backward is None:
             continue
-        _sweep(node)
+        if node.grad is not None:
+            node._backward(node)
+        node.grad = node._backward = None
         node._parents = ()
 
 
@@ -382,14 +327,14 @@ def relu_inplace(x: Tensor) -> Tensor:
     Only for an x that nothing else reads: the output of an affine map,
     whose backward does not read its output's values, held by the caller
     alone (`Mlp` hidden layers), or that output with per-row terms added in
-    place (`gather_add`, `expand_add`). The values and gradients are the reference
-    `relu`'s bit for bit (negative zeros come out as +0.0), without a second
-    buffer of x's size. The gradient mask is built from the output: out > 0
-    exactly where x > 0. An op that takes this output's node over keeps
-    that mask as a bool array instead of the output.
+    place (`gather_add`, `expand_add`). The values and gradients are the
+    reference `relu`'s bit for bit (negative zeros come out as +0.0),
+    without a second buffer of x's size. The gradient mask is built from
+    the output: out > 0 exactly where x > 0. An op that releases this
+    output's values keeps that mask as a bool array instead.
     """
+    x = as_tensor(x)
     values = np.maximum(x.values, 0.0, out=x.values)
-    x = _give_up(x)
 
     def masked(out, positive):
         g = out.grad
@@ -400,8 +345,9 @@ def relu_inplace(x: Tensor) -> Tensor:
         positive = v > 0.0
         return lambda out: masked(out, positive)
 
-    return _make(values, (x,), lambda out: masked(out, out.values > 0.0),
-                 screened=True, spend=spend)
+    return _release(x, _make(values, (x,),
+                             lambda out: masked(out, out.values > 0.0),
+                             screened=True, spend=spend))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +371,6 @@ def max_reduce(x, axis: int) -> Tensor:
         return Tensor(x.values.max(axis=axis), needs_grad=False, _screened=True)
     am = _first_argmax(x.values, axis)
     out_vals = np.take_along_axis(x.values, np.expand_dims(am, axis), axis)
-    x = _give_up(x)
 
     def bwd(out):
         g = np.zeros(x.shape)
@@ -434,7 +379,8 @@ def max_reduce(x, axis: int) -> Tensor:
         )
         x._add_grad(g, owned=True)
 
-    return _make(np.squeeze(out_vals, axis=axis), (x,), bwd, screened=True)
+    return _release(x, _make(np.squeeze(out_vals, axis=axis), (x,), bwd,
+                             screened=True))
 
 
 def _first_argmax(v: np.ndarray, axis: int) -> np.ndarray:
@@ -474,12 +420,11 @@ def weighted_sum(x, w: np.ndarray) -> Tensor:
     _screen(w, "the weighted_sum weights")
     wc = w[..., None]
     values = (x.values * wc).sum(axis=-2)
-    x = _give_up(x)
 
     def bwd(out):
         x._add_grad(out.grad[..., None, :] * wc, owned=True)
 
-    return _make(values, (x,), bwd, spend=_reads_no_values)
+    return _release(x, _make(values, (x,), bwd, spend=_reads_no_values))
 
 
 def reshape(x, shape: tuple) -> Tensor:
@@ -506,7 +451,6 @@ def concat(tensors: Sequence, axis: int = -1) -> Tensor:
     ax = axis if axis >= 0 else out_vals.ndim + axis
     sizes = [v.shape[ax] for v in vals]
     offsets = np.cumsum([0] + sizes)
-    ts[0] = _give_up(ts[0], *ts[1:])
 
     def bwd(out):
         for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
@@ -515,7 +459,7 @@ def concat(tensors: Sequence, axis: int = -1) -> Tensor:
                 sl[ax] = slice(lo, hi)
                 t._add_grad(out.grad[tuple(sl)])
 
-    return _make(out_vals, ts, bwd, screened=True)
+    return _release(ts[0], _make(out_vals, ts, bwd, screened=True))
 
 
 def expand_add(y: Tensor, x) -> Tensor:
@@ -525,17 +469,15 @@ def expand_add(y: Tensor, x) -> Tensor:
     reads, as for `relu_inplace`; x: (..., f), one row per set, added to each
     of its k rows. So a per-reference term is computed once and broadcast
     over the reference's edges without an edge-sized copy. x's gradient is
-    the output gradient summed over k; y takes the output gradient itself,
-    so this op takes y's node over.
+    the output gradient summed over k; y takes the output gradient itself.
     """
-    x = as_tensor(x)
+    y, x = as_tensor(y), as_tensor(x)
     if y.values.shape[:-2] + y.values.shape[-1:] != x.values.shape:
         raise ValueError(
             f"expand_add: x {x.values.shape} does not match y {y.values.shape}"
         )
 
     values = np.add(y.values, x.values[..., None, :], out=y.values)
-    y = _give_up(y, x)
 
     def bwd(out):
         g = out.grad
@@ -543,7 +485,7 @@ def expand_add(y: Tensor, x) -> Tensor:
             x._add_grad(g.sum(axis=-2), owned=True)
         y._add_grad(g, owned=True)
 
-    return _make(values, (y, x), bwd, spend=_reads_no_values)
+    return _release(y, _make(values, (y, x), bwd, spend=_reads_no_values))
 
 
 # Rows per block that _scatter_add_rows copies into its column buffer.
@@ -625,10 +567,9 @@ def gather_add(y: Tensor, x, indices: np.ndarray) -> Tensor:
     So a term computed once per source row is added to every edge that
     reads that row, one cloud at a time, without an edge-sized copy of the
     gathered rows. x's gradient is scattered from the output gradient as
-    `gather_rows` scatters it; y takes the output gradient itself, so this
-    op takes y's node over.
+    `gather_rows` scatters it; y takes the output gradient itself.
     """
-    x = as_tensor(x)
+    y, x = as_tensor(y), as_tensor(x)
     idx = np.asarray(indices)
     bfull = _row_lookup(x, idx)
     if y.values.shape != idx.shape + x.values.shape[-1:]:
@@ -639,14 +580,13 @@ def gather_add(y: Tensor, x, indices: np.ndarray) -> Tensor:
     out_vals = y.values
     for bi in range(idx.shape[0]):
         out_vals[bi] += x.values[bi][idx[bi]]
-    y = _give_up(y, x)
 
     def bwd(out):
         if x.needs_grad:
             _scatter_rows_grad(x, bfull, idx, out.grad)
         y._add_grad(out.grad, owned=True)
 
-    return _make(out_vals, (y, x), bwd, spend=_reads_no_values)
+    return _release(y, _make(out_vals, (y, x), bwd, spend=_reads_no_values))
 
 
 def row_block(w, start: int, stop: int) -> Tensor:

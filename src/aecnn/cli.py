@@ -433,14 +433,17 @@ def _listed(cast=str):
     return parse
 
 
-def _at_least(minimum: int):
-    """An argparse type: an int no smaller than `minimum`."""
-    def parse(text: str) -> int:
-        value = int(text)
+def _at_least(minimum: int, cast=int):
+    """An argparse type: a `cast` value no smaller than `minimum`, and
+    finite when it is a float."""
+    def parse(text: str):
+        value = cast(text)
+        if cast is float and not np.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
         return value
-    parse.__name__ = "int"   # argparse names the type in its "invalid" message
+    parse.__name__ = cast.__name__   # argparse names the type in its "invalid" message
     return parse
 
 
@@ -494,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("checkpoint")
     a.add_argument("--rotations", type=_at_least(0), default=20)
     a.add_argument("--clouds", type=_at_least(1), default=50)
-    a.add_argument("--tolerance", type=float, default=1e-5)
+    a.add_argument("--tolerance", type=_at_least(0, float), default=1e-5)
     add_eval_flags(a, with_votes=False)
     a.set_defaults(fn=cmd_invariance_audit)
 

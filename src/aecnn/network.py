@@ -19,7 +19,7 @@ propagation the interpolation weights sum to one, so AEConv2/3 interpolate
 the align MLP's hidden layer and apply its affine output layer once per
 fine point. `count_operations` counts the multiplies as they run.
 In a tracked pass each max over k, each `concat` and propagation's
-weighted sum take over the node of the input they are given (see
+weighted sum release the values of the input they are given (see
 `autodiff`), so each set MLP's (b, r, k, f) output, the aligned features
 ahead of [xhat, t] and the interpolation's relu are not kept for backward.
 

@@ -293,8 +293,8 @@ def unfactored_model(config, seed=0):
 def graph_bytes(loss) -> int:
     """Bytes of the distinct base buffers that loss's graph keeps alive.
 
-    Walks every object reachable from loss through tensors' values, parents
-    and taken-over nodes (`_taken`) and through the cells of backward
+    Walks every object reachable from loss through tensors' values, grads,
+    parents and backward functions and through the cells of backward
     closures, into tuples, lists and dicts, and sums the nbytes of each
     distinct array that owns its memory: a view counts as its base, once.
     Parameters and constants count like any other buffer the graph holds.
@@ -318,5 +318,5 @@ def graph_bytes(loss) -> int:
             stack.extend(c.cell_contents for c in obj.__closure__)
         elif hasattr(obj, "_backward"):
             stack.extend(getattr(obj, a, None) for a in
-                         ("values", "grad", "_parents", "_backward", "_taken"))
+                         ("values", "grad", "_parents", "_backward"))
     return sum(owners.values())

@@ -3,13 +3,13 @@
 The tests use them as references for the package's fused and in-place ops
 (`expand_add` against add and expand_set; `weighted_sum` against mul and
 sum_reduce; `relu_inplace` against relu; `max_reduce` and `concat`, which
-take over the node of the input they are given, against the same ops
-wired to that input), to build the unfactored edge feature
-[x_i, xhat - x_i, t] in `oracles.unfactored_model`, and as gradient probes.
+release the values of the input they are given, against the same ops
+keeping them), to build the unfactored edge feature [x_i, xhat - x_i, t]
+in `oracles.unfactored_model`, and as gradient probes.
 They are built on the engine's `_make` and `Tensor._add_grad` exactly as the
 package's ops are, so their values and gradients are the bits the fused ops
 must reproduce. None of them gives an input up, so every input keeps its
-own node until the backward sweep reaches it.
+values until the graph is dropped.
 """
 import numpy as np
 

@@ -794,10 +794,10 @@ def signed_zero_pool(k, seed):
 
 
 class TestTakeOver:
-    """Ops that take over the node of the input they are given against the
-    same chains wired to that input (reference_ops), bit for bit in values,
-    signed zeros and every gradient; and what happens when the input cannot
-    be given up."""
+    """Ops that release the values of the input they are given against the
+    same chains keeping them (reference_ops), bit for bit in values, signed
+    zeros and every gradient; what happens when the input's values cannot be
+    released; and the refusal of a released input."""
 
     @pytest.mark.parametrize("k", [12, 16])
     def test_max_over_set_mlp_equals_wired_chain(self, k):
@@ -892,7 +892,8 @@ class TestTakeOver:
 
     def test_taken_node_reads_its_gradient_as_a_wired_node_does(self):
         # relu hands down -0.0 where it masks a negative gradient; the node
-        # it took over reads 0.0 + g, as Tensor._add_grad stores it.
+        # whose values it released reads 0.0 + g, as Tensor._add_grad
+        # stores it.
         seen = []
 
         def copied(x):
@@ -925,7 +926,7 @@ class TestTakeOver:
             # The buffer passes through gather_add and relu_inplace in place.
             out = ad.weighted_sum(ad.relu_inplace(ad.gather_add(y, src, idx)),
                                   np.full((2, 3, 4), 0.25))
-        del y
+        assert y.values is None and y.shape == (2, 3, 4, 5)
         assert probe() is None
         ad.backward(project(out))
         assert x.grad is not None
@@ -945,7 +946,7 @@ class TestTakeOver:
         y = ad.linear(x, arrays[1])
         ad.scale(y, 2.0)
         ad.max_reduce(y, axis=1)
-        assert y._backward is not None
+        assert y.values is not None
 
     def test_later_consumer_of_a_given_up_input_refused(self):
         x = ad.parameter(rng(161).normal(size=(2, 5, 3)))
@@ -953,6 +954,33 @@ class TestTakeOver:
         ad.max_reduce(y, axis=1)
         with pytest.raises(ValueError, match="given up"):
             ad.scale(y, 2.0)
+
+    @pytest.mark.parametrize("op", ["relu_inplace", "gather_add", "expand_add",
+                                    "max_reduce", "weighted_sum", "concat",
+                                    "scale"])
+    def test_released_input_refused_before_any_write(self, op):
+        # y's buffer lives on as the relu output's, which no refused op may
+        # write to.
+        g = rng(165)
+        y = ad.linear(ad.parameter(g.normal(size=(2, 3, 4, 5))),
+                      g.normal(size=(5, 5)))
+        relued = ad.relu_inplace(y)
+        before = relued.values.copy()
+        z = ad.parameter(g.normal(size=(2, 3, 5)))
+        calls = {
+            "relu_inplace": lambda: ad.relu_inplace(y),
+            "gather_add": lambda: ad.gather_add(
+                y, ad.parameter(np.ones((2, 6, 5))), g.integers(0, 6, (2, 3, 4))),
+            "expand_add": lambda: ad.expand_add(y, z),
+            "max_reduce": lambda: ad.max_reduce(y, axis=2),
+            "weighted_sum": lambda: ad.weighted_sum(y, np.full((2, 3, 4), 0.25)),
+            "concat": lambda: ad.concat([y, relued]),
+            "scale": lambda: ad.scale(y, 2.0),
+        }
+        with pytest.raises(ValueError, match="given up"):
+            calls[op]()
+        assert_same_bits([relued.values], [before])
+        assert z._uses == 0
 
     def test_input_passed_twice_keeps_its_node(self):
         g = rng(162)
@@ -964,6 +992,9 @@ class TestTakeOver:
         assert_same_bits(*got)
         w = np.random.default_rng(99).normal(size=(2, 6))
         assert np.array_equal(got[0][1], (w[:, :3] + w[:, 3:]) @ arrays[1].T)
+        y = ad.linear(ad.parameter(arrays[0]), arrays[1])
+        ad.concat([y, y])
+        assert y.values is not None
 
     def test_leaf_and_constant_inputs_stay_usable(self):
         g = rng(163)
@@ -985,8 +1016,8 @@ class TestTakeOver:
         assert c.grad is None
 
     def test_node_reading_its_own_values_keeps_its_node(self):
-        # exp's backward multiplies by its output, so its node cannot be
-        # taken over without its values.
+        # exp's backward multiplies by its output, so its values cannot be
+        # released.
         def exp(x):
             def bwd(out):
                 x._add_grad(out.grad * out.values, owned=True)
@@ -999,11 +1030,11 @@ class TestTakeOver:
         x = ad.parameter(arrays[0])
         e = exp(x)
         ad.max_reduce(e, axis=1)
-        assert e._backward is not None
+        assert e.values is not None
 
 
 class TestTakeOverFiniteDifferences:
-    """The chains whose nodes are taken over, against central differences.
+    """The chains that release given-up values, against central differences.
     Kept apart from the acceptance gradient checks, whose shared draw stream
     a new probe would shift."""
 

@@ -629,8 +629,18 @@ class TestCountsCheckedAtParse:
          "--votes: must be >= 1, got 0"),
         (["lrf-dump", "CLOUD", "--k", "0"], "--k: must be >= 1, got 0"),
         (["ablate", "CFG", "OUT", "--seeds", ""], "--seeds: needs at least one value"),
+        (["invariance-audit", "CKPT", "--tolerance", "nan"],
+         "--tolerance: must be finite, got nan"),
+        (["invariance-audit", "CKPT", "--tolerance", "inf"],
+         "--tolerance: must be finite, got inf"),
+        (["invariance-audit", "CKPT", "--tolerance", "-1"],
+         "--tolerance: must be >= 0, got -1.0"),
+        (["invariance-audit", "CKPT", "--tolerance", "tight"],
+         "--tolerance: invalid float value: 'tight'"),
     ], ids=["audit-clouds", "audit-rotations", "train-n-per-class",
-            "eval-n-per-class", "eval-votes", "lrf-dump-k", "ablate-seeds"])
+            "eval-n-per-class", "eval-votes", "lrf-dump-k", "ablate-seeds",
+            "audit-tolerance-nan", "audit-tolerance-inf",
+            "audit-tolerance-negative", "audit-tolerance-word"])
     def test_rejected_with_exit_2(self, tmp_path, capsys, argv, message):
         cfg = write_cfg(tmp_path / "c.ini", tiny_cfg())
         names = {"CKPT": str(tmp_path / "model.ckpt"), "CFG": cfg,

@@ -748,7 +748,7 @@ class TestGraphMemory:
 
     Each set MLP's output before its max over k, the first input of each
     concat and the relu ahead of propagation's weighted sum are given up to
-    the op that reads them, which takes over their nodes. When every op
+    the op that reads them, which releases their values. When every op
     held its inputs, the same graphs held 62,177,880 and 122,739,832 bytes.
     The totals depend on shapes alone, not on the clouds.
     """
