@@ -37,22 +37,23 @@ gradient on) can only move the sign of a zero partial sum, and every
 gradient is stored as 0.0 + g in the end, so no stored bit moves.
 
 Who gives up what. Calling `relu_inplace`, `gather_add`, `expand_add`,
-`max_reduce`, `weighted_sum` or `concat` gives up the first tensor the op
-reads (for `concat`, the first of its list); none of these backwards reads
-that tensor's values. The op wires its output as usual and then releases
-the input's values (`_release`) when the input is an op output made with a
+`max_reduce` or `weighted_sum` gives up the first tensor the op reads, and
+`concat` gives up every tensor of its list; none of these backwards reads
+those tensors' values. The op wires its output as usual and then releases
+an input's values (`_release`) when the input is an op output made with a
 `spend` (see `_make`), this op is its one consumer and the values are
-C-contiguous. The input keeps its node, its shape and its backward, which
-the sweep runs right after the op's, as for any first parent with one
-consumer. The outputs that can be released are those of `linear`,
-`gather_rows`, `gather_add`, `expand_add`, `weighted_sum` and
-`edge_matvec`, whose backwards read none of their output values, and of
-`relu_inplace`, whose backward then reads a bool mask instead. So in a
-tracked pass each set MLP's (.., k, f) output before its max, each first
-input of a `concat` and the relu ahead of propagation's weighted sum are
-freed as the forward pass moves on; backward runs the same arithmetic in
-the same order. `as_tensor` refuses a released tensor as any op's input;
-an input that another op also consumes keeps its values.
+C-contiguous. The input keeps its node, its shape and its backward. The
+outputs that can be released are those of `linear`, `gather_rows`,
+`gather_add`, `expand_add`, `weighted_sum`, `max_reduce` and
+`edge_matvec`, whose backwards read none of their output values (the max
+reads only its argmax and its input's shape), and of `relu_inplace`, whose
+backward then reads a bool mask instead. So in a tracked pass each set
+MLP's (.., k, f) output before its max, the pooled blocks a `concat` joins
+(SA-first's), every other released input of a `concat`, a max pooled again
+by another max and the relu ahead of propagation's weighted sum are freed
+as the forward pass moves on; backward runs the same arithmetic in the
+same order. `as_tensor` refuses a released tensor as any op's input; an
+input that another op also consumes keeps its values.
 
 Everything is float64 and single threaded on purpose: gradient checks sit at
 1e-4 relative tolerance and training runs must be bit-reproducible.
@@ -198,9 +199,9 @@ def _release(x: Tensor, out: Tensor) -> Tensor:
     wired out. The values go only when x is an op output made with a
     `spend`, out's op is its one consumer (an input passed twice counts
     twice) and they are C-contiguous; x's backward then becomes the one
-    `spend` returns, if any. x is out's first parent with no other
-    consumer, so the sweep runs x's backward right after out's. `as_tensor`
-    refuses x from then on. Any other x keeps its values.
+    `spend` returns, if any. The release moves no node, so the sweep runs
+    x's backward where it would have anyway. `as_tensor` refuses x from
+    then on. Any other x keeps its values.
     """
     if x._spend is not None and x._uses == 1 and x.values.flags.c_contiguous:
         x._backward = x._spend(x.values) or x._backward
@@ -358,7 +359,9 @@ def max_reduce(x, axis: int) -> Tensor:
     """Max along one axis; gradient flows to the first (lowest index) argmax.
 
     x is given up: the backward reads only x's shape, so an affine map
-    pooled over k keeps no (.., k, f) output alive until backward.
+    pooled over k keeps no (.., k, f) output alive until backward. Nor does
+    it read the output's values, so an op that gives the output up (a
+    `concat` of pooled blocks, a max over another axis) may release them.
     """
     x = as_tensor(x)
     axis = axis if axis >= 0 else x.values.ndim + axis
@@ -380,7 +383,7 @@ def max_reduce(x, axis: int) -> Tensor:
         x._add_grad(g, owned=True)
 
     return _release(x, _make(np.squeeze(out_vals, axis=axis), (x,), bwd,
-                             screened=True))
+                             screened=True, spend=_reads_no_values))
 
 
 def _first_argmax(v: np.ndarray, axis: int) -> np.ndarray:
@@ -437,20 +440,22 @@ def reshape(x, shape: tuple) -> Tensor:
     return _make(x.values.reshape(shape), (x,), bwd, screened=True)
 
 
-def concat(tensors: Sequence, axis: int = -1) -> Tensor:
-    """Concatenate along `axis` (default: the feature axis).
+def concat(tensors: Sequence, axis: int = -1,
+           out: Optional[np.ndarray] = None) -> Tensor:
+    """Concatenate along `axis` (default: the feature axis), into `out` if
+    given (a float64 array of the result's shape).
 
-    The first input is given up: the backward reads none of the inputs'
-    values, so the first one's buffer need not outlive the forward pass.
+    Every input is given up: the backward reads none of the inputs' values,
+    so their buffers need not outlive the forward pass.
     """
     ts = [as_tensor(t) for t in tensors]
     if not ts:
         raise ValueError("concat of nothing")
     vals = [t.values for t in ts]
-    out_vals = np.concatenate(vals, axis=axis)
+    out_vals = np.concatenate(vals, axis=axis, out=out)
     ax = axis if axis >= 0 else out_vals.ndim + axis
     sizes = [v.shape[ax] for v in vals]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + sizes).tolist()
 
     def bwd(out):
         for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
@@ -459,7 +464,10 @@ def concat(tensors: Sequence, axis: int = -1) -> Tensor:
                 sl[ax] = slice(lo, hi)
                 t._add_grad(out.grad[tuple(sl)])
 
-    return _release(ts[0], _make(out_vals, ts, bwd, screened=True))
+    out_t = _make(out_vals, ts, bwd, screened=True)
+    for t in ts:
+        _release(t, out_t)
+    return out_t
 
 
 def expand_add(y: Tensor, x) -> Tensor:
@@ -488,8 +496,10 @@ def expand_add(y: Tensor, x) -> Tensor:
     return _release(y, _make(values, (y, x), bwd, spend=_reads_no_values))
 
 
-# Rows per block that _scatter_add_rows copies into its column buffer.
+# Rows per block that _scatter_add_rows copies into its column buffer, and
+# the float64 values that buffer holds (2 MB) unless one segment needs more.
 SCATTER_BLOCK_ROWS = 256
+SCATTER_CHUNK_ELEMS = 262_144
 
 
 def _scatter_add_rows(n_rows: int, flat_idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -497,12 +507,15 @@ def _scatter_add_rows(n_rows: int, flat_idx: np.ndarray, rows: np.ndarray) -> np
 
     Sort + np.add.reduceat instead of np.add.at: same result, an order of
     magnitude faster, and the within-segment summation order is fixed by the
-    stable sort. The sorted rows are copied, SCATTER_BLOCK_ROWS at a time, into
-    the columns of an (f, N) buffer, so reduceat walks contiguous memory
-    instead of striding down each column. For each column it sums a segment
-    as the first element plus numpy's pairwise sum of the rest, whatever the
-    stride, so the result has the bits of reduceat over axis 0 of
-    rows[order]. `rows` may be a strided view.
+    stable sort. The sorted rows go one chunk of whole segments at a time,
+    SCATTER_BLOCK_ROWS at a time, into the columns of an (f, chunk) buffer,
+    so reduceat walks contiguous memory instead of striding down each column
+    and the buffer stays far smaller than the rows. A chunk holds about
+    SCATTER_CHUNK_ELEMS values and at least the longest segment. For each
+    column reduceat sums a segment as the first element plus numpy's
+    pairwise sum of the rest, whatever the stride, so the result has the
+    bits of reduceat over axis 0 of rows[order]. `rows` may be a strided
+    view.
     """
     f = rows.shape[1]
     out = np.zeros((n_rows, f), dtype=np.float64)
@@ -511,11 +524,19 @@ def _scatter_add_rows(n_rows: int, flat_idx: np.ndarray, rows: np.ndarray) -> np
     order = np.argsort(flat_idx, kind="stable")
     si = flat_idx[order]
     starts = np.flatnonzero(np.concatenate(([True], si[1:] != si[:-1])))
-    cols = np.empty((f, order.size))
-    for s in range(0, order.size, SCATTER_BLOCK_ROWS):
-        block = order[s:s + SCATTER_BLOCK_ROWS]
-        cols[:, s:s + block.size] = rows[block].T
-    out[si[starts]] = np.add.reduceat(cols, starts, axis=1).T
+    bounds = np.append(starts, order.size)
+    chunk = max(SCATTER_CHUNK_ELEMS // f, int(np.diff(bounds).max()))
+    cols = np.empty((f, min(chunk, order.size)))
+    first = 0
+    while first < starts.size:
+        last = np.searchsorted(bounds, bounds[first] + chunk, side="right") - 1
+        lo, hi = bounds[first], bounds[last]
+        for s in range(lo, hi, SCATTER_BLOCK_ROWS):
+            block = order[s:min(s + SCATTER_BLOCK_ROWS, hi)]
+            cols[:, s - lo:s - lo + block.size] = rows[block].T
+        out[si[starts[first:last]]] = np.add.reduceat(
+            cols[:, :hi - lo], starts[first:last] - lo, axis=1).T
+        first = last
     return out
 
 

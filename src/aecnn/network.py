@@ -18,10 +18,13 @@ difference is never formed. In feature
 propagation the interpolation weights sum to one, so AEConv2/3 interpolate
 the align MLP's hidden layer and apply its affine output layer once per
 fine point. `count_operations` counts the multiplies as they run.
-In a tracked pass each max over k, each `concat` and propagation's
-weighted sum release the values of the input they are given (see
-`autodiff`), so each set MLP's (b, r, k, f) output, the aligned features
-ahead of [xhat, t] and the interpolation's relu are not kept for backward.
+SA-first runs its MLP and max over k on blocks of references in every
+pass and joins the pooled blocks, so a tracked backward builds its dense
+gradients one block at a time. In a tracked pass each max, each `concat`
+and propagation's weighted sum release the values of the inputs they are
+given (see `autodiff`), so each set MLP's (b, r, k, f) output, SA-first's
+pooled blocks, the aligned features ahead of [xhat, t] and the
+interpolation's relu are not kept for backward.
 
 Every input cloud is canonically reordered (lexicographic point sort) on
 entry, which makes the full pipeline bitwise permutation invariant, and all
@@ -45,8 +48,8 @@ from .nn import Mlp
 AECONV1_PENALTY_WEIGHT = 1e-3
 FP_NEIGHBORS = 3
 FP_DISTANCE_FLOOR = 1e-10
-# Forward-only SA-first runs its MLP on blocks of references whose widest
-# activation holds about this many float64 values (4 MB).
+# SA-first runs its MLP on blocks of references whose widest activation
+# holds about this many float64 values (4 MB), in every pass.
 SA_FIRST_BLOCK_ELEMS = 500_000
 
 
@@ -207,37 +210,39 @@ class Model:
 
     def _first_level(self, pts: np.ndarray, nb_idx: np.ndarray,
                      bases: np.ndarray, ref_idx: np.ndarray) -> _Level:
-        """Shared tail of sa_first: RIR (or raw) coords -> pooled features."""
-        b, _, k = nb_idx.shape
+        """Shared tail of sa_first: RIR (or raw) coords -> pooled features.
+
+        The MLP and the max over k run on blocks of references whose widest
+        activation is about 4 MB (SA_FIRST_BLOCK_ELEMS), in every pass.
+        Forward only, whole-batch activations would be fresh buffers every
+        call, whose first-touch page faults cost more than the GEMMs; blocks
+        reuse warm memory. Tracked, backward builds each block's dense zero
+        gradient of the max and the hidden layer's gradient one block at a
+        time. Rows never mix and a GEMM's rows do not depend on how many
+        rows it is given, so values are the same as in one block; only the
+        weight and bias gradients, summed over blocks, round differently.
+        """
+        b, r, k = nb_idx.shape
         ref_pts = pts[_bidx(b, ref_idx), ref_idx]
-        nb_pts = pts[_bidx(b, nb_idx), nb_idx]
-        if self.config.features == "rir":
-            h_in = lrf.rir_batch(nb_pts, ref_pts, bases)
-        else:
-            # Negative-control mode: world coordinates go straight in.
-            offsets = nb_pts - ref_pts[:, :, None, :]
-            refs_rep = np.repeat(ref_pts[:, :, None, :], nb_pts.shape[2], axis=2)
-            h_in = np.concatenate([refs_rep, offsets], axis=-1)
-        # Forward only, the MLP and the max over k run on blocks of references
-        # whose widest activation is about 4 MB. Whole-batch activations are
-        # fresh buffers every call, and their first-touch page faults cost
-        # more than the GEMMs; blocks reuse warm memory. Rows never mix and a
-        # GEMM's rows do not depend on how many rows it is given, so the
-        # result is the same.
-        # Each block pools into its rows of one (b, r, f) array with the plain
-        # max that max_reduce takes when nothing needs a gradient.
-        # Tracked passes keep one block: splitting the graph would change the
-        # summation order of the weight-gradient GEMM.
-        if any(p.needs_grad for p in self.h_mlp.parameters()):
-            feat = ad.max_reduce(self.h_mlp(ad.constant(h_in)), axis=2)
-            return _Level(pts=ref_pts, bases=bases, feat=feat)
-        r = h_in.shape[1]
         step = max(1, SA_FIRST_BLOCK_ELEMS // (b * k * max(self.h_mlp.widths)))
+        # `concat` joins the blocks into rows allocated ahead of them, as
+        # forward-only SA-first always pooled: joined into a fresh array
+        # instead, paper-scale inference read about 0.5 MB more peak RSS.
         pooled = np.empty((b, r, self.h_mlp.out_width))
+        blocks = []
         for s in range(0, r, step):
-            h = self.h_mlp(ad.constant(h_in[:, s:s + step]))
-            np.max(h.values, axis=2, out=pooled[:, s:s + step])
-        return _Level(pts=ref_pts, bases=bases, feat=ad.constant(pooled))
+            rows = slice(s, s + step)
+            idx = nb_idx[:, rows]
+            nb_pts = pts[_bidx(b, idx), idx]
+            if self.config.features == "rir":
+                h_in = lrf.rir_batch(nb_pts, ref_pts[:, rows], bases[:, rows])
+            else:
+                # Negative-control mode: world coordinates go straight in.
+                refs = np.broadcast_to(ref_pts[:, rows, None, :], nb_pts.shape)
+                h_in = np.concatenate([refs, nb_pts - refs], axis=-1)
+            blocks.append(ad.max_reduce(self.h_mlp(ad.constant(h_in)), axis=2))
+        return _Level(pts=ref_pts, bases=bases,
+                      feat=ad.concat(blocks, axis=1, out=pooled))
 
     def _sa_first_batch(self, pts: np.ndarray) -> _Level:
         ref_idx = nb.fps_batch(pts, self.config.sa_first.n_ref)

@@ -6,8 +6,9 @@ on (distance, index) pairs instead of vectorized argsorts, O(n^2) greedy loops
 instead of incremental minima, per-cloud loops instead of batched
 coordinate-major scans, central finite differences instead of
 backpropagation, and each edge's whole concatenated input multiplied by the
-first-layer weights instead of the package's per-row factoring. Slow and
-obvious beats fast and shared-bug.
+first-layer weights instead of the package's per-row factoring, and
+SA-first as one graph over the whole set instead of blocks of references.
+Slow and obvious beats fast and shared-bug.
 """
 from __future__ import annotations
 
@@ -284,6 +285,31 @@ def unfactored_model(config, seed=0):
             return xhat if weights is None else ad.weighted_sum(xhat, weights)
 
     return Unfactored(config, seed=seed)
+
+
+def one_block_model(config, seed=0):
+    """A Model whose SA-first runs the MLP and the max over k on every
+    reference of the batch as one graph.
+
+    The package runs them on blocks of references and joins the pooled
+    blocks. Rows never mix, so the logits are the same bit for bit; the
+    sa_first weight and bias gradients are one GEMM and one column sum here,
+    a sum of per-block ones there, so they agree up to rounding.
+    """
+    class OneBlock(Model):
+        def _first_level(self, pts, nb_idx, bases, ref_idx):
+            b = nb_idx.shape[0]
+            ref_pts = pts[_bidx(b, ref_idx), ref_idx]
+            nb_pts = pts[_bidx(b, nb_idx), nb_idx]
+            if self.config.features == "rir":
+                h_in = lrf.rir_batch(nb_pts, ref_pts, bases)
+            else:
+                refs = np.repeat(ref_pts[:, :, None, :], nb_pts.shape[2], axis=2)
+                h_in = np.concatenate([refs, nb_pts - refs], axis=-1)
+            feat = ad.max_reduce(self.h_mlp(ad.constant(h_in)), axis=2)
+            return _Level(pts=ref_pts, bases=bases, feat=feat)
+
+    return OneBlock(config, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,29 @@ class TestConcatGather:
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
+    @pytest.mark.parametrize("case", ["segment_over_chunk", "many_chunks",
+                                      "one_segment"])
+    def test_scatter_in_chunks_matches_reduceat_bitwise(self, case, monkeypatch):
+        # Chunks hold whole segments: a segment longer than the default
+        # chunk gets a chunk of its own length, and a small chunk splits
+        # the rows into hundreds of chunks.
+        g = rng(75)
+        f = 3
+        if case == "segment_over_chunk":
+            lengths = [1, ad.SCATTER_CHUNK_ELEMS // f + 77, 2, 130]
+        elif case == "many_chunks":
+            monkeypatch.setattr(ad, "SCATTER_CHUNK_ELEMS", 40 * f)
+            lengths = g.integers(1, 41, size=600)
+        else:
+            lengths = [1000]
+        idx = np.repeat(g.permutation(len(lengths) + 5)[:len(lengths)], lengths)
+        g.shuffle(idx)
+        rows = g.normal(size=(idx.size, f)) * np.exp(4.0 * g.normal(size=(idx.size, f)))
+        got = ad._scatter_add_rows(len(lengths) + 5, idx, rows)
+        want = self.reduceat_rows(len(lengths) + 5, idx, rows)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_scatter_of_no_rows(self):
         got = ad._scatter_add_rows(4, np.zeros(0, dtype=np.intp), np.zeros((0, 3)))
         assert np.array_equal(got, np.zeros((4, 3)))

@@ -15,6 +15,7 @@ DEMOS = [
     "command_line_tour.py",
     "frames_under_rotation.py",
     "invariant_logits.py",
+    "paper_scale_step.py",
     "searches_and_sampling.py",
 ]
 
