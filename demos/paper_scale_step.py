@@ -8,13 +8,18 @@ the forward pass, the loss and the backward pass once to warm up, then
 STEPS more times, with no optimizer update, and prints one JSON line: the
 median step seconds divided by the batch size, the step times themselves,
 and the process's peak resident set size (`ru_maxrss`) in MB. Peak RSS
-counts the whole process, so it includes the interpreter and numpy.
+counts the whole process, so it includes the interpreter and numpy, and
+glibc's heap layout makes it depend on the order in which buffers are
+allocated, not only on how many bytes are live. So one more untimed step
+runs under `tracemalloc`, after peak RSS is read, and `traced_peak_mb` is
+the most memory that step's own allocations held at once.
 """
 import argparse
 import json
 import resource
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -42,19 +47,30 @@ def main(argv=None) -> None:
         for _ in range(args.batch)])
     labels = np.arange(args.batch) % cfg.n_classes
 
+    def step():
+        logits, penalties = model.classify_batch(clouds)
+        ad.backward(model.loss_terms(logits, labels, penalties))
+
     times = []
     for _ in range(STEPS + 1):
         start = time.perf_counter()
-        logits, penalties = model.classify_batch(clouds)
-        ad.backward(model.loss_terms(logits, labels, penalties))
+        step()
         times.append(time.perf_counter() - start)
         zero_grads(model.params)
     steps = times[1:]
+    peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    tracemalloc.start()
+    try:
+        step()
+        traced_peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
     print(json.dumps({
         "batch": args.batch,
         "step_s_per_cloud": round(statistics.median(steps) / args.batch, 4),
         "step_s": [round(t, 4) for t in steps],
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "peak_rss_mb": round(peak_rss, 1),
+        "traced_peak_mb": round(traced_peak, 1),
     }))
 
 

@@ -3,11 +3,12 @@
 Tensors wrap ndarrays and remember how they were produced; `backward` walks
 the graph once in reverse topological order. The module holds only the ops
 the network runs: affine maps, row blocks of a weight, addition and scaling
-(of losses and of weight blocks), in-place relu, max reduction, last-axis
-concatenation, reshapes, batched row gathers, inverse-distance weighted
-sums, stable softmax cross entropy, and the fused edge kernels (in-place
-adds of per-row terms onto edges, matrix-vector alignment and the
-orthogonality penalty) whose gradients are hand derived.
+(of losses and of weight blocks), in-place relu, max reduction, the max of
+a shared MLP on a constant input (`mlp_max`), last-axis concatenation,
+reshapes, batched row gathers, inverse-distance weighted sums, stable
+softmax cross entropy, and the fused edge kernels (in-place adds of
+per-row terms onto edges, matrix-vector alignment and the orthogonality
+penalty) whose gradients are hand derived.
 The unfused ops the tests compare them against (`sub`, `mul`, `square`,
 `relu`, `sum_reduce`, `mean_reduce`, `expand_set`) live in
 tests/reference_ops.py, built on `_make` and `Tensor._add_grad`.
@@ -54,6 +55,13 @@ by another max and the relu ahead of propagation's weighted sum are freed
 as the forward pass moves on; backward runs the same arithmetic in the
 same order. `as_tensor` refuses a released tensor as any op's input; an
 input that another op also consumes keeps its values.
+`mlp_max` goes further for a set MLP whose input is a constant (SA-first's
+RIR coordinates): it gives up its whole chain of linear, relu and max.
+Tracked, it keeps only the input, the winning rows of the max and the
+weights, and backward recomputes the hidden layers from the input, whose
+first layer reads only 3 (or 6) values per row. The chain's arithmetic
+and order are kept, so no bit moves. Every tracked max keeps its winning
+rows in the smallest unsigned dtype that holds them.
 
 Everything is float64 and single threaded on purpose: gradient checks sit at
 1e-4 relative tolerance and training runs must be bit-reproducible.
@@ -392,10 +400,12 @@ def _first_argmax(v: np.ndarray, axis: int) -> np.ndarray:
     Scans the slices along axis from the last to the first, marking each
     place that equals the max, so the first maximum is written last. Every
     tensor is screened when it is made or only selects screened values, so
-    v holds no NaN.
+    v holds no NaN. The indices come in the smallest unsigned dtype that
+    holds them (uint8 for up to 256 slices), since a tracked max keeps
+    them until backward.
     """
     m = v.max(axis=axis)
-    idx = np.zeros(m.shape, dtype=np.intp)
+    idx = np.zeros(m.shape, dtype=np.min_scalar_type(v.shape[axis] - 1))
     hit = np.empty(m.shape, dtype=bool)
     sl = [slice(None)] * v.ndim
     for j in range(v.shape[axis] - 1, -1, -1):
@@ -403,6 +413,61 @@ def _first_argmax(v: np.ndarray, axis: int) -> np.ndarray:
         np.equal(v[tuple(sl)], m, out=hit)
         np.putmask(idx, hit, j)
     return idx
+
+
+def mlp_max(x: np.ndarray, mlp, axis: int) -> Tensor:
+    """max_reduce(mlp(constant(x)), axis) for a shared MLP (`nn.Mlp`): a
+    callable whose `layers` are (w, b) pairs, `linear` maps with
+    `relu_inplace` between them.
+
+    With no weight needing a gradient it is exactly that chain. Tracked, it
+    runs the same chain and the tracked max's `_first_argmax`, then keeps
+    only x, the winning rows and the weights: the chain's nodes, hidden
+    layers included, go before the argmax. Backward recomputes the
+    hidden layers from x, with the forward's bits, and runs the chain's
+    backward on them in the chain's order, its 0.0 + g adoptions included,
+    so every gradient has the chain's bits. The output layer and the argmax
+    are not recomputed.
+    """
+    x = constant(x)
+    y = mlp(x)
+    if not y.needs_grad:
+        return max_reduce(y, axis)
+    # Drop the chain's nodes, and with them the hidden layers, before the
+    # argmax; only the output layer's values are read from here on.
+    v, shape = y.values, y.shape
+    del y
+    layers = mlp.layers
+    params = tuple(p for layer in layers for p in layer)
+    axis = axis if axis >= 0 else v.ndim + axis
+    am = np.expand_dims(_first_argmax(v, axis), axis)
+    out_vals = np.take_along_axis(v, am, axis)
+    rows = x.values.reshape(-1, x.shape[-1])
+
+    def bwd(out):
+        acts = [rows]   # each layer's input rows
+        for w, b in layers[:-1]:
+            h = acts[-1] @ w.values
+            h += b.values
+            acts.append(np.maximum(h, 0.0, out=h))
+        g = np.zeros(shape)
+        np.put_along_axis(g, am, np.expand_dims(out.grad, axis), axis)
+        g += 0.0
+        g = g.reshape(-1, shape[-1])
+        for w, b in reversed(layers):
+            a = acts.pop()
+            w._add_grad(a.T @ g, owned=True)
+            b._add_grad(g.sum(axis=0), owned=True)
+            if acts:
+                # The layer input's gradient, then the relu's, each stored
+                # as 0.0 + g as the chain's `_add_grad` stores them.
+                g = g @ w.values.T
+                g += 0.0
+                np.multiply(g, a > 0.0, out=g)
+                g += 0.0
+
+    return _make(np.squeeze(out_vals, axis=axis), params, bwd, screened=True,
+                 spend=_reads_no_values)
 
 
 def weighted_sum(x, w: np.ndarray) -> Tensor:

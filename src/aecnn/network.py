@@ -20,11 +20,14 @@ the align MLP's hidden layer and apply its affine output layer once per
 fine point. `count_operations` counts the multiplies as they run.
 SA-first runs its MLP and max over k on blocks of references in every
 pass and joins the pooled blocks, so a tracked backward builds its dense
-gradients one block at a time. In a tracked pass each max, each `concat`
-and propagation's weighted sum release the values of the inputs they are
-given (see `autodiff`), so each set MLP's (b, r, k, f) output, SA-first's
-pooled blocks, the aligned features ahead of [xhat, t] and the
-interpolation's relu are not kept for backward.
+gradients one block at a time. Each block is one `ad.mlp_max`: a tracked
+pass keeps only the block's RIR input and the winning rows of its max,
+and backward recomputes the block's hidden layer from that input. In a
+tracked pass each max, each `concat` and propagation's weighted sum
+release the values of the inputs they are given (see `autodiff`), so each
+set MLP's (b, r, k, f) output, SA-first's hidden layers and pooled blocks,
+the aligned features ahead of [xhat, t] and the interpolation's relu are
+not kept for backward.
 
 Every input cloud is canonically reordered (lexicographic point sort) on
 entry, which makes the full pipeline bitwise permutation invariant, and all
@@ -49,7 +52,8 @@ AECONV1_PENALTY_WEIGHT = 1e-3
 FP_NEIGHBORS = 3
 FP_DISTANCE_FLOOR = 1e-10
 # SA-first runs its MLP on blocks of references whose widest activation
-# holds about this many float64 values (4 MB), in every pass.
+# holds about this many float64 values (4 MB), in every pass; a tracked
+# backward recomputes one block's hidden layer at a time.
 SA_FIRST_BLOCK_ELEMS = 500_000
 
 
@@ -216,11 +220,13 @@ class Model:
         activation is about 4 MB (SA_FIRST_BLOCK_ELEMS), in every pass.
         Forward only, whole-batch activations would be fresh buffers every
         call, whose first-touch page faults cost more than the GEMMs; blocks
-        reuse warm memory. Tracked, backward builds each block's dense zero
-        gradient of the max and the hidden layer's gradient one block at a
-        time. Rows never mix and a GEMM's rows do not depend on how many
-        rows it is given, so values are the same as in one block; only the
-        weight and bias gradients, summed over blocks, round differently.
+        reuse warm memory. Tracked, each block (`ad.mlp_max`) keeps only its
+        input h_in and the winning rows of its max; backward recomputes the
+        block's hidden layer from h_in and builds the dense zero gradient of
+        the max and the hidden layer's gradient, one block at a time. Rows
+        never mix and a GEMM's rows do not depend on how many rows it is
+        given, so values are the same as in one block; only the weight and
+        bias gradients, summed over blocks, round differently.
         """
         b, r, k = nb_idx.shape
         ref_pts = pts[_bidx(b, ref_idx), ref_idx]
@@ -240,7 +246,7 @@ class Model:
                 # Negative-control mode: world coordinates go straight in.
                 refs = np.broadcast_to(ref_pts[:, rows, None, :], nb_pts.shape)
                 h_in = np.concatenate([refs, nb_pts - refs], axis=-1)
-            blocks.append(ad.max_reduce(self.h_mlp(ad.constant(h_in)), axis=2))
+            blocks.append(ad.mlp_max(h_in, self.h_mlp, axis=2))
         return _Level(pts=ref_pts, bases=bases,
                       feat=ad.concat(blocks, axis=1, out=pooled))
 

@@ -6,8 +6,10 @@ on (distance, index) pairs instead of vectorized argsorts, O(n^2) greedy loops
 instead of incremental minima, per-cloud loops instead of batched
 coordinate-major scans, central finite differences instead of
 backpropagation, and each edge's whole concatenated input multiplied by the
-first-layer weights instead of the package's per-row factoring, and
-SA-first as one graph over the whole set instead of blocks of references.
+first-layer weights instead of the package's per-row factoring,
+SA-first as one graph over the whole set instead of blocks of references,
+and SA-first's blocks keeping their hidden layers for backward instead of
+recomputing them.
 Slow and obvious beats fast and shared-bug.
 """
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from aecnn import autodiff as ad
 from aecnn import lrf
-from aecnn.network import Model, _bidx, _Level
+from aecnn.network import SA_FIRST_BLOCK_ELEMS, Model, _bidx, _Level
 
 import reference_ops as ref
 
@@ -310,6 +312,38 @@ def one_block_model(config, seed=0):
             return _Level(pts=ref_pts, bases=bases, feat=feat)
 
     return OneBlock(config, seed=seed)
+
+
+def kept_hidden_model(config, seed=0):
+    """A Model whose SA-first blocks run max_reduce(h_mlp(constant(h_in)))
+    as a chain of graph nodes, each keeping what its backward reads.
+
+    The package's `ad.mlp_max` keeps only each block's input and winning
+    rows and recomputes the hidden layers in backward. The blocks, their
+    inputs and the joining `concat` are the package's, so the logits and
+    every gradient agree bit for bit.
+    """
+    class KeptHidden(Model):
+        def _first_level(self, pts, nb_idx, bases, ref_idx):
+            b, r, k = nb_idx.shape
+            ref_pts = pts[_bidx(b, ref_idx), ref_idx]
+            step = max(1, SA_FIRST_BLOCK_ELEMS // (b * k * max(self.h_mlp.widths)))
+            pooled = np.empty((b, r, self.h_mlp.out_width))
+            blocks = []
+            for s in range(0, r, step):
+                rows = slice(s, s + step)
+                idx = nb_idx[:, rows]
+                nb_pts = pts[_bidx(b, idx), idx]
+                if self.config.features == "rir":
+                    h_in = lrf.rir_batch(nb_pts, ref_pts[:, rows], bases[:, rows])
+                else:
+                    refs = np.broadcast_to(ref_pts[:, rows, None, :], nb_pts.shape)
+                    h_in = np.concatenate([refs, nb_pts - refs], axis=-1)
+                blocks.append(ad.max_reduce(self.h_mlp(ad.constant(h_in)), axis=2))
+            return _Level(pts=ref_pts, bases=bases,
+                          feat=ad.concat(blocks, axis=1, out=pooled))
+
+    return KeptHidden(config, seed=seed)
 
 
 # ---------------------------------------------------------------------------

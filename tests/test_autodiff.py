@@ -188,6 +188,19 @@ class TestReductions:
         np.put_along_axis(routed, am, 1.0, axis)
         assert np.array_equal(p.grad, routed)
 
+    @pytest.mark.parametrize("n", [256, 257, 65_537])
+    def test_tracked_max_over_long_axis(self, n):
+        # The winning rows are kept in the smallest unsigned dtype that
+        # holds n - 1: uint8, uint16 and uint32 here.
+        x = rng(73).normal(size=(n, 3))
+        p = ad.parameter(x)
+        out = ad.max_reduce(p, axis=0)
+        assert np.array_equal(out.values, x.max(axis=0))
+        ad.backward(ref.sum_reduce(out))
+        routed = np.zeros_like(x)
+        np.put_along_axis(routed, x.argmax(axis=0)[None], 1.0, 0)
+        assert np.array_equal(p.grad, routed)
+
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             ad.max_reduce(ad.constant(np.zeros((2, 0, 3))), axis=-2)
@@ -574,6 +587,8 @@ def tracked_ops(g):
         ("linear", lambda: ad.linear(x, ad.parameter(w))),
         ("relu_inplace", lambda: ad.relu_inplace(ad.linear(x, w))),
         ("max_reduce", lambda: ad.max_reduce(x, axis=1)),
+        ("mlp_max", lambda: ad.mlp_max(x.values, nn.Mlp((3, 4, 2), g, {}, "m"),
+                                       axis=1)),
         ("weighted_sum", lambda: ad.weighted_sum(x, np.ones((2, 5)))),
         ("reshape", lambda: ad.reshape(x, (10, 3))),
         ("concat", lambda: ad.concat([x, x])),
@@ -1095,3 +1110,88 @@ class TestTakeOverFiniteDifferences:
             lambda x, w, skip: project(ad.concat([ad.linear(x, w), skip])),
             [g.normal(size=(2, 3, 4)), g.normal(size=(4, 5)),
              g.normal(size=(2, 3, 2))])
+
+
+def mlp_of(layers):
+    """An `nn.Mlp` that runs the given (w, b) layers."""
+    widths = [layers[0][0].values.shape[0]] + [w.values.shape[1] for w, _ in layers]
+    mlp = nn.Mlp(widths, rng(0), {}, "mlp")
+    mlp.layers = list(layers)
+    return mlp
+
+
+def mlp_max_chain(c, mlp, axis):
+    """The chain `ad.mlp_max` stands for, each op a graph node of its own."""
+    return ad.max_reduce(mlp(ad.constant(c)), axis)
+
+
+class TestMlpMax:
+    """`ad.mlp_max`, which recomputes the hidden layers in backward, against
+    the chain that keeps them: bit for bit in values, signed zeros and every
+    gradient, and against central differences."""
+
+    @staticmethod
+    def results(op, c, arrays, frozen=(), upstream=None):
+        """Values and every parameter gradient of sum(op(...) * upstream);
+        the layers listed in `frozen` are constants."""
+        params = [ad.parameter(a.copy()) for a in arrays]
+        layers = [tuple(ad.constant(t.values) if i in frozen else t
+                        for t in params[2 * i:2 * i + 2])
+                  for i in range(len(arrays) // 2)]
+        out = op(c, mlp_of(layers), 2)
+        if upstream is None:
+            ad.backward(project(out))
+        else:
+            ad.backward(ref.sum_reduce(ref.mul(out, ad.constant(upstream))))
+        return [out.values] + [p.grad for i, p in enumerate(params)
+                               if i // 2 not in frozen]
+
+    @pytest.mark.parametrize("k", [12, 16])
+    def test_equals_wired_chain_with_ties(self, k):
+        c, weights = mlp_pool(k, 180 + k)
+        got = [self.results(op, c, weights) for op in (ad.mlp_max, mlp_max_chain)]
+        assert_same_bits(*got)
+
+    def test_signed_zeros(self):
+        # Sets of -0.0 and +0.0 rows, a hidden unit that never fires, an
+        # output column that is zero on every edge (a tie over all of k)
+        # and an upstream gradient holding zeros of both signs.
+        c, weights = mlp_pool(12, 185)
+        c[1, 0] = -0.0
+        c[1, 1, ::2] = 0.0
+        c[1, 1, 1::2] = -0.0
+        weights[1][2] = -50.0
+        weights[2][:, 0] = 0.0
+        weights[3][0] = -0.0
+        upstream = rng(186).normal(size=(2, 3, 5))
+        upstream[0, :, 1] = -0.0
+        upstream[1, :, 2] = 0.0
+        got = [self.results(op, c, weights, upstream=upstream)
+               for op in (ad.mlp_max, mlp_max_chain)]
+        assert_same_bits(*got)
+        assert (got[0][0][..., 0] == 0.0).all()
+
+    @pytest.mark.parametrize("frozen", [(), (0,), (0, 1)])
+    def test_three_layers_and_frozen_lower_layers(self, frozen):
+        c, weights = mlp_pool(12, 187)
+        g = rng(188)
+        weights += [g.normal(size=(5, 3)), g.normal(size=(3,))]
+        got = [self.results(op, c, weights, frozen=frozen)
+               for op in (ad.mlp_max, mlp_max_chain)]
+        assert_same_bits(*got)
+
+    def test_untracked_runs_the_chain(self):
+        c, weights = mlp_pool(12, 189)
+        mlp = mlp_of([(ad.constant(weights[0]), ad.constant(weights[1])),
+                      (ad.constant(weights[2]), ad.constant(weights[3]))])
+        out = ad.mlp_max(c, mlp, 2)
+        assert not out.needs_grad
+        assert out.values.tobytes() == mlp_max_chain(c, mlp, 2).values.tobytes()
+
+    def test_matches_finite_differences(self):
+        g = rng(190)
+        c = gapped(g, (2, 3, 8, 4), axis=2)
+        check_grads(
+            lambda w0, b0, w1, b1: project(ad.mlp_max(c, mlp_of([(w0, b0), (w1, b1)]), 2)),
+            [g.normal(size=(4, 6)), g.normal(size=(6,)), g.normal(size=(6, 5)),
+             g.normal(size=(5,))])

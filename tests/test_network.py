@@ -26,6 +26,7 @@ from aecnn.network import (
 
 from oracles import (
     graph_bytes,
+    kept_hidden_model,
     one_block_model,
     rotation_from_axis_angle,
     unfactored_model,
@@ -694,6 +695,34 @@ class TestBlockedMatchesOneBlock:
             assert np.abs(g - want_grads[name]).max() <= 1e-12 * scale, name
 
 
+class TestRecomputeMatchesKeptHidden:
+    """SA-first's blocks through `ad.mlp_max`, which recomputes each block's
+    hidden layer in backward, against the chain of graph nodes that keeps it
+    (oracles.kept_hidden_model): logits and every parameter gradient,
+    sa_first.h.* included, bit for bit. At batch 8 the desk SA-first runs
+    in two blocks, of 61 and 3 references; the segmenters are narrowed as
+    in TestBlockedMatchesOneBlock."""
+
+    @pytest.mark.parametrize("seg, variant, features", [
+        *[(seg, variant, "rir") for seg in (False, True)
+          for variant in ("edgeconv", "aeconv1", "aeconv2", "aeconv3")],
+        (False, "aeconv3", "absolute"),
+    ])
+    def test_logits_and_gradients_bitwise(self, seg, variant, features):
+        cfg = desk_classification_config(variant=variant, features=features)
+        if seg:
+            cfg = desk_segmentation_config(
+                variant=variant, sa_next=(SaNextConfig(12, (24, 32)),),
+                fp_widths=(24, 16), point_head=(16,))
+        logits, grads = loss_and_grads(Model(cfg, seed=13), 13, batch=8)
+        want, want_grads = loss_and_grads(kept_hidden_model(cfg, seed=13), 13,
+                                          batch=8)
+        assert logits.tobytes() == want.tobytes()
+        assert grads.keys() == want_grads.keys()
+        for name, g in grads.items():
+            assert g is not None and g.tobytes() == want_grads[name].tobytes(), name
+
+
 class TestGoldenOutputs:
     """SHA-256 of float64 logits and of one step's gradients at fixed seeds.
 
@@ -814,12 +843,20 @@ class TestGraphMemory:
     the pooled blocks are released by the concat that joins them. The
     classifier's last-level features, pooled by the global max, are now
     released (32 x 4 x 192 float64 values, 196,608 bytes), and concat keeps
-    its offsets as Python ints (48 and 96 bytes of index arrays). The
-    totals depend on shapes alone, not on the clouds.
+    its offsets as Python ints (48 and 96 bytes of index arrays). That
+    gave 31,834,664 and 71,490,584 bytes.
+
+    A tracked SA-first block (`ad.mlp_max`) now keeps only its RIR input,
+    the winning rows of its max and the weights, and recomputes its hidden
+    layer in backward: the (32, 64, 16, 32) hidden layer, 8,388,608 bytes,
+    is no longer held. Every tracked max keeps its winning rows as uint8
+    rather than intp, 7 bytes less per pooled value: 1,591,296 bytes for
+    the classifier and 1,548,288 for the segmenter, which has no global
+    max. The totals depend on shapes alone, not on the clouds.
     """
 
-    @pytest.mark.parametrize("seg, want", [(False, 31_834_664),
-                                           (True, 71_490_584)])
+    @pytest.mark.parametrize("seg, want", [(False, 21_854_760),
+                                           (True, 61_553_688)])
     def test_desk_loss_graph_bytes(self, seg, want):
         cfg = desk_segmentation_config() if seg else desk_classification_config()
         model = Model(cfg, seed=0)
